@@ -4,7 +4,7 @@ The package computes pair counts by distance (the coefficients of the
 Wiener polynomial), distance sums restricted to vertices of a fixed
 degree, and the classic Wiener and Zagreb indices.  Three routes are
 provided and cross-checked: a brute-force BFS oracle for any connected
-graph, a linear-time table algorithm for trees, and a cut decomposition
+graph, a packed-row subtree algorithm for trees, and a cut decomposition
 for partial cubes.  On top of that sit generators for the extremal tree
 families and coronene benzenoids, closed-form optima, an exhaustive
 free-tree enumerator, and claim verifiers that tie everything together.
@@ -90,9 +90,8 @@ from .partial_cube import (
 )
 from .tree_linear import (
     NO_PARENT,
-    DistTable,
     RootedTree,
-    distance_count_table,
+    wiener_polynomial_linear,
     wk3_from_zagreb,
     wk_linear,
 )
@@ -134,8 +133,8 @@ __all__ = [
     "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",
     "index_report",
     # tree route
-    "RootedTree", "DistTable", "NO_PARENT", "distance_count_table",
-    "wk_linear", "wk3_from_zagreb",
+    "RootedTree", "NO_PARENT", "wk_linear", "wiener_polynomial_linear",
+    "wk3_from_zagreb",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
     "is_partial_cube", "halfspace_degree_counts", "twk_cut",

@@ -29,8 +29,6 @@ from .errors import (
 )
 from .extremal import TreeSpec, caterpillar_twk, gen_tree
 from .graphs import (
-    Graph,
-    bfs_distances,
     cycle_graph,
     dump_edge_list,
     hypercube_graph,
@@ -49,7 +47,7 @@ from .indices import (
     zagreb_m2,
 )
 from .partial_cube import is_partial_cube, twk_cut
-from .tree_linear import RootedTree, distance_count_table, wk_linear
+from .tree_linear import wiener_polynomial_linear, wk_linear
 from .treegen import all_free_trees
 from .verify import (
     DEFAULT_SEED,
@@ -143,12 +141,6 @@ def _need(value, flag: str):
     return value
 
 
-def _tree_diameter(g: Graph) -> int:
-    row = bfs_distances(g, 0)
-    far = row.index(max(row))
-    return max(bfs_distances(g, far))
-
-
 def _cmd_compute(args) -> dict:
     text = sys.stdin.read() if args.stdin else Path(args.input).read_text()
     g = parse_edge_list(text)
@@ -164,11 +156,14 @@ def _cmd_compute(args) -> dict:
         raise ValueError("--method cut applies to --index twk")
 
     t0 = time.perf_counter()
+    partition = None
     if method == "auto":
         if index in ("wk", "poly"):
             method = "linear" if is_tree(g) else "oracle"
         elif index == "twk":
-            method = "cut" if is_partial_cube(g).accepted else "oracle"
+            verdict = is_partial_cube(g)
+            method = "cut" if verdict.accepted else "oracle"
+            partition = verdict.partition
         else:
             method = "oracle"
 
@@ -180,18 +175,10 @@ def _cmd_compute(args) -> dict:
     elif index == "wk":
         payload["wk"] = wk_linear(g, k) if method == "linear" else wk(g, k)
     elif index == "poly":
-        if method == "linear":
-            rt = RootedTree.build(g)
-            diam = _tree_diameter(g)
-            coeffs = [0]
-            if diam:
-                table = distance_count_table(rt, diam)
-                coeffs += [wk_linear(rt, kk, table) for kk in range(1, diam + 1)]
-            payload["poly"] = coeffs
-        else:
-            payload["poly"] = list(wiener_polynomial(g).coeffs)
+        poly = wiener_polynomial_linear(g) if method == "linear" else wiener_polynomial(g)
+        payload["poly"] = list(poly.coeffs)
     elif index == "twk":
-        payload["twk"] = twk_cut(g, k) if method == "cut" else twk(g, k)
+        payload["twk"] = twk_cut(g, k, partition) if method == "cut" else twk(g, k)
     elif index == "zagreb":
         payload["m1"] = zagreb_m1(g)
         payload["m2"] = zagreb_m2(g)

@@ -172,6 +172,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise EdgeListFormatError(f"non-integer header {rows[0]!r}") from exc
+    if n < 1:
+        raise EdgeListFormatError(f"vertex count must be >= 1, got {n}")
     if m < 0:
         raise EdgeListFormatError("negative edge count")
     body = rows[1:]

@@ -1,13 +1,22 @@
-"""Linear-time counting of vertex pairs at a fixed distance in a tree.
+"""Pair counts by distance in a tree, from packed subtree rows.
 
-The tree is rooted and every vertex v keeps a short vector a[v] where
-a[v][i] counts the vertices of v's subtree at distance i from v.  Each
-distance-k pair is then charged exactly once to the vertex of its
-connecting path that is closest to the root: either both endpoints sit
-in the subtree with v on their path (the a[v][k] term, which sees each
-such pair from both ends), or the path bends at v between two distinct
-child subtrees (the cross term).  Summing the doubled contributions and
-halving yields the pair count in O(n * k) time.
+The tree is rooted and every vertex v keeps a row a[v] where a[v][i]
+counts the vertices of v's subtree exactly i levels below v.  A row is
+stored as one integer whose digit i holds a[v][i]; each digit is
+bits = 3 * n.bit_length() + 1 bits wide, so a digit holds n**3 and no
+sum below ever carries into the next digit.  One pass in reverse
+preorder builds every row with a shift and an add:
+row[parent] += row[v] << bits.
+
+Squaring a row counts the ordered pairs of v's subtree by the sum of
+their depths below v.  Charging each distance-k pair to the top vertex
+of its path then gives, with D = sum of row[v]**2 over all v,
+R = row[root]**2 and X[i] for digit i of X:
+
+    2 * W_k = D[k] - D[k - 2] + R[k - 2]        (k >= 1)
+
+A single W_k needs digits 0..k only, so its rows are truncated to k + 1
+digits; the whole Wiener polynomial keeps every digit.
 
 All traversals use explicit stacks, so paths with millions of vertices
 do not exhaust the interpreter stack.
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import NotATreeError, VertexOutOfRangeError
 from .graphs import Graph, is_tree
-from .indices import zagreb_m1, zagreb_m2
+from .indices import WienerPolynomial, zagreb_m1, zagreb_m2
 
 #: Parent marker for the root.
 NO_PARENT = -1
@@ -36,7 +45,9 @@ class RootedTree:
 
     @classmethod
     def build(cls, g: Graph, root: int = 0) -> "RootedTree":
-        if not is_tree(g):
+        """Root g at root; a graph with n >= 1 vertices, n - 1 edges and a
+        traversal reaching every vertex is a tree."""
+        if g.n < 1 or g.m != g.n - 1:
             raise NotATreeError("input graph is not a tree")
         if not 0 <= root < g.n:
             raise VertexOutOfRangeError(f"root {root} outside 0..{g.n - 1}")
@@ -54,83 +65,66 @@ class RootedTree:
                     seen[u] = True
                     parent[u] = v
                     stack.append(u)
+        if len(order) != g.n:
+            raise NotATreeError("input graph is not a tree")
         return cls(graph=g, root=root, parent=tuple(parent), order=tuple(order))
 
 
-@dataclass
-class DistTable:
-    """Per-vertex subtree distance counts for one rooted tree.
-
-    a[v][i] is the number of vertices at distance i from v inside the
-    subtree rooted at v, for 0 <= i <= k.  Rows are plain lists for
-    speed; treat the table as read-only once built.
-    """
-
-    k: int
-    a: list[list[int]]
-
-
-def distance_count_table(t: RootedTree, k: int) -> DistTable:
-    """Build the subtree distance-count table for depths 0..k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = t.graph.n
-    width = k + 1
-    a = [[0] * width for _ in range(n)]
-    for row in a:
-        row[0] = 1
+def _pair_counts(t: RootedTree, k: int | None) -> list[int]:
+    """[W_k] for the given k, or W_1..W_top when k is None, where top is
+    twice the height of the tree (past the diameter the counts are 0)."""
+    bits = 3 * t.graph.n.bit_length() + 1
+    keep = -1 if k is None else (1 << ((k + 1) * bits)) - 1  # -1 keeps every digit
+    row = [1] * t.graph.n
     parent = t.parent
-    for v in reversed(t.order):
-        p = parent[v]
-        if p == NO_PARENT:
-            continue
-        ap = a[p]
-        av = a[v]
-        for i in range(k):
-            ap[i + 1] += av[i]
-    return DistTable(k=k, a=a)
+    squares = 0
+    for v in t.order[:0:-1]:
+        r = row[v]
+        squares += r * r
+        row[parent[v]] += (r << bits) & keep
+    root_square = row[t.root] * row[t.root]
+    squares += root_square
+
+    digit = (1 << bits) - 1
+
+    def at(x: int, i: int) -> int:
+        return (x >> (i * bits)) & digit if i >= 0 else 0
+
+    top = (root_square.bit_length() - 1) // bits
+    counts = []
+    for j in (k,) if k is not None else range(1, top + 1):
+        doubled = at(squares, j) - at(squares, j - 2) + at(root_square, j - 2)
+        if doubled % 2:
+            raise RuntimeError("doubled pair count must be even")
+        counts.append(doubled // 2)
+    return counts
 
 
-def _doubled_pair_count(t: RootedTree, table: DistTable, k: int) -> int:
-    """Twice the number of distance-k pairs, by per-vertex charging."""
-    a = table.a
-    adj = t.graph.adj
-    parent = t.parent
-    total = 0
-    for v in range(t.graph.n):
-        av = a[v]
-        total += 2 * av[k]
-        pv = parent[v]
-        for u in adj[v]:
-            if u == pv:
-                continue
-            au = a[u]
-            cross = 0
-            for i in range(k - 1):
-                cross += au[i] * (av[k - 1 - i] - au[k - 2 - i])
-            total += cross
-    return total
-
-
-def wk_linear(t: RootedTree | Graph, k: int, table: DistTable | None = None) -> int:
+def wk_linear(t: RootedTree | Graph, k: int) -> int:
     """Number of unordered vertex pairs at distance exactly k in a tree.
 
     Accepts a Graph (rooted at 0 internally) or a prebuilt RootedTree.
-    A table built once with depth K serves every k <= K, so sweeps over
-    many k values can share it.
     """
     if isinstance(t, Graph):
         t = RootedTree.build(t)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if table is None:
-        table = distance_count_table(t, k)
-    elif table.k < k:
-        raise ValueError(f"table depth {table.k} is smaller than k={k}")
-    doubled = _doubled_pair_count(t, table, k)
-    if doubled % 2:
-        raise RuntimeError("pair accumulator must be even")
-    return doubled // 2
+    if k >= t.graph.n:  # no tree path is that long; also bounds the row width
+        return 0
+    return _pair_counts(t, k)[0]
+
+
+def wiener_polynomial_linear(t: RootedTree | Graph) -> WienerPolynomial:
+    """Pair counts of a tree by distance, up to its diameter.
+
+    Accepts a Graph (rooted at 0 internally) or a prebuilt RootedTree.
+    """
+    if isinstance(t, Graph):
+        t = RootedTree.build(t)
+    coeffs = [0] + _pair_counts(t, None)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return WienerPolynomial(tuple(coeffs))
 
 
 def wk3_from_zagreb(g: Graph) -> int:

@@ -45,6 +45,18 @@ def test_compute_poly_oracle_matches_linear(tmp_path, capsys):
     assert lin["method"] == "linear" and orc["method"] == "oracle"
 
 
+def test_compute_poly_long_path(tmp_path, capsys):
+    n = 1000
+    path = write_graph(tmp_path, path_graph(n))
+    code, out, _ = run_cli(
+        capsys, "compute", "--input", path, "--index", "poly", "--no-timing"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "linear"
+    assert payload["poly"] == [0] + [n - k for k in range(1, n)]
+
+
 def test_compute_stdin(capsys, monkeypatch):
     import io
 
@@ -83,6 +95,26 @@ def test_compute_auto_picks_cut_for_partial_cube(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["method"] == "cut"
     assert payload["twk"] == 27
+
+
+def test_compute_auto_twk_verifies_once(tmp_path, capsys, monkeypatch):
+    import distindex.cli
+    import distindex.partial_cube
+
+    calls = []
+    verify = distindex.partial_cube.is_partial_cube
+
+    def counting(g):
+        calls.append(g.n)
+        return verify(g)
+
+    monkeypatch.setattr(distindex.cli, "is_partial_cube", counting)
+    monkeypatch.setattr(distindex.partial_cube, "is_partial_cube", counting)
+    path = write_graph(tmp_path, gen_coronene(2).graph)
+    code, out, _ = run_cli(capsys, "compute", "--input", path, "--index", "twk", "--k", "3")
+    assert code == 0
+    assert json.loads(out)["twk"] == 174
+    assert calls == [24]
 
 
 def test_compute_method_cut_rejects_odd_cycle(tmp_path, capsys):
@@ -132,6 +164,15 @@ def test_compute_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", "--input", str(path), "--index", "wiener")
     assert code == 2
     assert err
+
+
+def test_compute_empty_vertex_set_exit_code(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    code, out, err = run_cli(capsys, "compute", "--input", str(path), "--index", "wiener")
+    assert code == 2
+    assert not out
+    assert "vertex count" in err
 
 
 def test_compute_missing_file_exit_code(capsys):
@@ -261,6 +302,20 @@ def test_verify_linear_vs_oracle_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] and payload["trials"] == 20 and payload["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--claim", "eq1", "--n", "3"),
+        ("--claim", "linear-vs-oracle", "--trials", "0"),
+    ],
+)
+def test_verify_without_evidence_exits_one(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["mismatch_count"] == 0 and not payload["pass"]
 
 
 def test_verify_coronene_cli(capsys):

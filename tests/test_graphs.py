@@ -153,6 +153,8 @@ def test_parse_edge_list_with_comments():
         "3 1\n0 1 2\n",
         "3 1\nx y\n",
         "3 -1\n",
+        "0 0\n",
+        "-2 0\n",
     ],
 )
 def test_parse_edge_list_malformed(text):

@@ -8,17 +8,18 @@ from distindex import (
     RootedTree,
     TreeSpec,
     cycle_graph,
-    distance_count_table,
+    from_edge_list,
     gen_tree,
     path_graph,
     random_tree,
     star_graph,
     wiener_polynomial,
+    wiener_polynomial_linear,
     wk_linear,
     wk3_from_zagreb,
     zagreb_m1,
 )
-from distindex.tree_linear import _doubled_pair_count
+from distindex.tree_linear import _pair_counts
 
 
 def test_rooted_tree_build():
@@ -34,30 +35,28 @@ def test_rooted_tree_rejects_non_trees():
         RootedTree.build(cycle_graph(4))
 
 
-def test_table_small_values():
-    t = RootedTree.build(path_graph(3))
-    table = distance_count_table(t, 2)
-    assert table.a[0] == [1, 1, 1]
-    assert table.a[1] == [1, 1, 0]
-    assert table.a[2] == [1, 0, 0]
-
-    s = RootedTree.build(star_graph(4))
-    table = distance_count_table(s, 2)
-    assert table.a[0] == [1, 3, 0]
-    assert table.a[1] == [1, 0, 0]
+def test_rooted_tree_rejects_disconnected_with_tree_edge_count():
+    # a triangle plus an isolated vertex has m = n - 1 but is no tree
+    g = from_edge_list(4, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(NotATreeError):
+        RootedTree.build(g)
+    with pytest.raises(NotATreeError):
+        wk_linear(g, 1)
 
 
-def test_table_row_invariants():
+def test_wiener_polynomial_linear_small():
+    assert wiener_polynomial_linear(path_graph(1)).coeffs == (0,)
+    assert wiener_polynomial_linear(path_graph(2)).coeffs == (0, 1)
+    assert wiener_polynomial_linear(path_graph(4)).coeffs == (0, 3, 2, 1)
+    assert wiener_polynomial_linear(star_graph(5)).coeffs == (0, 4, 6)
+
+
+def test_wiener_polynomial_linear_matches_oracle():
     rng = random.Random(3)
-    for _ in range(15):
-        g = random_tree(rng.randint(2, 50), rng)
-        t = RootedTree.build(g)
-        table = distance_count_table(t, 4)
-        for v in range(g.n):
-            assert table.a[v][0] == 1
-            expected = g.degree(v) - (0 if v == t.root else 1)
-            assert table.a[v][1] == expected
-            assert sum(table.a[v]) <= g.n
+    for _ in range(60):
+        g = random_tree(rng.randint(1, 80), rng)
+        t = RootedTree.build(g, rng.randrange(g.n))
+        assert wiener_polynomial_linear(t) == wiener_polynomial(g)
 
 
 def test_wk_linear_small():
@@ -65,6 +64,7 @@ def test_wk_linear_small():
     assert wk_linear(star_graph(6), 2) == 10
     assert wk_linear(path_graph(2), 1) == 1
     assert wk_linear(path_graph(5), 9) == 0
+    assert wk_linear(path_graph(5), 10**12) == 0
 
 
 def test_wk_linear_k_validation():
@@ -90,25 +90,22 @@ def test_wk_linear_root_independent():
         assert len(values) == 1
 
 
-def test_table_reuse_across_k():
-    g = random_tree(60, random.Random(13))
-    t = RootedTree.build(g)
-    table = distance_count_table(t, 10)
-    poly = wiener_polynomial(g)
-    for k in range(1, 11):
-        assert wk_linear(t, k, table) == poly.coefficient(k)
-    with pytest.raises(ValueError):
-        wk_linear(t, 11, table)
-
-
-def test_accumulator_always_even():
+def test_doubled_counts_even():
+    # every doubled count of a real tree is even, whatever the root
     rng = random.Random(19)
     for _ in range(20):
         g = random_tree(rng.randint(2, 40), rng)
-        t = RootedTree.build(g)
+        t = RootedTree.build(g, rng.randrange(g.n))
+        poly = wiener_polynomial(g)
+        counts = _pair_counts(t, None)
+        assert [0] + counts[: poly.degree()] == list(poly.coeffs)
+        assert not any(counts[poly.degree():])
         for k in range(1, 6):
-            table = distance_count_table(t, k)
-            assert _doubled_pair_count(t, table, k) % 2 == 0
+            assert _pair_counts(t, k) == [poly.coefficient(k)]
+    # a preorder that skips vertex 1 leaves the doubled count for k = 2 odd
+    broken = RootedTree(path_graph(3), 0, (NO_PARENT, 0, 1), (0, 2))
+    with pytest.raises(RuntimeError):
+        _pair_counts(broken, 2)
 
 
 def test_wk_linear_degree_identities():

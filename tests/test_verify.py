@@ -125,3 +125,9 @@ def test_caterpillar_family_attains_tree_maximum():
                 p += 1
             best_tree = max(twk(t, k) for t in all_free_trees(n))
             assert best_tree == best_family
+
+
+def test_verify_cut_vs_oracle_without_evidence_fails():
+    report = verify_cut_vs_oracle(trials=0, include_families=False)
+    assert report["comparisons"] == 0 and report["mismatch_count"] == 0
+    assert not report["pass"]
