@@ -45,6 +45,7 @@ from .extremal import (
     max_wk_odd,
 )
 from .graphs import (
+    MAX_HYPERCUBE_DIM,
     UNREACHABLE,
     DistanceMatrix,
     Graph,
@@ -127,7 +128,7 @@ __all__ = [
     "all_pairs_distances", "is_connected", "is_tree", "is_bipartite",
     "two_coloring", "degree_sequence", "parse_edge_list", "format_edge_list",
     "load_edge_list", "dump_edge_list", "path_graph", "star_graph",
-    "cycle_graph", "complete_graph", "hypercube_graph",
+    "cycle_graph", "complete_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM",
     # indices
     "wiener", "wk", "WienerPolynomial", "wiener_polynomial", "twk",
     "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",

@@ -46,4 +46,5 @@ class InfeasibleSpecError(GraphError):
 
 
 class OrderTooLargeError(GraphError):
-    """Requested enumeration order exceeds the supported bound."""
+    """Requested enumeration order or hypercube dimension exceeds the
+    supported bound."""

@@ -18,11 +18,16 @@ from .errors import (
     DuplicateEdgeError,
     EdgeListFormatError,
     LoopEdgeError,
+    OrderTooLargeError,
     VertexOutOfRangeError,
 )
 
 #: Distance value reported for vertices a BFS cannot reach.
 UNREACHABLE = -1
+
+#: Largest hypercube dimension built: 2^20 vertices, the scale of the
+#: million-vertex path the tree route is checked on.
+MAX_HYPERCUBE_DIM = 20
 
 
 @dataclass(frozen=True)
@@ -237,6 +242,10 @@ def hypercube_graph(d: int) -> Graph:
     """The d-dimensional hypercube; vertex v is its coordinate bitmask."""
     if d < 0:
         raise ValueError("hypercube needs d >= 0")
+    if d > MAX_HYPERCUBE_DIM:
+        raise OrderTooLargeError(
+            f"hypercube dimension must be <= {MAX_HYPERCUBE_DIM}, got {d}"
+        )
     n = 1 << d
     edges: Iterator[tuple[int, int]] = (
         (v, v | (1 << b)) for v in range(n) for b in range(d) if not v >> b & 1

@@ -2,18 +2,29 @@
 degree-restricted distance sums.
 
 Two edges xy and uv are related when d(x,u) + d(y,v) differs from
-d(x,v) + d(y,u).  The transitive closure of this relation partitions
-the edge set; in a partial cube removing any class splits the graph
-into two complementary halfspaces, and recording for each vertex which
-side of every class it lies on embeds the graph isometrically into a
-hypercube.  The verifier below checks all of that exhaustively, which
-is exact and affordable at desk scale (the pairwise stage is O(m^2)).
+d(x,v) + d(y,u).  In a bipartite graph that happens exactly when uv
+has one end on each side of the cut W_xy | W_yx, where W_xy is the set
+of vertices closer to x than to y.  The transitive closure of the
+relation partitions the edge set; in a partial cube removing any class
+splits the graph into two complementary halfspaces, and recording for
+each vertex which side of every class it lies on embeds the graph
+isometrically into a hypercube.
+
+The verifier is exact, builds no distance matrix and compares no pair
+of edges.  One bit-parallel sweep holds every ball B_r(v) as an integer
+bitset and grows all of them by big-int ORs of the neighbours' balls,
+for diameter + 1 rounds (radius 0 up to the diameter).  Along the way
+every edge collects one side of its cut and the ball sizes add up to
+twice the Wiener index.  Edges with equal cuts form one group, groups
+whose cuts cross are merged into classes, and the embedding is
+isometric exactly when the class side products sum to the Wiener index.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     ClassRemovalError,
@@ -21,7 +32,7 @@ from .errors import (
     NotBipartiteError,
     NotPartialCubeError,
 )
-from .graphs import Graph, all_pairs_distances, is_connected, two_coloring
+from .graphs import Graph, bfs_distances, is_connected, two_coloring
 
 
 @dataclass(frozen=True)
@@ -42,11 +53,155 @@ class ThetaPartition:
         return len(self.classes)
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _cut_sweep(
+    n: int, edges: list[tuple[int, int]], odd: int
+) -> tuple[list[int], int]:
+    """One side of every edge's cut, and the Wiener index, of a connected
+    bipartite graph whose colour-1 vertices are the bits of odd.
+
+    Ball r of v is the bitset B_r(v); B_{r+1}(v) is B_r(v) OR-ed with
+    the balls of v's neighbours, and after R = diameter rounds every
+    ball is full.  Edge (x, y) XORs B_r(x) | B_r(y) into its label in
+    each round, so bit w of the label ends as the parity of R - a, where
+    a = min(d(w, x), d(w, y)).  In a bipartite graph w is closer to x
+    exactly when a has the parity of d(w, x), that is of colour(w) +
+    colour(x); so label XOR odd is W_xy = {w : d(w, x) < d(w, y)} or its
+    complement, one side of the cut either way.  A vertex w outside
+    B_r(v) adds 1 to d(v, w) for each round r, so the missing bits sum
+    to 2 * W(G).
+    """
+    balls = [1 << v for v in range(n)]
+    labels = [0] * len(edges)
+    missing_total = 0
+    while True:
+        missing = n * n - sum(map(int.bit_count, balls))
+        if not missing:
+            return [label ^ odd for label in labels], missing_total // 2
+        missing_total += missing
+        grown = balls[:]
+        for i, (x, y) in enumerate(edges):
+            bx = balls[x]
+            by = balls[y]
+            labels[i] ^= bx | by
+            grown[x] |= by
+            grown[y] |= bx
+        balls = grown
+
+
+#: Maps the digits of a binary string to bytes 0 and 1 for compress().
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _sides(mask: int, everyone: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """The vertices in mask and the rest of everyone (= range(n))."""
+    n = len(everyone)
+    bits = format(mask, f"0{n}b")[::-1].encode().translate(_BIT_BYTES)
+    inside = frozenset(compress(range(n), bits))
+    return inside, everyone - inside
+
+
+def _transpose(masks: list[int], n: int) -> list[int]:
+    """Per-vertex bitsets: bit j of entry v is bit v of masks[j]."""
+    if not masks:
+        return [0] * n
+    rows = [format(mask, f"0{n}b") for mask in reversed(masks)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
+def _components(rows: list[int]) -> list[list[int]]:
+    """Connected components of the graph on 0..len(rows)-1 in which j is
+    adjacent to the set bits of rows[j].  Components come in order of
+    their lowest node, which each lists first."""
+    comps = []
+    unseen = (1 << len(rows)) - 1
+    for j in range(len(rows)):
+        if not unseen >> j & 1:
+            continue
+        found = []
+        frontier = 1 << j
+        unseen ^= frontier
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                found.append(low.bit_length() - 1)
+                reach |= rows[found[-1]]
+                frontier ^= low
+            frontier = reach & unseen
+            unseen ^= frontier
+        comps.append(found)
+    return comps
+
+
+def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
+    """The edge-class partition of theta_classes, each vertex's
+    coordinate bitset (bit i set on side1 of class i) and the Wiener
+    index the sweep measured on the way."""
+    if not is_connected(g):
+        raise DisconnectedError("edge classes need a connected graph")
+    colour = two_coloring(g)
+    if colour is None:
+        raise NotBipartiteError("edge classes need a bipartite graph")
+
+    n = g.n
+    edges = g.edges()
+    cuts, wiener = _cut_sweep(n, edges, sum(c << v for v, c in enumerate(colour)))
+    # Edge uv is related to xy iff it crosses xy's cut, so the edges of
+    # one cut are related and a group's relations follow from any edge.
+    # A group is keyed by the side of its cut that holds vertex 0.
+    full = (1 << n) - 1
+    groups: dict[int, list[int]] = {}
+    for i, cut in enumerate(cuts):
+        groups.setdefault(cut if cut & 1 else full ^ cut, []).append(i)
+    keys = list(groups)
+    members = list(groups.values())
+    # bit j of side[v]: v lies on the vertex-0 side of group j's cut;
+    # the classes are the components of the relation between groups
+    side = _transpose(keys, n)
+    crosses = [side[edges[ids[0]][0]] ^ side[edges[ids[0]][1]] for ids in members]
+    class_groups = _components(crosses)
+    class_ids = [sorted(i for b in found for i in members[b]) for found in class_groups]
+    class_of = [0] * len(edges)
+    for ci, ids in enumerate(class_ids):
+        for i in ids:
+            class_of[i] = ci
+    edge_id = {e: i for i, e in enumerate(edges)}
+
+    classes = []
+    side0 = []
+    side1 = []
+    coordinates = []
+    everyone = frozenset(range(n))
+    for ci, (found, ids) in enumerate(zip(class_groups, class_ids)):
+        if len(found) == 1:
+            # The class is exactly the edges crossing its cut, and each
+            # side is connected (geodesics to x stay inside W_xy), so
+            # removing it leaves these two components.
+            lo, hi = _sides(keys[found[0]], everyone)
+            coordinates.append(full ^ keys[found[0]])
+        else:
+            comp = _components_without_class(g, edge_id, class_of, ci)
+            if len(comp) != 2:
+                raise ClassRemovalError(
+                    f"removing class {ci} leaves {len(comp)} components, expected 2"
+                )
+            a, b = comp
+            lo, hi = (a, b) if 0 in a else (b, a)
+            for i in ids:
+                u, v = edges[i]
+                if (u in lo) == (v in lo):
+                    raise ClassRemovalError(
+                        f"class {ci} edge ({u}, {v}) does not cross the split"
+                    )
+            lo, hi = frozenset(lo), frozenset(hi)
+            coordinates.append(sum(1 << v for v in hi))
+        classes.append(tuple(edges[i] for i in ids))
+        side0.append(lo)
+        side1.append(hi)
+    part = ThetaPartition(
+        n=n, classes=tuple(classes), side0=tuple(side0), side1=tuple(side1)
+    )
+    return part, _transpose(coordinates, n), wiener
 
 
 def theta_classes(g: Graph) -> ThetaPartition:
@@ -58,60 +213,7 @@ def theta_classes(g: Graph) -> ThetaPartition:
     class fails to leave exactly two components (which already rules
     out a partial cube).
     """
-    if not is_connected(g):
-        raise DisconnectedError("edge classes need a connected graph")
-    if two_coloring(g) is None:
-        raise NotBipartiteError("edge classes need a bipartite graph")
-
-    edges = g.edges()
-    me = len(edges)
-    rows = all_pairs_distances(g).d
-    parent = list(range(me))
-    for i in range(me):
-        x, y = edges[i]
-        dx = rows[x]
-        dy = rows[y]
-        ri = _find(parent, i)
-        for j in range(i + 1, me):
-            u, v = edges[j]
-            if dx[u] + dy[v] != dx[v] + dy[u]:
-                rj = _find(parent, j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    by_root: dict[int, list[int]] = {}
-    for i in range(me):
-        by_root.setdefault(_find(parent, i), []).append(i)
-    class_ids = sorted(by_root.values(), key=lambda ids: ids[0])
-    class_of = [0] * me
-    for ci, ids in enumerate(class_ids):
-        for i in ids:
-            class_of[i] = ci
-    edge_id = {e: i for i, e in enumerate(edges)}
-
-    classes = []
-    side0 = []
-    side1 = []
-    for ci, ids in enumerate(class_ids):
-        comp = _components_without_class(g, edge_id, class_of, ci)
-        if len(comp) != 2:
-            raise ClassRemovalError(
-                f"removing class {ci} leaves {len(comp)} components, expected 2"
-            )
-        a, b = comp
-        lo, hi = (a, b) if 0 in a else (b, a)
-        for i in ids:
-            u, v = edges[i]
-            if (u in lo) == (v in lo):
-                raise ClassRemovalError(
-                    f"class {ci} edge ({u}, {v}) does not cross the split"
-                )
-        classes.append(tuple(edges[i] for i in ids))
-        side0.append(frozenset(lo))
-        side1.append(frozenset(hi))
-    return ThetaPartition(
-        n=g.n, classes=tuple(classes), side0=tuple(side0), side1=tuple(side1)
-    )
+    return _partition(g)[0]
 
 
 def _components_without_class(
@@ -178,14 +280,17 @@ class CubeVerdict:
 
 
 def is_partial_cube(g: Graph) -> CubeVerdict:
-    """Verify the hypercube embedding exhaustively.
+    """Verify the hypercube embedding exactly.
 
     Accepts when the class-side coordinates reproduce every pairwise
     distance as a Hamming distance; any failure is reported with a
-    structured reason instead of an exception.
+    structured reason instead of an exception.  Each edge changes only
+    its own class's coordinate, so no Hamming distance exceeds the
+    graph distance, and comparing the two sums over all pairs decides
+    isometry; only a failure walks the BFS rows to name the first pair.
     """
     try:
-        part = theta_classes(g)
+        part, masks, wiener = _partition(g)
     except DisconnectedError as exc:
         return CubeVerdict(False, "disconnected", str(exc), None, None)
     except NotBipartiteError as exc:
@@ -194,27 +299,23 @@ def is_partial_cube(g: Graph) -> CubeVerdict:
         return CubeVerdict(
             False, "class_removal_not_two_components", str(exc), None, None
         )
-    masks = [0] * g.n
-    for i, hi in enumerate(part.side1):
-        bit = 1 << i
-        for v in hi:
-            masks[v] |= bit
-    rows = all_pairs_distances(g).d
+    if sum(len(lo) * len(hi) for lo, hi in zip(part.side0, part.side1)) != wiener:
+        return CubeVerdict(False, "not_isometric", _first_mismatch(g, masks), None, part)
+    coords = CubeCoordinates(length=part.class_count, masks=tuple(masks))
+    return CubeVerdict(True, None, None, coords, part)
+
+
+def _first_mismatch(g: Graph, masks: list[int]) -> str:
+    """The first pair (u, v), u < v, whose Hamming and graph distances
+    differ."""
     for u in range(g.n):
-        row = rows[u]
+        row = bfs_distances(g, u)
         mu = masks[u]
         for v in range(u + 1, g.n):
             hd = (mu ^ masks[v]).bit_count()
             if hd != row[v]:
-                return CubeVerdict(
-                    False,
-                    "not_isometric",
-                    f"pair ({u}, {v}): Hamming {hd} vs distance {row[v]}",
-                    None,
-                    part,
-                )
-    coords = CubeCoordinates(length=part.class_count, masks=tuple(masks))
-    return CubeVerdict(True, None, None, coords, part)
+                return f"pair ({u}, {v}): Hamming {hd} vs distance {row[v]}"
+    raise RuntimeError("Hamming and distance sums differ but no pair does")
 
 
 def halfspace_degree_counts(

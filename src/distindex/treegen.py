@@ -84,11 +84,21 @@ def tree_centers(g: Graph) -> list[int]:
 
 
 def _rooted_string(adj: tuple[tuple[int, ...], ...], root: int) -> str:
-    def label(v: int, parent: int) -> str:
-        subs = sorted(label(u, v) for u in adj[v] if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return label(root, -1)
+    """Parenthesis string of the tree hung from root: each vertex wraps
+    its children's strings, sorted, in one pair of parentheses.  Built
+    bottom-up over a BFS order, so depth costs no recursion."""
+    parent = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    subs: list[list[str]] = [[] for _ in adj]
+    for v in reversed(order[1:]):
+        subs[parent[v]].append("(" + "".join(sorted(subs[v])) + ")")
+        subs[v] = []
+    return "(" + "".join(sorted(subs[root])) + ")"
 
 
 def canonical_form(g: Graph) -> str:

@@ -1,8 +1,22 @@
 """Shared test utilities."""
 
 import random
+from collections import deque
 
-from distindex import Graph, from_edge_list, random_tree
+from distindex import (
+    ClassRemovalError,
+    CubeCoordinates,
+    CubeVerdict,
+    DisconnectedError,
+    Graph,
+    NotBipartiteError,
+    ThetaPartition,
+    all_pairs_distances,
+    from_edge_list,
+    is_connected,
+    random_tree,
+    two_coloring,
+)
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
@@ -21,3 +35,126 @@ def random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Copy of g with vertex v renamed perm[v]."""
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _reference_find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def reference_theta_classes(g: Graph) -> ThetaPartition:
+    """Edge classes by the textbook route: test every pair of edges for
+    d(x,u) + d(y,v) != d(x,v) + d(y,u) on the all-pairs matrix, close the
+    relation with union-find, then split the vertices by BFS with each
+    class removed.  O(m^2) pair tests; a test-only reference."""
+    if not is_connected(g):
+        raise DisconnectedError("edge classes need a connected graph")
+    if two_coloring(g) is None:
+        raise NotBipartiteError("edge classes need a bipartite graph")
+
+    edges = g.edges()
+    me = len(edges)
+    rows = all_pairs_distances(g).d
+    parent = list(range(me))
+    for i in range(me):
+        x, y = edges[i]
+        dx = rows[x]
+        dy = rows[y]
+        ri = _reference_find(parent, i)
+        for j in range(i + 1, me):
+            u, v = edges[j]
+            if dx[u] + dy[v] != dx[v] + dy[u]:
+                rj = _reference_find(parent, j)
+                if ri != rj:
+                    parent[rj] = ri
+
+    by_root: dict[int, list[int]] = {}
+    for i in range(me):
+        by_root.setdefault(_reference_find(parent, i), []).append(i)
+    class_ids = sorted(by_root.values(), key=lambda ids: ids[0])
+    class_of = [0] * me
+    for ci, ids in enumerate(class_ids):
+        for i in ids:
+            class_of[i] = ci
+
+    classes = []
+    side0 = []
+    side1 = []
+    for ci, ids in enumerate(class_ids):
+        comp = _reference_components(g, edges, class_of, ci)
+        if len(comp) != 2:
+            raise ClassRemovalError(
+                f"removing class {ci} leaves {len(comp)} components, expected 2"
+            )
+        a, b = comp
+        lo, hi = (a, b) if 0 in a else (b, a)
+        for i in ids:
+            u, v = edges[i]
+            if (u in lo) == (v in lo):
+                raise ClassRemovalError(
+                    f"class {ci} edge ({u}, {v}) does not cross the split"
+                )
+        classes.append(tuple(edges[i] for i in ids))
+        side0.append(frozenset(lo))
+        side1.append(frozenset(hi))
+    return ThetaPartition(
+        n=g.n, classes=tuple(classes), side0=tuple(side0), side1=tuple(side1)
+    )
+
+
+def _reference_components(g: Graph, edges, class_of, ci) -> list[set[int]]:
+    edge_id = {e: i for i, e in enumerate(edges)}
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in g.adj[u]:
+                e = (u, v) if u < v else (v, u)
+                if seen[v] or class_of[edge_id[e]] == ci:
+                    continue
+                seen[v] = True
+                comp.add(v)
+                queue.append(v)
+        comps.append(comp)
+    return comps
+
+
+def reference_is_partial_cube(g: Graph) -> CubeVerdict:
+    """Partial-cube verdict from reference_theta_classes and a Hamming
+    versus all-pairs-distance comparison of every vertex pair."""
+    try:
+        part = reference_theta_classes(g)
+    except DisconnectedError as exc:
+        return CubeVerdict(False, "disconnected", str(exc), None, None)
+    except NotBipartiteError as exc:
+        return CubeVerdict(False, "not_bipartite", str(exc), None, None)
+    except ClassRemovalError as exc:
+        return CubeVerdict(
+            False, "class_removal_not_two_components", str(exc), None, None
+        )
+    masks = [0] * g.n
+    for i, hi in enumerate(part.side1):
+        for v in hi:
+            masks[v] |= 1 << i
+    rows = all_pairs_distances(g).d
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            hd = (masks[u] ^ masks[v]).bit_count()
+            if hd != rows[u][v]:
+                return CubeVerdict(
+                    False,
+                    "not_isometric",
+                    f"pair ({u}, {v}): Hamming {hd} vs distance {rows[u][v]}",
+                    None,
+                    part,
+                )
+    coords = CubeCoordinates(length=part.class_count, masks=tuple(masks))
+    return CubeVerdict(True, None, None, coords, part)

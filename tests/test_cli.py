@@ -345,6 +345,17 @@ def test_enumerate_too_large(capsys):
     assert code == 2
 
 
+def test_gen_hypercube_too_large(tmp_path, capsys):
+    out = tmp_path / "q40.txt"
+    code, stdout, err = run_cli(
+        capsys, "gen", "--family", "hypercube", "--d", "40", "--out", str(out)
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: hypercube dimension must be <= 20, got 40\n"
+    assert not out.exists()
+
+
 def test_cli_entry_point_runs():
     import subprocess
     import sys

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from distindex import (
+    MAX_HYPERCUBE_DIM,
     UNREACHABLE,
     DisconnectedError,
     DuplicateEdgeError,
     EdgeListFormatError,
     LoopEdgeError,
+    OrderTooLargeError,
     VertexOutOfRangeError,
     all_pairs_distances,
     bfs_distances,
@@ -193,6 +195,16 @@ def test_constructors():
             bad(0)
     with pytest.raises(ValueError):
         cycle_graph(2)
+
+
+def test_hypercube_dimension_bounds():
+    assert MAX_HYPERCUBE_DIM == 20
+    with pytest.raises(OrderTooLargeError):
+        hypercube_graph(MAX_HYPERCUBE_DIM + 1)
+    with pytest.raises(OrderTooLargeError):
+        hypercube_graph(40)
+    with pytest.raises(ValueError):
+        hypercube_graph(-1)
 
 
 def test_hypercube_distance_is_bit_count():

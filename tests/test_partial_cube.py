@@ -9,6 +9,7 @@ from distindex import (
     NotPartialCubeError,
     all_pairs_distances,
     complete_graph,
+    gen_coronene,
     cycle_graph,
     from_edge_list,
     halfspace_degree_counts,
@@ -185,3 +186,29 @@ def test_star_is_partial_cube():
     verdict = is_partial_cube(star_graph(7))
     assert verdict.accepted
     assert verdict.partition.class_count == 6
+
+
+def test_accepting_builds_no_distance_matrix(monkeypatch):
+    import distindex.graphs
+    import distindex.partial_cube
+
+    calls = {"apsp": 0, "bfs": 0}
+    bfs = distindex.graphs.bfs_distances
+
+    def no_matrix(g):
+        calls["apsp"] += 1
+        raise AssertionError("all_pairs_distances called")
+
+    def counting_bfs(g, source):
+        calls["bfs"] += 1
+        return bfs(g, source)
+
+    monkeypatch.setattr(distindex.graphs, "all_pairs_distances", no_matrix)
+    monkeypatch.setattr(distindex.partial_cube, "all_pairs_distances", no_matrix, raising=False)
+    monkeypatch.setattr(distindex.graphs, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(distindex.partial_cube, "bfs_distances", counting_bfs)
+    for g in (hypercube_graph(6), gen_coronene(3).graph, cycle_graph(12)):
+        calls.update(apsp=0, bfs=0)
+        assert is_partial_cube(g).accepted
+        assert calls["apsp"] == 0
+        assert calls["bfs"] <= 1

@@ -19,6 +19,7 @@ from distindex import (
     star_graph,
     tree_centers,
 )
+from distindex.treegen import _rooted_string
 from helpers import relabel
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
@@ -121,6 +122,32 @@ def test_canonical_form_separates():
     assert canonical_form(path_graph(4)) != canonical_form(star_graph(4))
     with pytest.raises(NotATreeError):
         canonical_form(cycle_graph(4))
+
+
+def recursive_rooted_string(adj, root: int) -> str:
+    def label(v: int, parent: int) -> str:
+        subs = sorted(label(u, v) for u in adj[v] if u != parent)
+        return "(" + "".join(subs) + ")"
+
+    return label(root, -1)
+
+
+def test_rooted_string_matches_recursive_reference():
+    for n in range(1, 11):
+        for t in all_free_trees(n):
+            for root in range(n):
+                assert _rooted_string(t.adj, root) == recursive_rooted_string(t.adj, root)
+            centers = tree_centers(t)
+            want = min(recursive_rooted_string(t.adj, c) for c in centers)
+            assert canonical_form(t) == want
+
+
+def test_canonical_form_long_path():
+    # centers 1499 and 1500 hang chains of 1500 and 1499 vertices
+    def chain(k: int) -> str:
+        return "(" * k + ")" * k
+
+    assert canonical_form(path_graph(3000)) == "(" + chain(1500) + chain(1499) + ")"
 
 
 def test_prufer_frozen():
