@@ -3,9 +3,10 @@
 The package computes pair counts by distance (the coefficients of the
 Wiener polynomial), distance sums restricted to vertices of a fixed
 degree, and the classic Wiener and Zagreb indices.  Three routes are
-provided and cross-checked: a brute-force BFS oracle for any connected
-graph, a packed-row subtree algorithm for trees, and a cut decomposition
-for partial cubes.  On top of that sit generators for the extremal tree
+provided and cross-checked: a definitional oracle (one bit-parallel ball
+sweep, plus BFS for the degree-restricted sums) for any connected graph,
+a packed-row subtree algorithm for trees, and a cut decomposition for
+partial cubes.  On top of that sit generators for the extremal tree
 families and coronene benzenoids, closed-form optima, an exhaustive
 free-tree enumerator, and claim verifiers that tie everything together.
 """
@@ -45,6 +46,7 @@ from .extremal import (
     max_wk_odd,
 )
 from .graphs import (
+    MAX_GRAPH_ORDER,
     MAX_HYPERCUBE_DIM,
     UNREACHABLE,
     DistanceMatrix,
@@ -88,6 +90,7 @@ from .partial_cube import (
     is_partial_cube,
     theta_classes,
     twk_cut,
+    twk_cut_tree,
 )
 from .tree_linear import (
     NO_PARENT,
@@ -129,6 +132,7 @@ __all__ = [
     "two_coloring", "degree_sequence", "parse_edge_list", "format_edge_list",
     "load_edge_list", "dump_edge_list", "path_graph", "star_graph",
     "cycle_graph", "complete_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM",
+    "MAX_GRAPH_ORDER",
     # indices
     "wiener", "wk", "WienerPolynomial", "wiener_polynomial", "twk",
     "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",
@@ -138,7 +142,7 @@ __all__ = [
     "wk3_from_zagreb",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
-    "is_partial_cube", "halfspace_degree_counts", "twk_cut",
+    "is_partial_cube", "halfspace_degree_counts", "twk_cut", "twk_cut_tree",
     # extremal families
     "TreeSpec", "gen_tree", "caterpillar_positions", "max_wk_odd",
     "even_group_bound", "even_group_peak", "max_wk_even", "max_degree_count",

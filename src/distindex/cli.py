@@ -32,7 +32,6 @@ from .graphs import (
     cycle_graph,
     dump_edge_list,
     hypercube_graph,
-    is_tree,
     parse_edge_list,
 )
 from .indices import (
@@ -46,8 +45,8 @@ from .indices import (
     zagreb_m1,
     zagreb_m2,
 )
-from .partial_cube import is_partial_cube, twk_cut
-from .tree_linear import wiener_polynomial_linear, wk_linear
+from .partial_cube import is_partial_cube, twk_cut, twk_cut_tree
+from .tree_linear import RootedTree, wiener_polynomial_linear, wk_linear
 from .treegen import all_free_trees
 from .verify import (
     DEFAULT_SEED,
@@ -156,10 +155,18 @@ def _cmd_compute(args) -> dict:
         raise ValueError("--method cut applies to --index twk")
 
     t0 = time.perf_counter()
-    partition = None
+    tree = partition = None
     if method == "auto":
+        if index in ("wk", "poly", "twk"):
+            try:
+                tree = RootedTree.build(g)
+            except NotATreeError:
+                pass
         if index in ("wk", "poly"):
-            method = "linear" if is_tree(g) else "oracle"
+            method = "oracle" if tree is None else "linear"
+        elif index == "twk" and tree is not None:
+            # a tree is a partial cube whose classes are its single edges
+            method = "cut"
         elif index == "twk":
             verdict = is_partial_cube(g)
             method = "cut" if verdict.accepted else "oracle"
@@ -173,12 +180,17 @@ def _cmd_compute(args) -> dict:
     if index == "wiener":
         payload["wiener"] = wiener(g)
     elif index == "wk":
-        payload["wk"] = wk_linear(g, k) if method == "linear" else wk(g, k)
+        payload["wk"] = wk_linear(tree or g, k) if method == "linear" else wk(g, k)
     elif index == "poly":
-        poly = wiener_polynomial_linear(g) if method == "linear" else wiener_polynomial(g)
+        poly = wiener_polynomial_linear(tree or g) if method == "linear" else wiener_polynomial(g)
         payload["poly"] = list(poly.coeffs)
     elif index == "twk":
-        payload["twk"] = twk_cut(g, k, partition) if method == "cut" else twk(g, k)
+        if method != "cut":
+            payload["twk"] = twk(g, k)
+        elif tree is not None:
+            payload["twk"] = twk_cut_tree(tree, k)
+        else:
+            payload["twk"] = twk_cut(g, k, partition)
     elif index == "zagreb":
         payload["m1"] = zagreb_m1(g)
         payload["m2"] = zagreb_m2(g)

@@ -46,5 +46,5 @@ class InfeasibleSpecError(GraphError):
 
 
 class OrderTooLargeError(GraphError):
-    """Requested enumeration order or hypercube dimension exceeds the
-    supported bound."""
+    """Requested vertex count, enumeration order or hypercube dimension
+    exceeds the supported bound."""

@@ -25,6 +25,11 @@ from .errors import (
 #: Distance value reported for vertices a BFS cannot reach.
 UNREACHABLE = -1
 
+#: Largest vertex count a graph may have: 2^21 covers the million-vertex
+#: path the tree route is checked on, and a larger header is refused
+#: before any adjacency list is allocated.
+MAX_GRAPH_ORDER = 1 << 21
+
 #: Largest hypercube dimension built: 2^20 vertices, the scale of the
 #: million-vertex path the tree route is checked on.
 MAX_HYPERCUBE_DIM = 20
@@ -53,10 +58,13 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated graph from an iterable of endpoint pairs.
 
     Raises LoopEdgeError, DuplicateEdgeError or VertexOutOfRangeError
-    when the input is not a simple graph on 0..n-1.
+    when the input is not a simple graph on 0..n-1, and
+    OrderTooLargeError when n exceeds MAX_GRAPH_ORDER.
     """
     if n < 0:
         raise VertexOutOfRangeError("vertex count must be non-negative")
+    if n > MAX_GRAPH_ORDER:
+        raise OrderTooLargeError(f"vertex count must be <= {MAX_GRAPH_ORDER}, got {n}")
     lists: list[list[int]] = [[] for _ in range(n)]
     m = 0
     for u, v in edges:

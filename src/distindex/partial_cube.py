@@ -33,6 +33,7 @@ from .errors import (
     NotPartialCubeError,
 )
 from .graphs import Graph, bfs_distances, is_connected, two_coloring
+from .tree_linear import RootedTree
 
 
 @dataclass(frozen=True)
@@ -345,3 +346,25 @@ def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:
             raise NotPartialCubeError(f"{verdict.reason}: {verdict.detail}")
         partition = verdict.partition
     return sum(c0 * c1 for c0, c1 in halfspace_degree_counts(g, partition, k))
+
+
+def twk_cut_tree(t: RootedTree, k: int) -> int:
+    """twk_cut on a tree, which needs no verification.
+
+    Every edge of a tree is a class of its own, and the edge from v to
+    its parent separates v's subtree from the rest.  With c_v degree-k
+    vertices in v's subtree and K in the whole tree, the sum is
+    c_v * (K - c_v) over the non-root v, from one pass in reverse
+    preorder.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    below = [int(len(nbrs) == k) for nbrs in t.graph.adj]
+    everywhere = sum(below)
+    parent = t.parent
+    total = 0
+    for v in t.order[:0:-1]:
+        c = below[v]
+        total += c * (everywhere - c)
+        below[parent[v]] += c
+    return total

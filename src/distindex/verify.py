@@ -244,7 +244,7 @@ def verify_linear_vs_oracle(
     k_max: int = 10,
 ) -> dict:
     """Random labeled trees: the tree route must match the pair counts
-    of the brute-force distance histogram for every k up to k_max."""
+    of the oracle's distance histogram for every k up to k_max."""
     rng = random.Random(seed)
     mismatches = []
     for trial in range(trials):

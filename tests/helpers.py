@@ -11,7 +11,10 @@ from distindex import (
     Graph,
     NotBipartiteError,
     ThetaPartition,
+    UNREACHABLE,
+    WienerPolynomial,
     all_pairs_distances,
+    bfs_distances,
     from_edge_list,
     is_connected,
     random_tree,
@@ -35,6 +38,20 @@ def random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Copy of g with vertex v renamed perm[v]."""
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def reference_wiener_polynomial(g: Graph) -> WienerPolynomial:
+    """Pair counts by distance from one BFS per vertex, up to the
+    diameter; a test-only reference for the oracle's ball sweep."""
+    if g.n > 1 and bfs_distances(g, 0).count(UNREACHABLE):
+        raise DisconnectedError("graph is not connected")
+    hist = [0] * max(g.n, 1)
+    for u in range(g.n):
+        row = bfs_distances(g, u)
+        for v in range(u + 1, g.n):
+            hist[row[v]] += 1
+    top = max((k for k, c in enumerate(hist) if c), default=0)
+    return WienerPolynomial(tuple(hist[: top + 1]))
 
 
 def _reference_find(parent: list[int], x: int) -> int:

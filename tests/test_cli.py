@@ -1,9 +1,30 @@
 import json
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import pytest
 
-from distindex import format_edge_list, gen_coronene, parse_edge_list, path_graph
+from distindex import (
+    TreeSpec,
+    caterpillar_twk,
+    cycle_graph,
+    format_edge_list,
+    gen_coronene,
+    gen_tree,
+    hypercube_graph,
+    parse_edge_list,
+    path_graph,
+    random_tree,
+)
 from distindex.cli import main
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +138,60 @@ def test_compute_auto_twk_verifies_once(tmp_path, capsys, monkeypatch):
     assert calls == [24]
 
 
+def test_compute_auto_twk_on_tree_skips_verification(tmp_path, capsys, monkeypatch):
+    import distindex.cli
+    import distindex.partial_cube
+
+    calls = []
+    verify = distindex.partial_cube.is_partial_cube
+
+    def counting(g):
+        calls.append(g.n)
+        return verify(g)
+
+    monkeypatch.setattr(distindex.cli, "is_partial_cube", counting)
+    monkeypatch.setattr(distindex.partial_cube, "is_partial_cube", counting)
+    g = gen_tree(TreeSpec.caterpillar(40, 4, 6))
+    path = write_graph(tmp_path, g)
+    code, out, _ = run_cli(
+        capsys, "compute", "--input", path, "--index", "twk", "--k", "4", "--no-timing"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "cut"
+    assert payload["twk"] == caterpillar_twk(40, 4, 6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("index", [["--index", "poly"], ["--index", "wk", "--k", "3"]])
+def test_compute_auto_tree_certified_once(tmp_path, capsys, monkeypatch, index):
+    import distindex.graphs
+    import distindex.tree_linear
+
+    builds = []
+    searches = []
+    build = distindex.tree_linear.RootedTree.build
+    search = distindex.graphs.bfs_distances
+
+    def counting_build(g, root=0):
+        builds.append(g.n)
+        return build(g, root)
+
+    def counting_search(g, source):
+        searches.append(source)
+        return search(g, source)
+
+    monkeypatch.setattr(distindex.tree_linear.RootedTree, "build", staticmethod(counting_build))
+    monkeypatch.setattr(distindex.graphs, "bfs_distances", counting_search)
+    g = random_tree(30, random.Random(4))
+    path = write_graph(tmp_path, g)
+    code, out, _ = run_cli(capsys, "compute", "--input", path, *index)
+    assert code == 0
+    assert json.loads(out)["method"] == "linear"
+    assert builds == [30]
+    assert searches == []
+
+
 def test_compute_method_cut_rejects_odd_cycle(tmp_path, capsys):
     text = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
     path = tmp_path / "c5.txt"
@@ -147,6 +222,67 @@ def test_compute_disconnected_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", "--input", str(path), "--index", "wiener")
     assert code == 4
     assert "connected" in err
+
+
+@pytest.mark.parametrize("index", [["--index", "poly"], ["--index", "wk", "--k", "1"], ["--index", "twk", "--k", "1"]])
+def test_compute_auto_disconnected_with_tree_edge_count(tmp_path, capsys, index):
+    path = tmp_path / "dis.txt"
+    path.write_text("5 4\n0 1\n1 2\n0 2\n3 4\n")
+    code, out, err = run_cli(capsys, "compute", "--input", str(path), *index)
+    assert (code, out, err) == (4, "", "error: graph is not connected\n")
+
+
+def _limit_memory():
+    # Without the vertex-count bound this input allocates billions of
+    # lists; the cap turns that into a MemoryError in the child alone.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_compute_oversized_header_exits_two():
+    proc = subprocess.run(
+        [sys.executable, "-m", "distindex.cli", "compute", "--stdin", "--index", "wiener"],
+        input="3000000000 0\n",
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: vertex count must be <= 2097152, got 3000000000\n"
+
+
+#: compute --no-timing documents of the oracle, frozen from the per-source
+#: BFS implementation the ball sweep replaced.
+ORACLE_DOCUMENTS = {
+    ("c5", "all"): '{"index":"all","m":5,"m1":20,"m2":20,"method":"oracle","n":5,"poly":[0,5,5],"twk_by_degree":{"2":15},"wiener":15}',
+    ("c5", "all --k 2"): '{"index":"all","k":2,"m":5,"m1":20,"m2":20,"method":"oracle","n":5,"poly":[0,5,5],"star_k":2,"twk_by_degree":{"2":15},"twk_star":15,"wiener":15,"wk_star":10}',
+    ("c5", "wiener"): '{"index":"wiener","m":5,"method":"oracle","n":5,"wiener":15}',
+    ("c5", "poly"): '{"index":"poly","m":5,"method":"oracle","n":5,"poly":[0,5,5]}',
+    ("c5", "wk-star --k 2"): '{"index":"wk-star","k":2,"m":5,"method":"oracle","n":5,"wk_star":10}',
+    ("coronene2", "all"): '{"index":"all","m":30,"m1":156,"m2":204,"method":"oracle","n":24,"poly":[0,30,48,57,54,45,30,12],"twk_by_degree":{"2":300,"3":174},"wiener":1002}',
+    ("coronene2", "all --k 2"): '{"index":"all","k":2,"m":30,"m1":156,"m2":204,"method":"oracle","n":24,"poly":[0,30,48,57,54,45,30,12],"star_k":2,"twk_by_degree":{"2":300,"3":174},"twk_star":300,"wiener":1002,"wk_star":78}',
+    ("coronene2", "wiener"): '{"index":"wiener","m":30,"method":"oracle","n":24,"wiener":1002}',
+    ("coronene2", "poly"): '{"index":"poly","m":30,"method":"oracle","n":24,"poly":[0,30,48,57,54,45,30,12]}',
+    ("coronene2", "wk-star --k 2"): '{"index":"wk-star","k":2,"m":30,"method":"oracle","n":24,"wk_star":78}',
+    ("q4", "all"): '{"index":"all","m":32,"m1":256,"m2":512,"method":"oracle","n":16,"poly":[0,32,48,32,8],"twk_by_degree":{"4":256},"wiener":256}',
+    ("q4", "all --k 2"): '{"index":"all","k":2,"m":32,"m1":256,"m2":512,"method":"oracle","n":16,"poly":[0,32,48,32,8],"star_k":2,"twk_by_degree":{"4":256},"twk_star":0,"wiener":256,"wk_star":80}',
+    ("q4", "wiener"): '{"index":"wiener","m":32,"method":"oracle","n":16,"wiener":256}',
+    ("q4", "poly"): '{"index":"poly","m":32,"method":"oracle","n":16,"poly":[0,32,48,32,8]}',
+    ("q4", "wk-star --k 2"): '{"index":"wk-star","k":2,"m":32,"method":"oracle","n":16,"wk_star":80}',
+}
+
+
+@pytest.mark.parametrize("name, argv", sorted(ORACLE_DOCUMENTS))
+def test_compute_oracle_documents_frozen(tmp_path, capsys, name, argv):
+    g = {"c5": cycle_graph(5), "coronene2": gen_coronene(2).graph, "q4": hypercube_graph(4)}[name]
+    path = write_graph(tmp_path, g)
+    code, out, err = run_cli(
+        capsys, "compute", "--input", path, "--index", *argv.split(), "--no-timing"
+    )
+    assert (code, err) == (0, "")
+    assert out == ORACLE_DOCUMENTS[name, argv] + "\n"
+    jsonschema.validate(json.loads(out), SCHEMA)
 
 
 def test_compute_zagreb_on_disconnected_is_fine(tmp_path, capsys):
@@ -357,9 +493,6 @@ def test_gen_hypercube_too_large(tmp_path, capsys):
 
 
 def test_cli_entry_point_runs():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "distindex.cli"],
         capture_output=True,

@@ -1,9 +1,12 @@
-"""Differential tests: the tree routes, the BFS oracle and networkx must
-agree on trees drawn from Prüfer codes, and the CLI documents of the
-tree route must validate against schema/report.json."""
+"""Differential tests: the tree routes, the oracle and networkx must
+agree on trees drawn from Prüfer codes; the oracle's ball sweep must
+agree with one BFS per vertex (tests/helpers.py) and networkx on
+connected graphs of several shapes, in one block or many; and the CLI
+documents of the tree route must validate against schema/report.json."""
 
 import io
 import json
+import random
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -13,15 +16,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distindex.indices
 from distindex import (
+    DisconnectedError,
+    Graph,
     RootedTree,
+    cycle_graph,
     format_edge_list,
+    from_edge_list,
+    index_report,
     prufer_to_tree,
+    random_tree,
+    twk,
+    twk_cut,
+    twk_cut_tree,
+    wiener,
     wiener_polynomial,
     wiener_polynomial_linear,
+    wk,
     wk_linear,
+    wk_star,
 )
 from distindex.cli import main
+from helpers import random_connected_graph, reference_wiener_polynomial, relabel
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text()
@@ -34,6 +51,41 @@ def rooted_trees(draw):
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     root = draw(st.integers(0, n - 1))
     return RootedTree.build(prufer_to_tree(code, n), root)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Trees, odd cycles with chords, sparse and dense graphs, and the
+    single vertex, with shuffled labels."""
+    kind = draw(st.sampled_from(["tree", "odd_cycle", "dense", "sparse", "single"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "single":
+        return from_edge_list(1, [])
+    if kind == "tree":
+        g = random_tree(draw(st.integers(2, 40)), rng)
+    elif kind == "odd_cycle":
+        n = 2 * draw(st.integers(1, 20)) + 1
+        chords = draw(st.integers(0, 3))
+        edges = set(cycle_graph(n).edges())
+        for _ in range(chords):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = from_edge_list(n, sorted(edges))
+    elif kind == "dense":
+        n = draw(st.integers(2, 20))
+        g = random_connected_graph(rng, n, n * n)
+    else:
+        n = draw(st.integers(2, 40))
+        g = random_connected_graph(rng, n, draw(st.integers(1, n)))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    return from_edge_list(
+        a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    )
 
 
 def networkx_histogram(g) -> list[int]:
@@ -89,3 +141,53 @@ def test_tree_route_cli_documents(workdir, t):
     wk = cli_document(path, "--index", "wk", "--k", str(k))
     assert wk["method"] == "linear" and wk["wk"] == want[k]
     assert wk["elapsed_ms"] >= 0
+
+
+def check_pair_counts(g):
+    want = networkx_histogram(g)
+    poly = wiener_polynomial(g)
+    assert poly == reference_wiener_polynomial(g)
+    assert list(poly.coeffs) == want
+    assert wiener(g) == sum(k * c for k, c in enumerate(want))
+    for k in range(1, len(want) + 2):
+        count = want[k] if k < len(want) else 0
+        assert wk(g, k) == count
+        assert wk_star(g, k) == sum(want[1:k + 1])
+    report = index_report(g, star_k=2)
+    assert report.poly == poly.coeffs
+    assert report.wk_star == sum(want[1:3])
+
+
+def check_disconnected(g):
+    for call in (wiener_polynomial, wiener, lambda g: wk(g, 1), lambda g: wk_star(g, 2)):
+        with pytest.raises(DisconnectedError, match="^graph is not connected$"):
+            call(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(connected_graphs(), connected_graphs())
+def test_oracle_pair_counts_agree(g, other):
+    check_pair_counts(g)
+    check_disconnected(disjoint_union(g, other))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(connected_graphs(), connected_graphs(), st.integers(1, 120))
+def test_oracle_pair_counts_agree_in_blocks(g, other, sweep_bits):
+    """With a small bit budget the sources are swept in many blocks (of
+    sweep_bits // n sources, at least one)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+        check_pair_counts(g)
+        check_disconnected(disjoint_union(g, other))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rooted_trees())
+def test_twk_cut_tree_agrees(t):
+    g = t.graph
+    for k in sorted(set(g.degrees())):
+        want = twk(g, k)
+        assert twk_cut_tree(t, k) == want
+        assert twk_cut(g, k) == want
+    assert twk_cut_tree(t, max(g.degrees()) + 1) == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from distindex import (
+    MAX_GRAPH_ORDER,
     MAX_HYPERCUBE_DIM,
     UNREACHABLE,
     DisconnectedError,
@@ -205,6 +206,16 @@ def test_hypercube_dimension_bounds():
         hypercube_graph(40)
     with pytest.raises(ValueError):
         hypercube_graph(-1)
+
+
+def test_graph_order_bound():
+    assert MAX_GRAPH_ORDER >= 10**6
+    with pytest.raises(OrderTooLargeError):
+        from_edge_list(MAX_GRAPH_ORDER + 1, [])
+    with pytest.raises(OrderTooLargeError):
+        parse_edge_list("3000000000 0\n")
+    with pytest.raises(OrderTooLargeError):
+        path_graph(MAX_GRAPH_ORDER + 1)
 
 
 def test_hypercube_distance_is_bit_count():

@@ -7,6 +7,7 @@ from distindex import (
     DisconnectedError,
     all_free_trees,
     complete_graph,
+    gen_coronene,
     cycle_graph,
     from_edge_list,
     hypercube_graph,
@@ -204,6 +205,44 @@ def test_tree_wiener_bounds_enumerated():
         hi = (n + 1) * n * (n - 1) // 6
         for t in all_free_trees(n):
             assert lo <= wiener(t) <= hi
+
+
+@pytest.mark.parametrize("name", ["coronene3", "q5"])
+def test_pair_counts_run_no_bfs(monkeypatch, name):
+    import distindex.graphs
+    import distindex.indices
+
+    g = {"coronene3": gen_coronene(3).graph, "q5": hypercube_graph(5)}[name]
+    calls = []
+    search = distindex.graphs.bfs_distances
+
+    def counting(g, source):
+        calls.append(source)
+        return search(g, source)
+
+    monkeypatch.setattr(distindex.graphs, "bfs_distances", counting)
+    monkeypatch.setattr(distindex.indices, "bfs_distances", counting)
+    poly = wiener_polynomial(g)
+    assert wiener(g) == poly.wiener()
+    assert wk(g, 2) == poly.coefficient(2)
+    assert wk_star(g, 2) == poly.coefficient(1) + poly.coefficient(2)
+    assert calls == []
+
+
+def test_index_report_sweeps_once(monkeypatch):
+    import distindex.indices
+
+    calls = []
+    sweep = distindex.indices._histogram
+
+    def counting(g):
+        calls.append(g.n)
+        return sweep(g)
+
+    monkeypatch.setattr(distindex.indices, "_histogram", counting)
+    rep = index_report(gen_coronene(2).graph, star_k=3)
+    assert calls == [24]
+    assert rep.wk_star == sum(rep.poly[1:4])
 
 
 def test_index_report():
