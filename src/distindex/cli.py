@@ -141,6 +141,7 @@ def _need(value, flag: str):
 
 
 def _cmd_compute(args) -> dict:
+    t0 = time.perf_counter()
     text = sys.stdin.read() if args.stdin else Path(args.input).read_text()
     g = parse_edge_list(text)
     index, k, method = args.index, args.k, args.method
@@ -154,7 +155,6 @@ def _cmd_compute(args) -> dict:
     if method == "cut" and index != "twk":
         raise ValueError("--method cut applies to --index twk")
 
-    t0 = time.perf_counter()
     tree = partition = None
     if method == "auto":
         if index in ("wk", "poly", "twk"):

@@ -4,19 +4,23 @@ This module is the oracle that the faster tree and cut routes are tested
 against, so every function works on any connected graph and recomputes
 from scratch on each call.
 
-The pair counts by distance (W_k, the Wiener index, the Wiener
-polynomial and the cumulative W_k*) all read one distance histogram,
-filled by a bit-parallel ball sweep: each vertex keeps the set of
-sources within radius r as an integer bitset, and one round of ORs over
-the edges takes every ball from radius r to r + 1.  The degree-restricted
-sums (TW_k, TW_k*) run one breadth-first search per source of the
-restricted degree, since their cost should grow with the number of such
-vertices, not with the whole graph.
+Every distance index here comes from one bit-parallel ball sweep: each
+vertex keeps the set of sources within radius r as an integer bitset,
+and one round of ORs over the edges takes every ball from radius r to
+r + 1.  The growth of the balls gives the pair counts by distance (W_k,
+the Wiener index, the Wiener polynomial and the cumulative W_k*), and
+the pairs of one degree class not yet reached give that class's
+distance sum (TW_k, TW_k*), so `index_report` runs a single sweep.  A
+lone `twk` or `twk_star` sweeps from the restricted vertices only, or
+runs one breadth-first search per restricted vertex when there are so
+few of them that this costs less.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DisconnectedError
 from .graphs import UNREACHABLE, Graph, bfs_distances
@@ -27,51 +31,105 @@ from .graphs import UNREACHABLE, Graph, bfs_distances
 _SWEEP_BITS = 1 << 26
 
 
-def _histogram(g: Graph) -> list[int]:
-    """Unordered pair counts by distance: entry r counts the pairs at
-    distance r, up to the diameter (entry 0 is always 0).
+def _sweep(
+    g: Graph, sources: Sequence[int], spans: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """Ball sweep from `sources`.  Returns the doubled pair counts by
+    distance (entry r counts the ordered pairs at distance r, up to the
+    diameter; filled only when `sources` holds every vertex) and, for
+    each span (lo, hi) of `sources`, the distance sum over the ordered
+    pairs of sources[lo:hi].
 
     For a block of sources, ball[w] holds bit s when source s lies within
     radius r of w.  B_{r+1}(w) is B_r(w) OR-ed with the balls of w's
     neighbours, so one round costs one OR per edge end, and the growth
     of the summed ball sizes in round r counts the ordered pairs at
-    distance r.  A round in which no ball grows before all are full
-    means the graph is disconnected.  The sweep runs diameter rounds
-    over n-bit balls, so on a long path it is slower than one BFS per
-    vertex (2000-vertex path: about 1.4 s against 0.8 s); the CLI's
-    `auto` sends W_k and the polynomial of a tree to the tree route.
+    distance r.  A pair at distance d is still unreached before each of
+    the rounds 0..d-1, so before every round each span member v adds the
+    span's sources of the block missing from ball[v]; a span is done
+    once no member misses any.  A sweep from every vertex runs until
+    every ball is full, and a round in which no ball grows before that
+    means the graph is disconnected; a sweep from fewer sources stops
+    once every span is done, and needs a connected graph.  The sweep
+    runs diameter rounds over n-bit balls, so on a long path it is
+    slower than one BFS per vertex (2000-vertex path: about 1.4 s
+    against 0.8 s); the CLI's `auto` sends W_k and the polynomial of a
+    tree to the tree route.
     """
     n = g.n
+    every = len(sources) == n
     edges = g.edges()
     block = max(1, _SWEEP_BITS // max(n, 1))
+    members = [sources[lo:hi] for lo, hi in spans]
     doubled = [0]
-    for first in range(0, n, block):
-        size = min(block, n - first)
+    sums = [0] * len(spans)
+    for first in range(0, len(sources), block):
+        size = min(block, len(sources) - first)
         balls = [0] * n
         for s in range(size):
-            balls[first + s] = 1 << s
+            balls[sources[first + s]] = 1 << s
+        live = []
+        for j, (lo, hi) in enumerate(spans):
+            a, b = max(lo, first), min(hi, first + size)
+            if a < b:
+                # no mask when the span holds every source of the block
+                mask = ((1 << (b - a)) - 1) << (a - first) if b - a < size else 0
+                live.append((j, (b - a) * (hi - lo), mask))
         reached = size
         r = 0
-        while reached < n * size:
+        while True:
+            still = []
+            for j, want, mask in live:
+                if every and len(members[j]) == n:
+                    got = reached
+                else:
+                    held = map(balls.__getitem__, members[j])
+                    got = sum(map(int.bit_count, map(mask.__and__, held) if mask else held))
+                missing = want - got
+                if missing:
+                    sums[j] += missing
+                    still.append((j, want, mask))
+            live = still
+            if reached == n * size if every else not live:
+                break
             grown = balls[:]
             for x, y in edges:
                 grown[x] |= balls[y]
                 grown[y] |= balls[x]
             balls = grown
-            now = sum(map(int.bit_count, balls))
-            if now == reached:
-                raise DisconnectedError("graph is not connected")
-            r += 1
-            if r == len(doubled):
-                doubled.append(0)
-            doubled[r] += now - reached
-            reached = now
-    return [c // 2 for c in doubled]
+            if every:
+                now = sum(map(int.bit_count, balls))
+                if now == reached:
+                    raise DisconnectedError("graph is not connected")
+                r += 1
+                if r == len(doubled):
+                    doubled.append(0)
+                doubled[r] += now - reached
+                reached = now
+    return doubled, sums
 
 
-def _require_connected(g: Graph) -> None:
-    if g.n > 1 and bfs_distances(g, 0).count(UNREACHABLE):
+def _restricted_sum(g: Graph, members: list[int]) -> int:
+    """Distance sum over the unordered pairs of `members`.
+
+    One BFS from vertex 0 checks connectivity and gives its eccentricity.
+    A sweep from the members costs about eccentricity x 2m (one OR per
+    edge end per round), one BFS per member about |members| x (n + m);
+    the cheaper runs, and the BFS from vertex 0 is reused.
+    """
+    if g.n < 2:
+        return 0
+    row0 = bfs_distances(g, 0)
+    if UNREACHABLE in row0:
         raise DisconnectedError("graph is not connected")
+    if len(members) * (g.n + g.m) > max(row0) * 2 * g.m:
+        _, (doubled,) = _sweep(g, members, [(0, len(members))])
+        return doubled // 2
+    total = 0
+    for i, u in enumerate(members[:-1]):
+        row = row0 if u == 0 else bfs_distances(g, u)
+        total += sum(map(row.__getitem__, members[i + 1:]))
+    return total
 
 
 def wiener(g: Graph) -> int:
@@ -108,20 +166,15 @@ class WienerPolynomial:
 def wiener_polynomial(g: Graph) -> WienerPolynomial:
     """Distance distribution of the unordered pairs, as coefficients up
     to the diameter.  coeffs[0] is always 0."""
-    return WienerPolynomial(tuple(_histogram(g)))
+    doubled, _ = _sweep(g, range(g.n), ())
+    return WienerPolynomial(tuple(c // 2 for c in doubled))
 
 
 def twk(g: Graph, k: int) -> int:
     """Sum of distances over unordered pairs of degree-k vertices."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    _require_connected(g)
-    sources = [v for v in range(g.n) if g.degree(v) == k]
-    total = 0
-    for i, u in enumerate(sources):
-        row = bfs_distances(g, u)
-        total += sum(row[v] for v in sources[i + 1:])
-    return total
+    return _restricted_sum(g, [v for v in range(g.n) if g.degree(v) == k])
 
 
 def zagreb_m1(g: Graph) -> int:
@@ -147,13 +200,7 @@ def twk_star(g: Graph, k: int) -> int:
     are both at most k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _require_connected(g)
-    sources = [v for v in range(g.n) if g.degree(v) <= k]
-    total = 0
-    for i, u in enumerate(sources):
-        row = bfs_distances(g, u)
-        total += sum(row[v] for v in sources[i + 1:])
-    return total
+    return _restricted_sum(g, [v for v in range(g.n) if g.degree(v) <= k])
 
 
 @dataclass(frozen=True)
@@ -189,19 +236,33 @@ class IndexReport:
 
 
 def index_report(g: Graph, star_k: int | None = None) -> IndexReport:
-    """Compute every index in one pass; the cumulative variants are
-    included when star_k is given."""
-    poly = wiener_polynomial(g)
-    degrees_present = sorted(set(g.degrees()))
+    """Compute every index in one sweep; the cumulative variants are
+    included when star_k is given.
+
+    The sources are ordered by degree, so each degree class, and the
+    vertices of degree at most star_k, are one span of them."""
+    deg = g.degrees()
+    order = sorted(range(g.n), key=deg.__getitem__)
+    ranked = [deg[v] for v in order]
+    present = sorted(set(deg))
+    spans = [(bisect_left(ranked, k), bisect_right(ranked, k)) for k in present]
+    if star_k is not None:
+        spans.append((0, bisect_right(ranked, star_k)))
+    doubled, sums = _sweep(g, order, spans)
+    # checked after the sweep, so a disconnected graph is reported as
+    # such whatever star_k is
+    if star_k is not None and star_k < 1:
+        raise ValueError("k must be >= 1")
+    poly = WienerPolynomial(tuple(c // 2 for c in doubled))
     return IndexReport(
         n=g.n,
         m=g.m,
         wiener=poly.wiener(),
         poly=poly.coeffs,
-        twk_by_degree=tuple((k, twk(g, k)) for k in degrees_present),
+        twk_by_degree=tuple((k, s // 2) for k, s in zip(present, sums)),
         m1=zagreb_m1(g),
         m2=zagreb_m2(g),
         star_k=star_k,
         wk_star=None if star_k is None else sum(poly.coeffs[1:star_k + 1]),
-        twk_star=None if star_k is None else twk_star(g, star_k),
+        twk_star=None if star_k is None else sums[-1] // 2,
     )

@@ -54,6 +54,28 @@ def reference_wiener_polynomial(g: Graph) -> WienerPolynomial:
     return WienerPolynomial(tuple(hist[: top + 1]))
 
 
+def _reference_restricted_sum(g: Graph, sources: list[int]) -> int:
+    if g.n > 1 and bfs_distances(g, 0).count(UNREACHABLE):
+        raise DisconnectedError("graph is not connected")
+    total = 0
+    for i, u in enumerate(sources):
+        row = bfs_distances(g, u)
+        total += sum(row[v] for v in sources[i + 1:])
+    return total
+
+
+def reference_twk(g: Graph, k: int) -> int:
+    """TW_k from one BFS per degree-k vertex; a test-only reference for
+    the oracle's sweeps."""
+    return _reference_restricted_sum(g, [v for v in range(g.n) if g.degree(v) == k])
+
+
+def reference_twk_star(g: Graph, k: int) -> int:
+    """TW_k* from one BFS per vertex of degree at most k; a test-only
+    reference for the oracle's sweeps."""
+    return _reference_restricted_sum(g, [v for v in range(g.n) if g.degree(v) <= k])
+
+
 def _reference_find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]

@@ -27,6 +27,14 @@ SCHEMA = json.loads(
 )
 
 
+def document(out: str) -> dict:
+    """Parse one JSON document from stdout and validate it against the
+    report schema."""
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    return doc
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -43,7 +51,7 @@ def test_compute_poly_p4(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(4))
     code, out, _ = run_cli(capsys, "compute", "--input", path, "--index", "poly")
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["poly"] == [0, 3, 2, 1]
     assert payload["n"] == 4 and payload["m"] == 3
     assert payload["method"] == "linear"
@@ -60,8 +68,8 @@ def test_compute_poly_oracle_matches_linear(tmp_path, capsys):
         capsys, "compute", "--input", path, "--index", "poly",
         "--method", "oracle", "--no-timing",
     )
-    lin = json.loads(out_lin)
-    orc = json.loads(out_orc)
+    lin = document(out_lin)
+    orc = document(out_orc)
     assert lin["poly"] == orc["poly"]
     assert lin["method"] == "linear" and orc["method"] == "oracle"
 
@@ -73,7 +81,7 @@ def test_compute_poly_long_path(tmp_path, capsys):
         capsys, "compute", "--input", path, "--index", "poly", "--no-timing"
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["method"] == "linear"
     assert payload["poly"] == [0] + [n - k for k in range(1, n)]
 
@@ -84,7 +92,7 @@ def test_compute_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n0 1\n"))
     code, out, _ = run_cli(capsys, "compute", "--stdin", "--index", "wiener")
     assert code == 0
-    assert json.loads(out)["wiener"] == 1
+    assert document(out)["wiener"] == 1
 
 
 def test_compute_no_timing_deterministic(tmp_path, capsys):
@@ -93,10 +101,35 @@ def test_compute_no_timing_deterministic(tmp_path, capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-    payload = json.loads(first)
+    payload = document(first)
     assert payload["wiener"] == 84
     assert payload["wk_star"] == 13
     assert "elapsed_ms" not in payload
+
+
+def test_compute_elapsed_counts_reading_and_parsing(capsys, monkeypatch):
+    """The clock starts before the input is read, so elapsed_ms covers
+    reading and parsing as well as the index itself."""
+    import time
+
+    import distindex.cli
+
+    class SlowStdin:
+        def read(self):
+            time.sleep(0.03)
+            return "2 1\n0 1\n"
+
+    parse = distindex.cli.parse_edge_list
+
+    def slow_parse(text):
+        time.sleep(0.03)
+        return parse(text)
+
+    monkeypatch.setattr("sys.stdin", SlowStdin())
+    monkeypatch.setattr(distindex.cli, "parse_edge_list", slow_parse)
+    code, out, _ = run_cli(capsys, "compute", "--stdin", "--index", "wiener")
+    assert code == 0
+    assert document(out)["elapsed_ms"] >= 60
 
 
 def test_compute_twk_cut_on_coronene(tmp_path, capsys):
@@ -106,14 +139,14 @@ def test_compute_twk_cut_on_coronene(tmp_path, capsys):
         "--k", "3", "--method", "cut",
     )
     assert code == 0
-    assert json.loads(out)["twk"] == 174
+    assert document(out)["twk"] == 174
 
 
 def test_compute_auto_picks_cut_for_partial_cube(tmp_path, capsys):
     path = write_graph(tmp_path, gen_coronene(1).graph)
     code, out, _ = run_cli(capsys, "compute", "--input", path, "--index", "twk", "--k", "2")
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["method"] == "cut"
     assert payload["twk"] == 27
 
@@ -134,7 +167,7 @@ def test_compute_auto_twk_verifies_once(tmp_path, capsys, monkeypatch):
     path = write_graph(tmp_path, gen_coronene(2).graph)
     code, out, _ = run_cli(capsys, "compute", "--input", path, "--index", "twk", "--k", "3")
     assert code == 0
-    assert json.loads(out)["twk"] == 174
+    assert document(out)["twk"] == 174
     assert calls == [24]
 
 
@@ -157,7 +190,7 @@ def test_compute_auto_twk_on_tree_skips_verification(tmp_path, capsys, monkeypat
         capsys, "compute", "--input", path, "--index", "twk", "--k", "4", "--no-timing"
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["method"] == "cut"
     assert payload["twk"] == caterpillar_twk(40, 4, 6)
     assert calls == []
@@ -187,7 +220,7 @@ def test_compute_auto_tree_certified_once(tmp_path, capsys, monkeypatch, index):
     path = write_graph(tmp_path, g)
     code, out, _ = run_cli(capsys, "compute", "--input", path, *index)
     assert code == 0
-    assert json.loads(out)["method"] == "linear"
+    assert document(out)["method"] == "linear"
     assert builds == [30]
     assert searches == []
 
@@ -282,7 +315,7 @@ def test_compute_oracle_documents_frozen(tmp_path, capsys, name, argv):
     )
     assert (code, err) == (0, "")
     assert out == ORACLE_DOCUMENTS[name, argv] + "\n"
-    jsonschema.validate(json.loads(out), SCHEMA)
+    document(out)
 
 
 def test_compute_zagreb_on_disconnected_is_fine(tmp_path, capsys):
@@ -290,7 +323,7 @@ def test_compute_zagreb_on_disconnected_is_fine(tmp_path, capsys):
     path.write_text("4 2\n0 1\n2 3\n")
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--index", "zagreb")
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["m1"] == 4 and payload["m2"] == 2
 
 
@@ -350,7 +383,7 @@ def test_gen_caterpillar(tmp_path, capsys):
         "--kdeg", "4", "--p", "5", "--out", str(out_file),
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["n"] == 20 and payload["m"] == 19
     assert payload["predicted"] == {"twk": 38, "k": 4}
     g = parse_edge_list(out_file.read_text())
@@ -363,7 +396,7 @@ def test_gen_coronene(tmp_path, capsys):
         capsys, "gen", "--family", "coronene", "--k", "3", "--out", str(out_file)
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["n"] == 54
     assert payload["predicted"] == {"tw3": 2838}
     assert parse_edge_list(out_file.read_text()).n == 54
@@ -373,7 +406,7 @@ def test_gen_single_vertex_path(tmp_path, capsys):
     out_file = tmp_path / "p1.txt"
     code, out, _ = run_cli(capsys, "gen", "--family", "path", "--n", "1", "--out", str(out_file))
     assert code == 0
-    assert json.loads(out)["m"] == 0
+    assert document(out)["m"] == 0
     assert out_file.read_text() == "1 0\n"
 
 
@@ -384,7 +417,7 @@ def test_gen_double_broom_prediction(tmp_path, capsys):
         "--a1", "3", "--a2", "4", "--out", str(out_file),
     )
     assert code == 0
-    assert json.loads(out)["predicted"] == {"wk": 12, "k": 5}
+    assert document(out)["predicted"] == {"wk": 12, "k": 5}
 
 
 def test_gen_starlike_broom_parts(tmp_path, capsys):
@@ -394,7 +427,7 @@ def test_gen_starlike_broom_parts(tmp_path, capsys):
         "--parts", "5,5,5", "--out", str(out_file),
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["n"] == 22
     assert payload["predicted"]["wk"] == 75
 
@@ -420,7 +453,7 @@ def test_gen_missing_param_exit_code(tmp_path, capsys):
 def test_verify_max_tw3_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "max-tw3", "--n", "8")
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["pass"] and payload["observed"] == 4
 
 
@@ -428,7 +461,7 @@ def test_verify_failing_claim_exits_one(capsys):
     # order 5 has a three-way tie for the maximum, so uniqueness fails
     code, out, _ = run_cli(capsys, "verify", "--claim", "max-tw3", "--n", "5")
     assert code == 1
-    assert not json.loads(out)["pass"]
+    assert not document(out)["pass"]
 
 
 def test_verify_linear_vs_oracle_cli(capsys):
@@ -436,7 +469,7 @@ def test_verify_linear_vs_oracle_cli(capsys):
         capsys, "verify", "--claim", "linear-vs-oracle", "--trials", "20", "--seed", "7"
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["pass"] and payload["trials"] == 20 and payload["seed"] == 7
 
 
@@ -450,26 +483,26 @@ def test_verify_linear_vs_oracle_cli(capsys):
 def test_verify_without_evidence_exits_one(capsys, argv):
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == 1
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["mismatch_count"] == 0 and not payload["pass"]
 
 
 def test_verify_coronene_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "coronene", "--k", "2")
     assert code == 0
-    assert json.loads(out)["formula"] == 174
+    assert document(out)["formula"] == 174
 
 
 def test_enumerate_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "7", "--count-only")
     assert code == 0
-    assert json.loads(out) == {"count": 11, "n": 7}
+    assert document(out) == {"count": 11, "n": 7}
 
 
 def test_enumerate_trees_listed(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4")
     assert code == 0
-    payload = json.loads(out)
+    payload = document(out)
     assert payload["count"] == 2
     assert len(payload["trees"]) == 2
     for edges in payload["trees"]:

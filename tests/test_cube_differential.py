@@ -6,11 +6,13 @@ reference in tests/helpers.py.
 Inputs come from four seeded generators: non-tree partial cubes grown by
 isometric expansion (Chepoi 1988), subgraphs of grids with holes, random
 bipartite graphs with a planted K_{2,3}, and odd-cycle or disconnected
-graphs.
+graphs.  On the accepted non-tree partial cubes the cut route to TW_k
+must also match the oracle and networkx for every degree present.
 """
 
 import random
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,8 @@ from distindex import (
     is_partial_cube,
     path_graph,
     theta_classes,
+    twk,
+    twk_cut,
 )
 from distindex.partial_cube import _first_mismatch
 from helpers import reference_is_partial_cube, reference_theta_classes, relabel
@@ -163,6 +167,23 @@ def test_expansions_are_non_tree_partial_cubes(seed):
     g = expanded_partial_cube(random.Random(seed))
     assert g.m >= g.n
     assert is_partial_cube(g).accepted
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.sampled_from((expanded_partial_cube, grid_subgraph)), st.integers(0, 2**32 - 1))
+def test_cut_twk_matches_oracle_on_partial_cubes(generator, seed):
+    g = generator(random.Random(seed))
+    verdict = is_partial_cube(g)
+    if not verdict.accepted or g.m < g.n:
+        return
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    rows = dict(nx.all_pairs_shortest_path_length(h))
+    for k in sorted(set(g.degrees())):
+        members = [v for v in range(g.n) if g.degree(v) == k]
+        want = sum(rows[u][v] for i, u in enumerate(members) for v in members[i + 1:])
+        assert twk_cut(g, k, verdict.partition) == twk(g, k) == want
 
 
 def test_generators_reach_every_reachable_reason():

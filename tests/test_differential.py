@@ -1,7 +1,9 @@
 """Differential tests: the tree routes, the oracle and networkx must
 agree on trees drawn from Prüfer codes; the oracle's ball sweep must
 agree with one BFS per vertex (tests/helpers.py) and networkx on
-connected graphs of several shapes, in one block or many; and the CLI
+connected graphs of several shapes, in one block or many, and so must
+its degree-class distance sums (TW_k, TW_k*) on either side of the
+sweep-or-BFS cost choice; and the CLI
 documents of the tree route must validate against schema/report.json."""
 
 import io
@@ -30,6 +32,7 @@ from distindex import (
     twk,
     twk_cut,
     twk_cut_tree,
+    twk_star,
     wiener,
     wiener_polynomial,
     wiener_polynomial_linear,
@@ -38,7 +41,13 @@ from distindex import (
     wk_star,
 )
 from distindex.cli import main
-from helpers import random_connected_graph, reference_wiener_polynomial, relabel
+from helpers import (
+    random_connected_graph,
+    reference_twk,
+    reference_twk_star,
+    reference_wiener_polynomial,
+    relabel,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text()
@@ -88,12 +97,16 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     )
 
 
-def networkx_histogram(g) -> list[int]:
+def networkx_graph(g) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
+    return h
+
+
+def networkx_histogram(g) -> list[int]:
     hist = [0] * g.n
-    for u, row in nx.all_pairs_shortest_path_length(h):
+    for u, row in nx.all_pairs_shortest_path_length(networkx_graph(g)):
         for v, d in row.items():
             if u < v:
                 hist[d] += 1
@@ -191,3 +204,94 @@ def test_twk_cut_tree_agrees(t):
         assert twk_cut_tree(t, k) == want
         assert twk_cut(g, k) == want
     assert twk_cut_tree(t, max(g.degrees()) + 1) == 0
+
+
+def networkx_pair_sum(g, keep) -> int:
+    """Distance sum over the unordered pairs of vertices whose degree
+    passes `keep`."""
+    members = {v for v in range(g.n) if keep(g.degree(v))}
+    return sum(
+        d
+        for u, row in nx.all_pairs_shortest_path_length(networkx_graph(g))
+        if u in members
+        for v, d in row.items()
+        if u < v and v in members
+    )
+
+
+def sweep_chosen(g, members) -> bool:
+    """The oracle's cost rule: sweep from the members when one BFS per
+    member would cost more than eccentricity(0) rounds over the edges."""
+    return len(members) * (g.n + g.m) > nx.eccentricity(networkx_graph(g), 0) * 2 * g.m
+
+
+def check_restricted_sums(g, patch):
+    """twk and twk_star against the BFS references and networkx for
+    every degree present (and one past the largest), with the branch the
+    cost rule picks; the restricted sweep itself is checked on every
+    class, whichever branch the rule picks; index_report must agree."""
+    sweeps = []
+    sweep = distindex.indices._sweep
+
+    def counting(g, sources, spans):
+        sweeps.append(len(sources))
+        return sweep(g, sources, spans)
+
+    patch.setattr(distindex.indices, "_sweep", counting)
+    top = max(g.degrees())
+    by_degree = {}
+    for k in range(top + 2):
+        members = [v for v in range(g.n) if g.degree(v) == k]
+        want = networkx_pair_sum(g, lambda d: d == k)
+        assert reference_twk(g, k) == want
+        sweeps.clear()
+        assert twk(g, k) == want
+        assert sweeps == ([len(members)] if g.n > 1 and sweep_chosen(g, members) else [])
+        _, (doubled,) = sweep(g, members, [(0, len(members))])
+        assert doubled == 2 * want
+        if members:
+            by_degree[k] = want
+    for k in range(1, top + 2):
+        members = [v for v in range(g.n) if g.degree(v) <= k]
+        want = networkx_pair_sum(g, lambda d: d <= k)
+        assert reference_twk_star(g, k) == want
+        sweeps.clear()
+        assert twk_star(g, k) == want
+        assert sweeps == ([len(members)] if g.n > 1 and sweep_chosen(g, members) else [])
+        sweeps.clear()
+        report = index_report(g, star_k=k)
+        assert sweeps == [g.n]
+        assert dict(report.twk_by_degree) == by_degree
+        assert report.twk_star == want
+    assert index_report(g).twk_by_degree == tuple(sorted(by_degree.items()))
+
+
+def check_restricted_disconnected(g):
+    for call in (
+        lambda g: twk(g, 1),
+        lambda g: twk(g, g.n),
+        lambda g: twk_star(g, 2),
+        lambda g: index_report(g),
+        lambda g: index_report(g, star_k=1),
+    ):
+        with pytest.raises(DisconnectedError, match="^graph is not connected$"):
+            call(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(connected_graphs(), connected_graphs())
+def test_oracle_restricted_sums_agree(g, other):
+    with pytest.MonkeyPatch.context() as patch:
+        check_restricted_sums(g, patch)
+    check_restricted_disconnected(disjoint_union(g, other))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(connected_graphs(), connected_graphs(), st.integers(1, 120))
+def test_oracle_restricted_sums_agree_in_blocks(g, other, sweep_bits):
+    """With a small bit budget both the full and the restricted sweeps
+    run in many blocks, and a class may straddle a block boundary."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+        check_restricted_sums(g, patch)
+        check_restricted_disconnected(disjoint_union(g, other))

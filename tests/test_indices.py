@@ -7,6 +7,7 @@ from distindex import (
     DisconnectedError,
     all_free_trees,
     complete_graph,
+    coronene_tw3,
     gen_coronene,
     cycle_graph,
     from_edge_list,
@@ -207,42 +208,75 @@ def test_tree_wiener_bounds_enumerated():
             assert lo <= wiener(t) <= hi
 
 
-@pytest.mark.parametrize("name", ["coronene3", "q5"])
-def test_pair_counts_run_no_bfs(monkeypatch, name):
+def count_work(monkeypatch):
+    """Wrap the oracle's BFS and sweep; returns the lists their calls
+    append to (BFS sources, and the source count of each sweep)."""
     import distindex.graphs
     import distindex.indices
 
-    g = {"coronene3": gen_coronene(3).graph, "q5": hypercube_graph(5)}[name]
-    calls = []
+    searches, sweeps = [], []
     search = distindex.graphs.bfs_distances
+    sweep = distindex.indices._sweep
 
-    def counting(g, source):
-        calls.append(source)
+    def counting_search(g, source):
+        searches.append(source)
         return search(g, source)
 
-    monkeypatch.setattr(distindex.graphs, "bfs_distances", counting)
-    monkeypatch.setattr(distindex.indices, "bfs_distances", counting)
+    def counting_sweep(g, sources, spans):
+        sweeps.append(len(sources))
+        return sweep(g, sources, spans)
+
+    monkeypatch.setattr(distindex.graphs, "bfs_distances", counting_search)
+    monkeypatch.setattr(distindex.indices, "bfs_distances", counting_search)
+    monkeypatch.setattr(distindex.indices, "_sweep", counting_sweep)
+    return searches, sweeps
+
+
+@pytest.mark.parametrize("name", ["coronene3", "q5"])
+def test_pair_counts_run_no_bfs(monkeypatch, name):
+    g = {"coronene3": gen_coronene(3).graph, "q5": hypercube_graph(5)}[name]
+    searches, _ = count_work(monkeypatch)
     poly = wiener_polynomial(g)
     assert wiener(g) == poly.wiener()
     assert wk(g, 2) == poly.coefficient(2)
     assert wk_star(g, 2) == poly.coefficient(1) + poly.coefficient(2)
-    assert calls == []
+    assert searches == []
 
 
 def test_index_report_sweeps_once(monkeypatch):
-    import distindex.indices
-
-    calls = []
-    sweep = distindex.indices._histogram
-
-    def counting(g):
-        calls.append(g.n)
-        return sweep(g)
-
-    monkeypatch.setattr(distindex.indices, "_histogram", counting)
+    searches, sweeps = count_work(monkeypatch)
     rep = index_report(gen_coronene(2).graph, star_k=3)
-    assert calls == [24]
+    assert sweeps == [24]
+    assert searches == []
     assert rep.wk_star == sum(rep.poly[1:4])
+    assert dict(rep.twk_by_degree) == {2: 300, 3: 174}
+    assert rep.twk_star == rep.wiener
+
+
+def test_twk_sweep_branch_runs_one_bfs(monkeypatch):
+    """Coronene k = 3 has 36 degree-3 vertices among 54: one sweep from
+    them, after the single connectivity BFS from vertex 0."""
+    g = gen_coronene(3).graph
+    searches, sweeps = count_work(monkeypatch)
+    assert twk(g, 3) == coronene_tw3(3)
+    assert searches == [0]
+    assert sweeps == [36]
+
+
+def test_twk_bfs_branch_on_grid(monkeypatch):
+    """The 20 x 30 grid has only its 4 corners of degree 2: one BFS per
+    corner is cheaper than a sweep.  Vertex 0 is a corner, so its
+    connectivity BFS is reused, and the last corner needs no BFS."""
+    g = from_edge_list(
+        600,
+        [(30 * i + j, 30 * i + j + 1) for i in range(20) for j in range(29)]
+        + [(30 * i + j, 30 * i + j + 30) for i in range(19) for j in range(30)],
+    )
+    searches, sweeps = count_work(monkeypatch)
+    # corner pairs: two at 29, two at 19, two at 48
+    assert twk(g, 2) == 2 * (29 + 19 + 48)
+    assert searches == [0, 29, 570]
+    assert sweeps == []
 
 
 def test_index_report():
