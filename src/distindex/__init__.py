@@ -3,12 +3,13 @@
 The package computes pair counts by distance (the coefficients of the
 Wiener polynomial), distance sums restricted to vertices of a fixed
 degree, and the classic Wiener and Zagreb indices.  Three routes are
-provided and cross-checked: a definitional oracle (one bit-parallel ball
-sweep, plus BFS for the degree-restricted sums) for any connected graph,
-a packed-row subtree algorithm for trees, and a cut decomposition for
-partial cubes.  On top of that sit generators for the extremal tree
-families and coronene benzenoids, closed-form optima, an exhaustive
-free-tree enumerator, and claim verifiers that tie everything together.
+provided and cross-checked: a definitional oracle (bit-parallel ball
+sweeps, with one BFS per vertex of a small degree class) for any
+connected graph, a packed-row subtree algorithm for trees, and a cut
+decomposition for partial cubes.  On top of that sit generators for the
+extremal tree families and coronene benzenoids, closed-form optima, an
+exhaustive free-tree enumerator, and claim verifiers that tie
+everything together.
 """
 
 from .benzenoid import (
@@ -49,9 +50,7 @@ from .graphs import (
     MAX_GRAPH_ORDER,
     MAX_HYPERCUBE_DIM,
     UNREACHABLE,
-    DistanceMatrix,
     Graph,
-    all_pairs_distances,
     bfs_distances,
     complete_graph,
     cycle_graph,
@@ -127,8 +126,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # graphs
-    "Graph", "DistanceMatrix", "UNREACHABLE", "from_edge_list", "bfs_distances",
-    "all_pairs_distances", "is_connected", "is_tree", "is_bipartite",
+    "Graph", "UNREACHABLE", "from_edge_list", "bfs_distances",
+    "is_connected", "is_tree", "is_bipartite",
     "two_coloring", "degree_sequence", "parse_edge_list", "format_edge_list",
     "load_edge_list", "dump_edge_list", "path_graph", "star_graph",
     "cycle_graph", "complete_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM",

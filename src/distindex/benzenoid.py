@@ -113,12 +113,13 @@ def horizontal_cut_profile(h: HexSystem) -> list[tuple[int, int]]:
 
     cuts = sorted(vertical, key=band_top, reverse=True)
     top_vertex = max(range(h.graph.n), key=lambda v: (h.coords[v][1], h.coords[v][0]))
+    degree2 = sum(1 << v for v, d in enumerate(h.graph.degrees()) if d == 2)
     profile = []
     for i in range(1, k + 1):
         ci = cuts[i - 1]
-        side = part.side1[ci] if top_vertex in part.side1[ci] else part.side0[ci]
-        total = len(side)
-        deg2 = sum(1 for v in side if h.graph.degree(v) == 2)
+        side = part.side1[ci] if part.side1[ci] >> top_vertex & 1 else part.side0[ci]
+        total = side.bit_count()
+        deg2 = (side & degree2).bit_count()
         if total != i * (2 * k + i) or deg2 != k + 2 * i:
             raise RuntimeError(
                 f"cut {i}: profile ({total}, {deg2}) does not match "

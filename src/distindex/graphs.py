@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import (
-    DisconnectedError,
     DuplicateEdgeError,
     EdgeListFormatError,
     LoopEdgeError,
@@ -100,32 +99,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                 dist[v] = du
                 queue.append(v)
     return dist
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs distance table; row u is the BFS distance vector of u."""
-
-    n: int
-    d: tuple[tuple[int, ...], ...]
-
-    def dist(self, u: int, v: int) -> int:
-        return self.d[u][v]
-
-    def diameter(self) -> int:
-        """Largest pairwise distance; requires a connected graph."""
-        best = 0
-        for row in self.d:
-            for x in row:
-                if x == UNREACHABLE:
-                    raise DisconnectedError("diameter of a disconnected graph")
-                if x > best:
-                    best = x
-        return best
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    return DistanceMatrix(g.n, tuple(tuple(bfs_distances(g, s)) for s in range(g.n)))
 
 
 def is_connected(g: Graph) -> bool:

@@ -18,13 +18,14 @@ every edge collects one side of its cut and the ball sizes add up to
 twice the Wiener index.  Edges with equal cuts form one group, groups
 whose cuts cross are merged into classes, and the embedding is
 isometric exactly when the class side products sum to the Wiener index.
+
+Both sides of a class are kept as vertex bitmasks (bit v set when v lies
+on that side), so side sizes and degree-restricted counts are popcounts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import (
     ClassRemovalError,
@@ -40,14 +41,15 @@ from .tree_linear import RootedTree
 class ThetaPartition:
     """Edge classes with the two vertex sides each class separates.
 
-    Classes are ordered by their lexicographically first edge; side0 of
-    a class is the side containing the lowest-numbered vertex.
+    Classes are ordered by their lexicographically first edge.  Each
+    side is a vertex bitmask: bit v of side0[i] is set when v lies on
+    the side of class i that holds vertex 0, and side1[i] is the rest.
     """
 
     n: int
     classes: tuple[tuple[tuple[int, int], ...], ...]
-    side0: tuple[frozenset[int], ...]
-    side1: tuple[frozenset[int], ...]
+    side0: tuple[int, ...]
+    side1: tuple[int, ...]
 
     @property
     def class_count(self) -> int:
@@ -87,18 +89,6 @@ def _cut_sweep(
             grown[x] |= by
             grown[y] |= bx
         balls = grown
-
-
-#: Maps the digits of a binary string to bytes 0 and 1 for compress().
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _sides(mask: int, everyone: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """The vertices in mask and the rest of everyone (= range(n))."""
-    n = len(everyone)
-    bits = format(mask, f"0{n}b")[::-1].encode().translate(_BIT_BYTES)
-    inside = frozenset(compress(range(n), bits))
-    return inside, everyone - inside
 
 
 def _transpose(masks: list[int], n: int) -> list[int]:
@@ -160,49 +150,36 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     # the classes are the components of the relation between groups
     side = _transpose(keys, n)
     crosses = [side[edges[ids[0]][0]] ^ side[edges[ids[0]][1]] for ids in members]
-    class_groups = _components(crosses)
-    class_ids = [sorted(i for b in found for i in members[b]) for found in class_groups]
-    class_of = [0] * len(edges)
-    for ci, ids in enumerate(class_ids):
-        for i in ids:
-            class_of[i] = ci
-    edge_id = {e: i for i, e in enumerate(edges)}
 
     classes = []
     side0 = []
-    side1 = []
-    coordinates = []
-    everyone = frozenset(range(n))
-    for ci, (found, ids) in enumerate(zip(class_groups, class_ids)):
+    for ci, found in enumerate(_components(crosses)):
+        ids = sorted(i for b in found for i in members[b])
         if len(found) == 1:
             # The class is exactly the edges crossing its cut, and each
             # side is connected (geodesics to x stay inside W_xy), so
             # removing it leaves these two components.
-            lo, hi = _sides(keys[found[0]], everyone)
-            coordinates.append(full ^ keys[found[0]])
+            lo = keys[found[0]]
         else:
-            comp = _components_without_class(g, edge_id, class_of, ci)
+            comp = _components_without(g, {edges[i] for i in ids})
             if len(comp) != 2:
                 raise ClassRemovalError(
                     f"removing class {ci} leaves {len(comp)} components, expected 2"
                 )
-            a, b = comp
-            lo, hi = (a, b) if 0 in a else (b, a)
+            lo = comp[0]
             for i in ids:
                 u, v = edges[i]
-                if (u in lo) == (v in lo):
+                if (lo >> u & 1) == (lo >> v & 1):
                     raise ClassRemovalError(
                         f"class {ci} edge ({u}, {v}) does not cross the split"
                     )
-            lo, hi = frozenset(lo), frozenset(hi)
-            coordinates.append(sum(1 << v for v in hi))
         classes.append(tuple(edges[i] for i in ids))
         side0.append(lo)
-        side1.append(hi)
+    side1 = [full ^ lo for lo in side0]
     part = ThetaPartition(
         n=n, classes=tuple(classes), side0=tuple(side0), side1=tuple(side1)
     )
-    return part, _transpose(coordinates, n), wiener
+    return part, _transpose(side1, n), wiener
 
 
 def theta_classes(g: Graph) -> ThetaPartition:
@@ -217,30 +194,14 @@ def theta_classes(g: Graph) -> ThetaPartition:
     return _partition(g)[0]
 
 
-def _components_without_class(
-    g: Graph, edge_id: dict, class_of: list[int], ci: int
-) -> list[set[int]]:
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if seen[v]:
-                    continue
-                e = (u, v) if u < v else (v, u)
-                if class_of[edge_id[e]] == ci:
-                    continue
-                seen[v] = True
-                comp.add(v)
-                queue.append(v)
-        comps.append(comp)
-    return comps
+def _components_without(g: Graph, removed: set[tuple[int, int]]) -> list[int]:
+    """Vertex bitmasks of the components of g with the edges in removed
+    deleted, the one holding vertex 0 first."""
+    rows = [
+        sum(1 << v for v in nbrs if ((u, v) if u < v else (v, u)) not in removed)
+        for u, nbrs in enumerate(g.adj)
+    ]
+    return [sum(1 << v for v in found) for found in _components(rows)]
 
 
 @dataclass(frozen=True)
@@ -300,7 +261,7 @@ def is_partial_cube(g: Graph) -> CubeVerdict:
         return CubeVerdict(
             False, "class_removal_not_two_components", str(exc), None, None
         )
-    if sum(len(lo) * len(hi) for lo, hi in zip(part.side0, part.side1)) != wiener:
+    if sum(lo.bit_count() * hi.bit_count() for lo, hi in zip(part.side0, part.side1)) != wiener:
         return CubeVerdict(False, "not_isometric", _first_mismatch(g, masks), None, part)
     coords = CubeCoordinates(length=part.class_count, masks=tuple(masks))
     return CubeVerdict(True, None, None, coords, part)
@@ -325,11 +286,11 @@ def halfspace_degree_counts(
     """Per class, how many degree-k vertices lie on each side."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    marks = [g.degree(v) == k for v in range(g.n)]
-    out = []
-    for lo, hi in zip(partition.side0, partition.side1):
-        out.append((sum(marks[v] for v in lo), sum(marks[v] for v in hi)))
-    return out
+    marks = sum(1 << v for v, d in enumerate(g.degrees()) if d == k)
+    return [
+        ((lo & marks).bit_count(), (hi & marks).bit_count())
+        for lo, hi in zip(partition.side0, partition.side1)
+    ]
 
 
 def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:

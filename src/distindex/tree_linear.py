@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotATreeError, VertexOutOfRangeError
-from .graphs import Graph, is_tree
+from .graphs import Graph
 from .indices import WienerPolynomial, zagreb_m1, zagreb_m2
 
 #: Parent marker for the root.
@@ -129,6 +129,5 @@ def wiener_polynomial_linear(t: RootedTree | Graph) -> WienerPolynomial:
 
 def wk3_from_zagreb(g: Graph) -> int:
     """Distance-3 pair count of a tree from its Zagreb indices."""
-    if not is_tree(g):
-        raise NotATreeError("the Zagreb shortcut only holds for trees")
+    RootedTree.build(g)  # raises NotATreeError unless g is a tree
     return zagreb_m2(g) - zagreb_m1(g) + g.m

@@ -16,7 +16,7 @@ import random
 from typing import Iterator
 
 from .errors import NotATreeError, OrderTooLargeError
-from .graphs import Graph, from_edge_list, is_tree
+from .graphs import Graph, from_edge_list
 
 #: Orders above this make exhaustive enumeration unreasonably large.
 MAX_ORDER = 16
@@ -60,16 +60,25 @@ def _sequence_to_edges(seq: list[int]) -> list[tuple[int, int]]:
 
 
 def tree_centers(g: Graph) -> list[int]:
-    """The one or two middle vertices of a tree, by leaf stripping."""
-    if not is_tree(g):
-        raise NotATreeError("centers are defined for trees")
+    """The one or two middle vertices of a tree, by leaf stripping.
+
+    The stripping also certifies the tree.  A graph with n >= 1 vertices
+    and n - 1 edges that is not a tree is disconnected and so has a
+    cycle; the cycle's vertices never become leaves, and neither does an
+    isolated vertex, so some round finds no leaves while more than two
+    vertices remain.
+    """
     n = g.n
+    if n < 1 or g.m != n - 1:
+        raise NotATreeError("centers are defined for trees")
     if n <= 2:
         return list(range(n))
     deg = g.degrees()
     layer = [v for v in range(n) if deg[v] == 1]
     remaining = n
     while remaining > 2:
+        if not layer:
+            raise NotATreeError("centers are defined for trees")
         remaining -= len(layer)
         nxt = []
         for v in layer:

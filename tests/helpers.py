@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from dataclasses import dataclass
 
 from distindex import (
     ClassRemovalError,
@@ -13,13 +14,39 @@ from distindex import (
     ThetaPartition,
     UNREACHABLE,
     WienerPolynomial,
-    all_pairs_distances,
     bfs_distances,
     from_edge_list,
     is_connected,
     random_tree,
     two_coloring,
 )
+
+
+@dataclass(frozen=True)
+class DistanceMatrix:
+    """All-pairs distance table; row u is the BFS distance vector of u."""
+
+    n: int
+    d: tuple[tuple[int, ...], ...]
+
+    def dist(self, u: int, v: int) -> int:
+        return self.d[u][v]
+
+    def diameter(self) -> int:
+        """Largest pairwise distance; requires a connected graph."""
+        best = 0
+        for row in self.d:
+            for x in row:
+                if x == UNREACHABLE:
+                    raise DisconnectedError("diameter of a disconnected graph")
+                if x > best:
+                    best = x
+        return best
+
+
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """One BFS row per vertex; a test-only reference table."""
+    return DistanceMatrix(g.n, tuple(tuple(bfs_distances(g, s)) for s in range(g.n)))
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
@@ -136,8 +163,8 @@ def reference_theta_classes(g: Graph) -> ThetaPartition:
                     f"class {ci} edge ({u}, {v}) does not cross the split"
                 )
         classes.append(tuple(edges[i] for i in ids))
-        side0.append(frozenset(lo))
-        side1.append(frozenset(hi))
+        side0.append(sum(1 << v for v in lo))
+        side1.append(sum(1 << v for v in hi))
     return ThetaPartition(
         n=g.n, classes=tuple(classes), side0=tuple(side0), side1=tuple(side1)
     )
@@ -181,8 +208,8 @@ def reference_is_partial_cube(g: Graph) -> CubeVerdict:
         )
     masks = [0] * g.n
     for i, hi in enumerate(part.side1):
-        for v in hi:
-            masks[v] |= 1 << i
+        for v in range(g.n):
+            masks[v] |= (hi >> v & 1) << i
     rows = all_pairs_distances(g).d
     for u in range(g.n):
         for v in range(u + 1, g.n):

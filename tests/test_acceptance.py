@@ -25,7 +25,6 @@ import pytest
 from distindex import (
     DEFAULT_SEED,
     all_free_trees,
-    all_pairs_distances,
     caterpillar_twk,
     coronene_tw3,
     cycle_graph,
@@ -52,6 +51,7 @@ from distindex import (
     zagreb_m1,
     zagreb_m2,
 )
+from helpers import all_pairs_distances
 
 FREE_TREE_COUNTS_1_TO_12 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 

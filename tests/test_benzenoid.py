@@ -79,9 +79,11 @@ def test_mirror_cut_symmetry():
             return max(max(h.coords[u][1], h.coords[v][1]) for u, v in part.classes[ci])
 
         cuts = sorted(vertical, key=band_top, reverse=True)
+        deg3 = sum(1 << v for v in range(h.graph.n) if h.graph.degree(v) == 3)
+
         def deg3_product(ci):
-            lo = sum(1 for v in part.side0[ci] if h.graph.degree(v) == 3)
-            hi = sum(1 for v in part.side1[ci] if h.graph.degree(v) == 3)
+            lo = (part.side0[ci] & deg3).bit_count()
+            hi = (part.side1[ci] & deg3).bit_count()
             return lo * hi
 
         for i in range(k):

@@ -7,7 +7,8 @@ Inputs come from four seeded generators: non-tree partial cubes grown by
 isometric expansion (Chepoi 1988), subgraphs of grids with holes, random
 bipartite graphs with a planted K_{2,3}, and odd-cycle or disconnected
 graphs.  On the accepted non-tree partial cubes the cut route to TW_k
-must also match the oracle and networkx for every degree present.
+must also match the oracle and networkx for every degree present, and
+every partition's side bitmasks must split the vertices along each class.
 """
 
 import random
@@ -26,6 +27,7 @@ from distindex import (
     theta_classes,
     twk,
     twk_cut,
+    wiener,
 )
 from distindex.partial_cube import _first_mismatch
 from helpers import reference_is_partial_cube, reference_theta_classes, relabel
@@ -159,6 +161,30 @@ def test_verifier_matches_reference(generator, seed):
     g = generator(random.Random(seed))
     assert is_partial_cube(g) == reference_is_partial_cube(g)
     assert outcome(theta_classes, g) == outcome(reference_theta_classes, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(GENERATORS), st.integers(0, 2**32 - 1))
+def test_partition_sides_are_complementary_bitmasks(generator, seed):
+    g = generator(random.Random(seed))
+    verdict = is_partial_cube(g)
+    part = verdict.partition
+    if part is None:
+        return
+    full = (1 << g.n) - 1
+    for cls, lo, hi in zip(part.classes, part.side0, part.side1):
+        assert lo & hi == 0
+        assert lo | hi == full
+        assert lo & 1
+        for u, v in cls:
+            assert (lo >> u & 1) != (lo >> v & 1)
+    if verdict.accepted:
+        assert sum(lo.bit_count() * hi.bit_count()
+                   for lo, hi in zip(part.side0, part.side1)) == wiener(g)
+        assert verdict.coordinates.masks == tuple(
+            sum((hi >> v & 1) << i for i, hi in enumerate(part.side1))
+            for v in range(g.n)
+        )
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -12,7 +12,6 @@ from distindex import (
     LoopEdgeError,
     OrderTooLargeError,
     VertexOutOfRangeError,
-    all_pairs_distances,
     bfs_distances,
     complete_graph,
     cycle_graph,
@@ -28,6 +27,7 @@ from distindex import (
     star_graph,
     two_coloring,
 )
+from helpers import all_pairs_distances
 
 
 def test_from_edge_list_basic():

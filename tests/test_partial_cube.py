@@ -7,7 +7,6 @@ from distindex import (
     DisconnectedError,
     NotBipartiteError,
     NotPartialCubeError,
-    all_pairs_distances,
     complete_graph,
     gen_coronene,
     cycle_graph,
@@ -23,6 +22,7 @@ from distindex import (
     twk_cut,
     wiener,
 )
+from helpers import all_pairs_distances
 
 K23 = from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
@@ -31,8 +31,8 @@ def test_theta_classes_single_edge():
     part = theta_classes(path_graph(2))
     assert part.class_count == 1
     assert part.classes == (((0, 1),),)
-    assert part.side0 == (frozenset({0}),)
-    assert part.side1 == (frozenset({1}),)
+    assert part.side0 == (0b01,)
+    assert part.side1 == (0b10,)
 
 
 def test_theta_classes_tree_one_per_edge():
@@ -43,8 +43,9 @@ def test_theta_classes_tree_one_per_edge():
         assert part.class_count == g.m
         for cls, lo, hi in zip(part.classes, part.side0, part.side1):
             assert len(cls) == 1
-            assert len(lo) + len(hi) == g.n
-            assert 0 in lo
+            assert lo & hi == 0
+            assert lo | hi == (1 << g.n) - 1
+            assert lo & 1
 
 
 def test_theta_classes_even_cycle_opposite_edges():
@@ -54,7 +55,7 @@ def test_theta_classes_even_cycle_opposite_edges():
     assert set(part.classes[1]) == {(0, 5), (2, 3)}
     assert set(part.classes[2]) == {(1, 2), (4, 5)}
     for lo, hi in zip(part.side0, part.side1):
-        assert len(lo) == len(hi) == 3
+        assert lo.bit_count() == hi.bit_count() == 3
 
 
 def test_theta_classes_hypercube_directions():
@@ -192,23 +193,16 @@ def test_accepting_builds_no_distance_matrix(monkeypatch):
     import distindex.graphs
     import distindex.partial_cube
 
-    calls = {"apsp": 0, "bfs": 0}
+    calls = {"bfs": 0}
     bfs = distindex.graphs.bfs_distances
-
-    def no_matrix(g):
-        calls["apsp"] += 1
-        raise AssertionError("all_pairs_distances called")
 
     def counting_bfs(g, source):
         calls["bfs"] += 1
         return bfs(g, source)
 
-    monkeypatch.setattr(distindex.graphs, "all_pairs_distances", no_matrix)
-    monkeypatch.setattr(distindex.partial_cube, "all_pairs_distances", no_matrix, raising=False)
     monkeypatch.setattr(distindex.graphs, "bfs_distances", counting_bfs)
     monkeypatch.setattr(distindex.partial_cube, "bfs_distances", counting_bfs)
     for g in (hypercube_graph(6), gen_coronene(3).graph, cycle_graph(12)):
-        calls.update(apsp=0, bfs=0)
+        calls.update(bfs=0)
         assert is_partial_cube(g).accepted
-        assert calls["apsp"] == 0
         assert calls["bfs"] <= 1

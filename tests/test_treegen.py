@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -107,6 +108,31 @@ def test_tree_centers():
     assert tree_centers(path_graph(2)) == [0, 1]
     with pytest.raises(NotATreeError):
         tree_centers(cycle_graph(4))
+    with pytest.raises(NotATreeError):  # two paths strip down to two "centers"
+        tree_centers(from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+
+
+def test_non_tree_with_tree_edge_count_is_refused():
+    # n - 1 edges but a cycle plus an isolated vertex: leaf stripping
+    # stalls and must raise; the alarm turns a loop into a failure
+    def hung(signum, frame):
+        raise AssertionError("leaf stripping did not stop")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for g in (
+            from_edge_list(4, [(0, 1), (0, 2), (1, 2)]),
+            from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        ):
+            assert g.m == g.n - 1
+            with pytest.raises(NotATreeError):
+                tree_centers(g)
+            with pytest.raises(NotATreeError):
+                canonical_form(g)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_canonical_form_invariant_under_relabeling():
