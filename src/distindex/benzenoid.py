@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, from_edge_list
-from .partial_cube import ThetaPartition, theta_classes
+from .partial_cube import ThetaPartition
 
 #: Corner offsets of a hexagon in doubled coordinates, in cyclic order.
 _CORNERS = ((1, 1), (0, 2), (-1, 1), (-1, -1), (0, -2), (1, -1))
@@ -88,16 +88,16 @@ def orientation_groups(
     return groups
 
 
-def horizontal_cut_profile(h: HexSystem) -> list[tuple[int, int]]:
+def horizontal_cut_profile(h: HexSystem, part: ThetaPartition) -> list[tuple[int, int]]:
     """Side profile of the top k horizontal cuts.
 
     Entry i-1 describes the i-th cut from the top: how many vertices
     lie above it and how many of those have degree 2.  The counts are
-    recomputed from the actual edge classes and must match the closed
-    forms i(2k + i) and k + 2i; a mismatch raises RuntimeError.
+    recomputed from part, the edge classes of h.graph as theta_classes
+    returns them, and must match the closed forms i(2k + i) and k + 2i;
+    a mismatch raises RuntimeError.
     """
     k = h.k
-    part = theta_classes(h.graph)
     groups = orientation_groups(h, part)
     vertical = groups.get((0, 2), [])
     if len(vertical) != 2 * k - 1:

@@ -47,7 +47,7 @@ from .indices import (
 )
 from .partial_cube import is_partial_cube, twk_cut, twk_cut_tree
 from .tree_linear import RootedTree, wiener_polynomial_linear, wk_linear
-from .treegen import all_free_trees
+from .treegen import all_free_trees, free_tree_count
 from .verify import (
     DEFAULT_SEED,
     verify_coronene,
@@ -288,7 +288,7 @@ def _cmd_verify(args) -> dict:
 def _cmd_enumerate(args) -> dict:
     payload: dict = {"n": args.n}
     if args.count_only:
-        payload["count"] = sum(1 for _ in all_free_trees(args.n))
+        payload["count"] = free_tree_count(args.n)
     else:
         trees = [t.edges() for t in all_free_trees(args.n)]
         payload["count"] = len(trees)

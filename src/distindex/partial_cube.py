@@ -33,7 +33,7 @@ from .errors import (
     NotBipartiteError,
     NotPartialCubeError,
 )
-from .graphs import Graph, bfs_distances, is_connected, two_coloring
+from .graphs import UNREACHABLE, Graph, bfs_distances
 from .tree_linear import RootedTree
 
 
@@ -128,15 +128,17 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     """The edge-class partition of theta_classes, each vertex's
     coordinate bitset (bit i set on side1 of class i) and the Wiener
     index the sweep measured on the way."""
-    if not is_connected(g):
+    n = g.n
+    dist = bfs_distances(g, 0) if n else []
+    if UNREACHABLE in dist:
         raise DisconnectedError("edge classes need a connected graph")
-    colour = two_coloring(g)
-    if colour is None:
+    edges = g.edges()
+    # an edge of a connected graph joins equal or adjacent BFS layers,
+    # and an edge inside one layer closes an odd cycle
+    if any(dist[u] == dist[v] for u, v in edges):
         raise NotBipartiteError("edge classes need a bipartite graph")
 
-    n = g.n
-    edges = g.edges()
-    cuts, wiener = _cut_sweep(n, edges, sum(c << v for v, c in enumerate(colour)))
+    cuts, wiener = _cut_sweep(n, edges, sum((d & 1) << v for v, d in enumerate(dist)))
     # Edge uv is related to xy iff it crosses xy's cut, so the edges of
     # one cut are related and a group's relations follow from any edge.
     # A group is keyed by the side of its cut that holds vertex 0.
@@ -161,6 +163,12 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
             # removing it leaves these two components.
             lo = keys[found[0]]
         else:
+            # A merged class always ends in ClassRemovalError, here or at
+            # a later merged class: if every class split g in two, the
+            # Graham-Winkler embedding would make g a partial cube, whose
+            # relation is transitive (Winkler 1984) and merges no cuts.
+            # So lo only names the side the crossing test below reads,
+            # and it never reaches a returned partition.
             comp = _components_without(g, {edges[i] for i in ids})
             if len(comp) != 2:
                 raise ClassRemovalError(

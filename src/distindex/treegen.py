@@ -1,12 +1,13 @@
 """Exhaustive free-tree enumeration and random labeled tree sampling.
 
 Rooted trees are generated through the classic level-sequence successor
-rule, which walks all canonical level sequences in decreasing
-lexicographic order without repetition.  Free trees are obtained by
-keeping one representative per isomorphism class: every generated tree
-is rerooted at its center (taking the smaller string over the two
-choices when the center is an edge) and hashed by its canonical
-parenthesis string.
+rule (Beyer and Hedetniemi 1980), which walks all canonical level
+sequences in decreasing lexicographic order without repetition.  A free
+tree is its canonical sequence rooted at a centre (Wright, Richmond,
+Odlyzko and McKay 1986), so free trees come from the same walk by a test
+on each sequence: its root must be a centre, and when the tree has two
+centres the rooting with the larger half below the root is the one
+kept.  No graph is built and nothing is stored for a rejected sequence.
 """
 
 from __future__ import annotations
@@ -119,16 +120,23 @@ def canonical_form(g: Graph) -> str:
 
 def all_free_trees(n: int) -> Iterator[Graph]:
     """Every unlabeled tree on n vertices exactly once, for n up to
-    MAX_ORDER.  The order of the yielded trees is deterministic."""
+    MAX_ORDER, with vertex 0 a centre.  Trees come in decreasing
+    lexicographic order of their centre-rooted level sequences.
+
+    In a canonical sequence the root's first branch is its deepest, and
+    the second branch starts at the next level-2 entry.  The root is the
+    only centre when another branch is as deep as the first.  When the
+    first branch is one level deeper, the root and its first child are
+    the two centres; both halves are canonical, so keeping the rooting
+    whose child half is at least the root half keeps the tree once.
+    """
     if n < 1 or n > MAX_ORDER:
         raise OrderTooLargeError(f"supported orders are 1..{MAX_ORDER}, got {n}")
-    seen: set[str] = set()
     for seq in rooted_level_sequences(n):
-        g = from_edge_list(n, _sequence_to_edges(seq))
-        key = canonical_form(g)
-        if key not in seen:
-            seen.add(key)
-            yield g
+        cut = seq.index(2, 2) if 2 in seq[2:] else n
+        gap = max(seq[:cut]) - max(seq[cut:], default=1)
+        if gap == 0 or (gap == 1 and [lvl - 1 for lvl in seq[1:cut]] >= seq[:1] + seq[cut:]):
+            yield from_edge_list(n, _sequence_to_edges(seq))
 
 
 def free_tree_count(n: int) -> int:

@@ -215,7 +215,7 @@ def verify_coronene(k: int) -> dict:
     cut = twk_cut(h.graph, 3, partition)
     oracle = twk(h.graph, 3)
     try:
-        horizontal_cut_profile(h)
+        horizontal_cut_profile(h, partition)
         profile_ok = True
         profile_err = None
     except RuntimeError as exc:

@@ -3,6 +3,7 @@
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from distindex import (
     ClassRemovalError,
@@ -15,11 +16,14 @@ from distindex import (
     UNREACHABLE,
     WienerPolynomial,
     bfs_distances,
+    canonical_form,
     from_edge_list,
     is_connected,
     random_tree,
+    rooted_level_sequences,
     two_coloring,
 )
+from distindex.treegen import _sequence_to_edges
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,12 @@ def _reference_find(parent: list[int], x: int) -> int:
     return x
 
 
-def reference_theta_classes(g: Graph) -> ThetaPartition:
-    """Edge classes by the textbook route: test every pair of edges for
-    d(x,u) + d(y,v) != d(x,v) + d(y,u) on the all-pairs matrix, close the
-    relation with union-find, then split the vertices by BFS with each
-    class removed.  O(m^2) pair tests; a test-only reference."""
+def reference_edge_classes(g: Graph) -> list[list[int]]:
+    """Edge classes by the textbook route, as lists of indices into
+    g.edges() ordered by their first edge: test every pair of edges for
+    d(x,u) + d(y,v) != d(x,v) + d(y,u) on the all-pairs matrix and close
+    the relation with union-find.  O(m^2) pair tests; a test-only
+    reference."""
     if not is_connected(g):
         raise DisconnectedError("edge classes need a connected graph")
     if two_coloring(g) is None:
@@ -139,8 +144,15 @@ def reference_theta_classes(g: Graph) -> ThetaPartition:
     by_root: dict[int, list[int]] = {}
     for i in range(me):
         by_root.setdefault(_reference_find(parent, i), []).append(i)
-    class_ids = sorted(by_root.values(), key=lambda ids: ids[0])
-    class_of = [0] * me
+    return sorted(by_root.values(), key=lambda ids: ids[0])
+
+
+def reference_theta_classes(g: Graph) -> ThetaPartition:
+    """The classes of reference_edge_classes, with the vertices split by
+    BFS with each class removed."""
+    class_ids = reference_edge_classes(g)
+    edges = g.edges()
+    class_of = [0] * len(edges)
     for ci, ids in enumerate(class_ids):
         for i in ids:
             class_of[i] = ci
@@ -224,3 +236,16 @@ def reference_is_partial_cube(g: Graph) -> CubeVerdict:
                 )
     coords = CubeCoordinates(length=part.class_count, masks=tuple(masks))
     return CubeVerdict(True, None, None, coords, part)
+
+
+def reference_free_trees(n: int) -> Iterator[Graph]:
+    """Every unlabeled tree on n vertices once, by building the tree of
+    every rooted level sequence and dropping repeats of its canonical
+    form; a test-only reference for all_free_trees."""
+    seen: set[str] = set()
+    for seq in rooted_level_sequences(n):
+        g = from_edge_list(n, _sequence_to_edges(seq))
+        key = canonical_form(g)
+        if key not in seen:
+            seen.add(key)
+            yield g

@@ -36,6 +36,7 @@ from distindex import (
     max_degree_count,
     path_graph,
     random_tree,
+    theta_classes,
     twk,
     twk_cut,
     verify_coronene,
@@ -128,7 +129,8 @@ def test_criterion_5_coronene_formula(capsys):
         if k in frozen and rep["formula"] != frozen[k]:
             problems.append((k, f"formula={rep['formula']}"))
     for k in range(1, 9):
-        profile = horizontal_cut_profile(gen_coronene(k))
+        h = gen_coronene(k)
+        profile = horizontal_cut_profile(h, theta_classes(h.graph))
         expected = [(i * (2 * k + i), k + 2 * i) for i in range(1, k + 1)]
         if profile != expected:
             problems.append((k, "profile"))

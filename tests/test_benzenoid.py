@@ -50,10 +50,15 @@ def test_class_count_and_orientations():
         assert all(len(v) == 2 * k - 1 for v in groups.values())
 
 
+def coronene_profile(k: int) -> list[tuple[int, int]]:
+    h = gen_coronene(k)
+    return horizontal_cut_profile(h, theta_classes(h.graph))
+
+
 def test_profile_frozen():
-    assert horizontal_cut_profile(gen_coronene(1)) == [(3, 3)]
-    assert horizontal_cut_profile(gen_coronene(2)) == [(5, 4), (12, 6)]
-    profile3 = horizontal_cut_profile(gen_coronene(3))
+    assert coronene_profile(1) == [(3, 3)]
+    assert coronene_profile(2) == [(5, 4), (12, 6)]
+    profile3 = coronene_profile(3)
     assert profile3[0] == (7, 5)
     assert profile3[2] == (27, 9)
 
@@ -62,7 +67,7 @@ def test_profile_matches_closed_forms():
     # horizontal_cut_profile asserts the closed forms internally; a
     # clean return is the check
     for k in range(1, 6):
-        profile = horizontal_cut_profile(gen_coronene(k))
+        profile = coronene_profile(k)
         assert profile == [(i * (2 * k + i), k + 2 * i) for i in range(1, k + 1)]
 
 

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distindex import (
+    DisconnectedError,
     GraphError,
+    NotBipartiteError,
     bfs_distances,
     cycle_graph,
     from_edge_list,
@@ -30,7 +32,12 @@ from distindex import (
     wiener,
 )
 from distindex.partial_cube import _first_mismatch
-from helpers import reference_is_partial_cube, reference_theta_classes, relabel
+from helpers import (
+    reference_edge_classes,
+    reference_is_partial_cube,
+    reference_theta_classes,
+    relabel,
+)
 
 #: Keeps the O(m^2) reference quick.
 MAX_VERTICES = 48
@@ -231,6 +238,36 @@ def test_generators_reach_every_reachable_reason():
     assert {"disconnected", None} <= seen["grid_subgraph"]
     assert {"not_bipartite", "disconnected"} <= seen["odd_or_disconnected"]
     assert not any("not_isometric" in reasons for reasons in seen.values())
+
+
+def _bfs_cut(g, x: int, y: int) -> int:
+    """The side of edge xy's cut W_xy | W_yx that holds vertex 0."""
+    dx, dy = bfs_distances(g, x), bfs_distances(g, y)
+    side = sum(1 << w for w in range(g.n) if dx[w] < dy[w])
+    return side if side & 1 else ((1 << g.n) - 1) ^ side
+
+
+def test_merged_classes_are_always_rejected():
+    """A class whose edges cut the graph differently is rejected, and a
+    connected bipartite graph without one is accepted.  If every class
+    split the graph in two, Graham and Winkler's embedding would make it
+    a partial cube, where the relation is transitive (Winkler 1984) and
+    each class is one cut; so a merged class never survives to a
+    returned partition."""
+    tally = {True: 0, False: 0}
+    for generator in GENERATORS:
+        for seed in range(40):
+            g = generator(random.Random(seed))
+            try:
+                class_ids = reference_edge_classes(g)
+            except (DisconnectedError, NotBipartiteError):
+                continue
+            edges = g.edges()
+            merged = any(len({_bfs_cut(g, *edges[i]) for i in ids}) > 1 for ids in class_ids)
+            tally[merged] += 1
+            want = "class_removal_not_two_components" if merged else None
+            assert is_partial_cube(g).reason == want
+    assert tally[True] and tally[False]
 
 
 def test_first_mismatch_names_first_pair():

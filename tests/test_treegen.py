@@ -21,10 +21,10 @@ from distindex import (
     tree_centers,
 )
 from distindex.treegen import _rooted_string
-from helpers import relabel
+from helpers import reference_free_trees, relabel
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
-FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
 
 
 def test_rooted_sequence_counts():
@@ -61,6 +61,19 @@ def test_enumeration_pairwise_distinct_forms():
     for n in range(1, 11):
         forms = [canonical_form(t) for t in all_free_trees(n)]
         assert len(forms) == len(set(forms))
+
+
+def test_enumeration_matches_dedup_reference():
+    for n in range(1, 13):
+        forms = [canonical_form(t) for t in all_free_trees(n)]
+        assert len(forms) == len(set(forms))
+        assert set(forms) == {canonical_form(t) for t in reference_free_trees(n)}
+
+
+def test_enumeration_roots_every_tree_at_a_centre():
+    for n in range(1, 13):
+        for t in all_free_trees(n):
+            assert 0 in tree_centers(t)
 
 
 def test_enumeration_matches_networkx_nonisomorphic():

@@ -96,6 +96,21 @@ def test_verify_coronene():
     assert report["profile_ok"]
 
 
+def test_verify_coronene_builds_the_partition_once(monkeypatch):
+    import distindex.partial_cube
+
+    calls = []
+    partition = distindex.partial_cube._partition
+
+    def counting_partition(g):
+        calls.append(g.n)
+        return partition(g)
+
+    monkeypatch.setattr(distindex.partial_cube, "_partition", counting_partition)
+    assert verify_coronene(4)["pass"]
+    assert calls == [96]
+
+
 def test_verify_linear_vs_oracle_seeded():
     report = verify_linear_vs_oracle(trials=60, seed=7, n_hi=80)
     assert report["pass"]
