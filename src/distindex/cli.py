@@ -156,16 +156,17 @@ def _cmd_compute(args) -> dict:
         raise ValueError("--method cut applies to --index twk")
 
     tree = partition = None
+    # a tree is a partial cube whose classes are its single edges, so
+    # the cut route needs no verification on one
+    if (method == "auto" and index in ("wk", "poly", "twk")) or method == "cut":
+        try:
+            tree = RootedTree.build(g)
+        except NotATreeError:
+            pass
     if method == "auto":
-        if index in ("wk", "poly", "twk"):
-            try:
-                tree = RootedTree.build(g)
-            except NotATreeError:
-                pass
         if index in ("wk", "poly"):
             method = "oracle" if tree is None else "linear"
         elif index == "twk" and tree is not None:
-            # a tree is a partial cube whose classes are its single edges
             method = "cut"
         elif index == "twk":
             verdict = is_partial_cube(g)

@@ -38,7 +38,8 @@ class NotPartialCubeError(GraphError):
 
 
 class ClassRemovalError(NotPartialCubeError):
-    """Removing an edge class did not split the graph into two parts."""
+    """Two related edges cut the graph differently, so some edge class
+    does not split the graph into two parts."""
 
 
 class InfeasibleSpecError(GraphError):

@@ -15,9 +15,12 @@ of edges.  One bit-parallel sweep holds every ball B_r(v) as an integer
 bitset and grows all of them by big-int ORs of the neighbours' balls,
 for diameter + 1 rounds (radius 0 up to the diameter).  Along the way
 every edge collects one side of its cut and the ball sizes add up to
-twice the Wiener index.  Edges with equal cuts form one group, groups
-whose cuts cross are merged into classes, and the embedding is
-isometric exactly when the class side products sum to the Wiener index.
+twice the Wiener index.  Edges with equal cuts form one group.  A
+connected bipartite graph is a partial cube exactly when the relation
+is transitive (Winkler 1984), that is when no edge crosses the cut of a
+group other than its own; the groups are then the classes.  The
+embedding is certified isometric by checking that the class side
+products sum to the Wiener index.
 
 Both sides of a class are kept as vertex bitmasks (bit v set when v lies
 on that side), so side sizes and degree-restricted counts are popcounts.
@@ -99,31 +102,6 @@ def _transpose(masks: list[int], n: int) -> list[int]:
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def _components(rows: list[int]) -> list[list[int]]:
-    """Connected components of the graph on 0..len(rows)-1 in which j is
-    adjacent to the set bits of rows[j].  Components come in order of
-    their lowest node, which each lists first."""
-    comps = []
-    unseen = (1 << len(rows)) - 1
-    for j in range(len(rows)):
-        if not unseen >> j & 1:
-            continue
-        found = []
-        frontier = 1 << j
-        unseen ^= frontier
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                found.append(low.bit_length() - 1)
-                reach |= rows[found[-1]]
-                frontier ^= low
-            frontier = reach & unseen
-            unseen ^= frontier
-        comps.append(found)
-    return comps
-
-
 def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     """The edge-class partition of theta_classes, each vertex's
     coordinate bitset (bit i set on side1 of class i) and the Wiener
@@ -140,54 +118,37 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
 
     cuts, wiener = _cut_sweep(n, edges, sum((d & 1) << v for v, d in enumerate(dist)))
     # Edge uv is related to xy iff it crosses xy's cut, so the edges of
-    # one cut are related and a group's relations follow from any edge.
-    # A group is keyed by the side of its cut that holds vertex 0.
+    # one cut are related, and the edges of two cuts are related iff the
+    # first edge of one crosses the other's cut.  A group is keyed by
+    # the side of its cut that holds vertex 0.
     full = (1 << n) - 1
     groups: dict[int, list[int]] = {}
     for i, cut in enumerate(cuts):
         groups.setdefault(cut if cut & 1 else full ^ cut, []).append(i)
     keys = list(groups)
     members = list(groups.values())
-    # bit j of side[v]: v lies on the vertex-0 side of group j's cut;
-    # the classes are the components of the relation between groups
+    # bit j of side[v]: v lies on the vertex-0 side of group j's cut
     side = _transpose(keys, n)
-    crosses = [side[edges[ids[0]][0]] ^ side[edges[ids[0]][1]] for ids in members]
-
-    classes = []
-    side0 = []
-    for ci, found in enumerate(_components(crosses)):
-        ids = sorted(i for b in found for i in members[b])
-        if len(found) == 1:
-            # The class is exactly the edges crossing its cut, and each
-            # side is connected (geodesics to x stay inside W_xy), so
-            # removing it leaves these two components.
-            lo = keys[found[0]]
-        else:
-            # A merged class always ends in ClassRemovalError, here or at
-            # a later merged class: if every class split g in two, the
-            # Graham-Winkler embedding would make g a partial cube, whose
-            # relation is transitive (Winkler 1984) and merges no cuts.
-            # So lo only names the side the crossing test below reads,
-            # and it never reaches a returned partition.
-            comp = _components_without(g, {edges[i] for i in ids})
-            if len(comp) != 2:
-                raise ClassRemovalError(
-                    f"removing class {ci} leaves {len(comp)} components, expected 2"
-                )
-            lo = comp[0]
-            for i in ids:
-                u, v = edges[i]
-                if (lo >> u & 1) == (lo >> v & 1):
-                    raise ClassRemovalError(
-                        f"class {ci} edge ({u}, {v}) does not cross the split"
-                    )
-        classes.append(tuple(edges[i] for i in ids))
-        side0.append(lo)
-    side1 = [full ^ lo for lo in side0]
+    for j, ids in enumerate(members):
+        x, y = edges[ids[0]]
+        other = (side[x] ^ side[y]) & ~(1 << j)
+        if other:
+            # xy is related to the first edge of the lowest such group,
+            # so the relation is not transitive (Winkler 1984)
+            u, v = edges[members[(other & -other).bit_length() - 1][0]]
+            raise ClassRemovalError(
+                f"edges ({x}, {y}) and ({u}, {v}) are related but cut the graph differently"
+            )
+    # Every group is a class: exactly the edges crossing its cut, whose
+    # two sides are connected (geodesics to x stay inside W_xy).
     part = ThetaPartition(
-        n=n, classes=tuple(classes), side0=tuple(side0), side1=tuple(side1)
+        n=n,
+        classes=tuple(tuple(edges[i] for i in ids) for ids in members),
+        side0=tuple(keys),
+        side1=tuple(full ^ key for key in keys),
     )
-    return part, _transpose(side1, n), wiener
+    ones = (1 << len(keys)) - 1
+    return part, [ones ^ row for row in side], wiener
 
 
 def theta_classes(g: Graph) -> ThetaPartition:
@@ -195,21 +156,12 @@ def theta_classes(g: Graph) -> ThetaPartition:
     along each class.
 
     Raises DisconnectedError or NotBipartiteError when the graph cannot
-    carry the partition at all, and ClassRemovalError when deleting a
-    class fails to leave exactly two components (which already rules
-    out a partial cube).
+    carry the partition at all, and ClassRemovalError when the relation
+    is not transitive, naming two related edges whose cuts differ: then
+    some class fails to split the graph into two parts, and the graph is
+    not a partial cube.
     """
     return _partition(g)[0]
-
-
-def _components_without(g: Graph, removed: set[tuple[int, int]]) -> list[int]:
-    """Vertex bitmasks of the components of g with the edges in removed
-    deleted, the one holding vertex 0 first."""
-    rows = [
-        sum(1 << v for v in nbrs if ((u, v) if u < v else (v, u)) not in removed)
-        for u, nbrs in enumerate(g.adj)
-    ]
-    return [sum(1 << v for v in found) for found in _components(rows)]
 
 
 @dataclass(frozen=True)
@@ -236,7 +188,10 @@ class CubeVerdict:
 
     reason is None on acceptance, otherwise one of "disconnected",
     "not_bipartite", "class_removal_not_two_components" or
-    "not_isometric"; detail carries the specific witness.
+    "not_isometric"; detail carries the specific witness.  The class
+    removal reason names two related edges with different cuts, and
+    not_isometric is a guard that a connected bipartite graph whose
+    relation is transitive never reaches (Winkler 1984).
     """
 
     accepted: bool

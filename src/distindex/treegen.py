@@ -118,10 +118,10 @@ def canonical_form(g: Graph) -> str:
     return min(_rooted_string(g.adj, c) for c in centers)
 
 
-def all_free_trees(n: int) -> Iterator[Graph]:
-    """Every unlabeled tree on n vertices exactly once, for n up to
-    MAX_ORDER, with vertex 0 a centre.  Trees come in decreasing
-    lexicographic order of their centre-rooted level sequences.
+def _free_sequences(n: int) -> Iterator[list[int]]:
+    """The centre-rooted level sequences of the unlabeled trees on n
+    vertices, one per tree, for n up to MAX_ORDER, in decreasing
+    lexicographic order.
 
     In a canonical sequence the root's first branch is its deepest, and
     the second branch starts at the next level-2 entry.  The root is the
@@ -136,11 +136,21 @@ def all_free_trees(n: int) -> Iterator[Graph]:
         cut = seq.index(2, 2) if 2 in seq[2:] else n
         gap = max(seq[:cut]) - max(seq[cut:], default=1)
         if gap == 0 or (gap == 1 and [lvl - 1 for lvl in seq[1:cut]] >= seq[:1] + seq[cut:]):
-            yield from_edge_list(n, _sequence_to_edges(seq))
+            yield seq
+
+
+def all_free_trees(n: int) -> Iterator[Graph]:
+    """Every unlabeled tree on n vertices exactly once, for n up to
+    MAX_ORDER, with vertex 0 a centre.  Trees come in decreasing
+    lexicographic order of their centre-rooted level sequences."""
+    for seq in _free_sequences(n):
+        yield from_edge_list(n, _sequence_to_edges(seq))
 
 
 def free_tree_count(n: int) -> int:
-    return sum(1 for _ in all_free_trees(n))
+    """How many unlabeled trees have n vertices, counted without
+    building them."""
+    return sum(1 for _ in _free_sequences(n))
 
 
 def prufer_to_tree(seq: list[int], n: int) -> Graph:

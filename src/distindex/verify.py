@@ -24,7 +24,7 @@ from .extremal import (
     max_wk_odd,
 )
 from .graphs import Graph, cycle_graph, hypercube_graph
-from .indices import twk, wiener_polynomial
+from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
 from .tree_linear import RootedTree, wk_linear
 from .treegen import all_free_trees, canonical_form, random_tree
@@ -275,7 +275,8 @@ def verify_cut_vs_oracle(
     trials: int = 200, seed: int = DEFAULT_SEED, include_families: bool = True
 ) -> dict:
     """Random trees plus the classic partial-cube families: the cut
-    route must match the oracle for every degree present."""
+    route must match the oracle for every degree present, all read from
+    one index_report sweep per graph."""
     rng = random.Random(seed)
     mismatches = []
     graphs_checked = 0
@@ -284,9 +285,8 @@ def verify_cut_vs_oracle(
     def check(g: Graph, label: str) -> None:
         nonlocal graphs_checked, comparisons
         partition = theta_classes(g)
-        for k in sorted(set(g.degrees())):
+        for k, b in index_report(g).twk_by_degree:
             a = twk_cut(g, k, partition)
-            b = twk(g, k)
             comparisons += 1
             if a != b:
                 mismatches.append({"graph": label, "k": k, "cut": a, "oracle": b})

@@ -22,9 +22,8 @@ from distindex import (
 )
 from distindex.cli import main
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "schema" / "report.json").read_text())
 
 
 def document(out: str) -> dict:
@@ -151,7 +150,9 @@ def test_compute_auto_picks_cut_for_partial_cube(tmp_path, capsys):
     assert payload["twk"] == 27
 
 
-def test_compute_auto_twk_verifies_once(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def verifier_calls(monkeypatch):
+    """The order of each graph is_partial_cube verifies, in call order."""
     import distindex.cli
     import distindex.partial_cube
 
@@ -164,36 +165,36 @@ def test_compute_auto_twk_verifies_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(distindex.cli, "is_partial_cube", counting)
     monkeypatch.setattr(distindex.partial_cube, "is_partial_cube", counting)
+    return calls
+
+
+def test_compute_auto_twk_verifies_once(tmp_path, capsys, verifier_calls):
     path = write_graph(tmp_path, gen_coronene(2).graph)
     code, out, _ = run_cli(capsys, "compute", "--input", path, "--index", "twk", "--k", "3")
     assert code == 0
     assert document(out)["twk"] == 174
-    assert calls == [24]
+    assert verifier_calls == [24]
 
 
-def test_compute_auto_twk_on_tree_skips_verification(tmp_path, capsys, monkeypatch):
-    import distindex.cli
-    import distindex.partial_cube
-
-    calls = []
-    verify = distindex.partial_cube.is_partial_cube
-
-    def counting(g):
-        calls.append(g.n)
-        return verify(g)
-
-    monkeypatch.setattr(distindex.cli, "is_partial_cube", counting)
-    monkeypatch.setattr(distindex.partial_cube, "is_partial_cube", counting)
-    g = gen_tree(TreeSpec.caterpillar(40, 4, 6))
-    path = write_graph(tmp_path, g)
+def _twk_on_caterpillar(tmp_path, capsys, *method):
+    path = write_graph(tmp_path, gen_tree(TreeSpec.caterpillar(40, 4, 6)))
     code, out, _ = run_cli(
-        capsys, "compute", "--input", path, "--index", "twk", "--k", "4", "--no-timing"
+        capsys, "compute", "--input", path, "--index", "twk", "--k", "4", *method, "--no-timing"
     )
     assert code == 0
     payload = document(out)
     assert payload["method"] == "cut"
     assert payload["twk"] == caterpillar_twk(40, 4, 6)
-    assert calls == []
+
+
+def test_compute_auto_twk_on_tree_skips_verification(tmp_path, capsys, verifier_calls):
+    _twk_on_caterpillar(tmp_path, capsys)
+    assert verifier_calls == []
+
+
+def test_compute_cut_twk_on_tree_skips_verification(tmp_path, capsys, verifier_calls):
+    _twk_on_caterpillar(tmp_path, capsys, "--method", "cut")
+    assert verifier_calls == []
 
 
 @pytest.mark.parametrize("index", [["--index", "poly"], ["--index", "wk", "--k", "3"]])
@@ -532,3 +533,16 @@ def test_cli_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_recorded_claim_documents_replay(capsys):
+    """Every verify document the benchmark's claim stream checks comes
+    out of cli.main with the recorded exit code and the same bytes."""
+    recorded = json.loads((ROOT / "bench" / "expected_claims.json").read_text())
+    assert len(recorded) == 44
+    differ = []
+    for request, want in recorded.items():
+        code, out, _ = run_cli(capsys, *request.split())
+        if (code, out) != (want["rc"], want["stdout"]):
+            differ.append(request)
+    assert differ == []

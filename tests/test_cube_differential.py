@@ -1,7 +1,10 @@
 """Differential tests for the partial-cube verifier: the bit-parallel
 sweep in distindex.partial_cube must give the same edge classes and the
-same verdict, reason and detail included, as the O(m^2) pair-closure
-reference in tests/helpers.py.
+same verdict as the O(m^2) pair-closure reference in tests/helpers.py,
+reason, partition, coordinates and exception type included.  The detail
+is compared too, except on class-removal rejections: there the sweep
+names two edges, and BFS must confirm that they are related and cut the
+graph differently.
 
 Inputs come from four seeded generators: non-tree partial cubes grown by
 isometric expansion (Chepoi 1988), subgraphs of grids with holes, random
@@ -11,13 +14,16 @@ must also match the oracle and networkx for every degree present, and
 every partition's side bitmasks must split the vertices along each class.
 """
 
+import dataclasses
 import random
+import re
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distindex import (
+    ClassRemovalError,
     DisconnectedError,
     GraphError,
     NotBipartiteError,
@@ -162,12 +168,47 @@ def outcome(fn, g):
         return type(exc), str(exc)
 
 
+def _bfs_cut(g, x: int, y: int) -> int:
+    """The side of edge xy's cut W_xy | W_yx that holds vertex 0."""
+    dx, dy = bfs_distances(g, x), bfs_distances(g, y)
+    side = sum(1 << w for w in range(g.n) if dx[w] < dy[w])
+    return side if side & 1 else ((1 << g.n) - 1) ^ side
+
+
+WITNESS = re.compile(
+    r"edges \((\d+), (\d+)\) and \((\d+), (\d+)\) are related but cut the graph differently"
+)
+
+
+def assert_witness(g, detail: str) -> None:
+    """The two edges a class-removal detail names are edges of g, are
+    related by BFS distances and have different BFS cuts."""
+    x, y, u, v = map(int, WITNESS.fullmatch(detail).groups())
+    assert {(x, y), (u, v)} <= set(g.edges())
+    dx, dy = bfs_distances(g, x), bfs_distances(g, y)
+    assert dx[u] + dy[v] != dx[v] + dy[u]
+    assert _bfs_cut(g, x, y) != _bfs_cut(g, u, v)
+
+
+def assert_matches_reference(g, verdict) -> None:
+    want = reference_is_partial_cube(g)
+    if want.reason == "class_removal_not_two_components":
+        assert_witness(g, verdict.detail)
+        verdict = dataclasses.replace(verdict, detail=want.detail)
+    assert verdict == want
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.sampled_from(GENERATORS), st.integers(0, 2**32 - 1))
 def test_verifier_matches_reference(generator, seed):
     g = generator(random.Random(seed))
-    assert is_partial_cube(g) == reference_is_partial_cube(g)
-    assert outcome(theta_classes, g) == outcome(reference_theta_classes, g)
+    assert_matches_reference(g, is_partial_cube(g))
+    got, want = outcome(theta_classes, g), outcome(reference_theta_classes, g)
+    if type(want) is tuple and want[0] is ClassRemovalError:
+        assert type(got) is tuple and got[0] is ClassRemovalError
+        assert_witness(g, got[1])
+    else:
+        assert got == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -230,7 +271,7 @@ def test_generators_reach_every_reachable_reason():
         for seed in range(40):
             g = generator(random.Random(seed))
             verdict = is_partial_cube(g)
-            assert verdict == reference_is_partial_cube(g)
+            assert_matches_reference(g, verdict)
             reasons.add(verdict.reason)
         seen[generator.__name__] = reasons
     assert seen["expanded_partial_cube"] == {None}
@@ -238,13 +279,6 @@ def test_generators_reach_every_reachable_reason():
     assert {"disconnected", None} <= seen["grid_subgraph"]
     assert {"not_bipartite", "disconnected"} <= seen["odd_or_disconnected"]
     assert not any("not_isometric" in reasons for reasons in seen.values())
-
-
-def _bfs_cut(g, x: int, y: int) -> int:
-    """The side of edge xy's cut W_xy | W_yx that holds vertex 0."""
-    dx, dy = bfs_distances(g, x), bfs_distances(g, y)
-    side = sum(1 << w for w in range(g.n) if dx[w] < dy[w])
-    return side if side & 1 else ((1 << g.n) - 1) ^ side
 
 
 def test_merged_classes_are_always_rejected():

@@ -77,6 +77,11 @@ def test_theta_classes_errors():
         theta_classes(K23)
 
 
+def test_class_removal_names_the_first_related_pair():
+    verdict = is_partial_cube(K23)
+    assert verdict.detail == "edges (0, 2) and (1, 3) are related but cut the graph differently"
+
+
 def test_is_partial_cube_accepts_classics():
     rng = random.Random(7)
     graphs = [path_graph(1), path_graph(2), cycle_graph(6), cycle_graph(10)]
