@@ -4,14 +4,25 @@ Vertices are the contiguous integers 0..n-1.  Graphs are undirected and
 simple (no loops, no parallel edges).  Instances are frozen after
 construction and adjacency lists are kept sorted, so every derived
 output is deterministic and instances are safe to share across threads.
+
+from_edge_list pauses the cyclic garbage collector while it allocates
+the n neighbour lists and tuples.  They hold only ints, so they cannot
+form a cycle, yet every allocation counts towards the collector's
+thresholds: it would run a pass about every 700 of them, and its full
+passes would rescan every list built so far.  The collector is switched
+back on afterwards, on success and on error alike, but only if it was
+on when the call began.  The switch is process-wide: a thread that
+flips it while another thread builds may see its change undone.
 """
 
 from __future__ import annotations
 
+import gc
+import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
     DuplicateEdgeError,
@@ -32,6 +43,9 @@ MAX_GRAPH_ORDER = 1 << 21
 #: Largest hypercube dimension built: 2^20 vertices, the scale of the
 #: million-vertex path the tree route is checked on.
 MAX_HYPERCUBE_DIM = 20
+
+#: An edge line after stripping: exactly two whitespace-separated tokens.
+_EDGE_LINE = re.compile(r"\S+\s+\S+")
 
 
 @dataclass(frozen=True)
@@ -64,22 +78,32 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise VertexOutOfRangeError("vertex count must be non-negative")
     if n > MAX_GRAPH_ORDER:
         raise OrderTooLargeError(f"vertex count must be <= {MAX_GRAPH_ORDER}, got {n}")
-    lists: list[list[int]] = [[] for _ in range(n)]
-    m = 0
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise LoopEdgeError(f"loop at vertex {u}")
-        lists[u].append(v)
-        lists[v].append(u)
-        m += 1
-    for u, nbrs in enumerate(lists):
-        nbrs.sort()
-        for a, b in zip(nbrs, nbrs[1:]):
-            if a == b:
-                raise DuplicateEdgeError(f"edge ({min(u, a)}, {max(u, a)}) repeated")
-    return Graph(n=n, adj=tuple(tuple(nbrs) for nbrs in lists), m=m)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        lists: list[list[int]] = [[] for _ in range(n)]
+        m = 0
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+            if u == v:
+                raise LoopEdgeError(f"loop at vertex {u}")
+            lists[u].append(v)
+            lists[v].append(u)
+            m += 1
+        for nbrs in lists:
+            nbrs.sort()
+        if sum(map(len, map(set, lists))) != 2 * m:
+            # Some list holds a repeat; name the first one.
+            for u, nbrs in enumerate(lists):
+                for a, b in zip(nbrs, nbrs[1:]):
+                    if a == b:
+                        raise DuplicateEdgeError(f"edge ({min(u, a)}, {max(u, a)}) repeated")
+        adj = tuple(map(tuple, lists))
+    finally:
+        if collecting:
+            gc.enable()
+    return Graph(n=n, adj=adj, m=m)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -147,8 +171,7 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format: a header line "n m" followed by m
     lines "u v".  Blank lines and lines starting with '#' are ignored.
     """
-    rows = [ln for ln in (raw.strip() for raw in text.splitlines())
-            if ln and not ln.startswith("#")]
+    rows = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not rows:
         raise EdgeListFormatError("empty input")
     head = rows[0].split()
@@ -165,16 +188,31 @@ def parse_edge_list(text: str) -> Graph:
     body = rows[1:]
     if len(body) != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
+    if all(map(_EDGE_LINE.fullmatch, body)):
+        # Every token is converted before the build starts, so a format
+        # error anywhere still comes before any graph error.
+        try:
+            ends = list(map(int, " ".join(body).split()))
+        except ValueError:
+            pass
+        else:
+            it = iter(ends)
+            return from_edge_list(n, zip(it, it))
+    _raise_first_bad_line(body)
+
+
+def _raise_first_bad_line(body: list[str]) -> NoReturn:
+    """Raise the format error of the first edge line that is not two
+    integers; called once the batch check or int() has failed."""
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise EdgeListFormatError(f"edge line must be 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise EdgeListFormatError(f"non-integer edge line {ln!r}") from exc
-    return from_edge_list(n, edges)
+    raise AssertionError("no bad edge line found")
 
 
 def format_edge_list(g: Graph) -> str:

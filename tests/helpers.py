@@ -3,17 +3,23 @@
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from distindex import (
     ClassRemovalError,
     CubeCoordinates,
     CubeVerdict,
     DisconnectedError,
+    DuplicateEdgeError,
+    EdgeListFormatError,
     Graph,
+    LoopEdgeError,
+    MAX_GRAPH_ORDER,
     NotBipartiteError,
+    OrderTooLargeError,
     ThetaPartition,
     UNREACHABLE,
+    VertexOutOfRangeError,
     WienerPolynomial,
     bfs_distances,
     canonical_form,
@@ -249,3 +255,68 @@ def reference_free_trees(n: int) -> Iterator[Graph]:
         if key not in seen:
             seen.add(key)
             yield g
+
+
+def reference_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph builder with the collector left running and a pairwise
+    scan of every sorted neighbour list for repeats; a test-only
+    reference for from_edge_list.
+
+    Raises LoopEdgeError, DuplicateEdgeError or VertexOutOfRangeError
+    when the input is not a simple graph on 0..n-1, and
+    OrderTooLargeError when n exceeds MAX_GRAPH_ORDER.
+    """
+    if n < 0:
+        raise VertexOutOfRangeError("vertex count must be non-negative")
+    if n > MAX_GRAPH_ORDER:
+        raise OrderTooLargeError(f"vertex count must be <= {MAX_GRAPH_ORDER}, got {n}")
+    lists: list[list[int]] = [[] for _ in range(n)]
+    m = 0
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise LoopEdgeError(f"loop at vertex {u}")
+        lists[u].append(v)
+        lists[v].append(u)
+        m += 1
+    for u, nbrs in enumerate(lists):
+        nbrs.sort()
+        for a, b in zip(nbrs, nbrs[1:]):
+            if a == b:
+                raise DuplicateEdgeError(f"edge ({min(u, a)}, {max(u, a)}) repeated")
+    return Graph(n=n, adj=tuple(tuple(nbrs) for nbrs in lists), m=m)
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """The edge-list parser that splits and converts one line at a time
+    into a list of edge tuples; a test-only reference for
+    parse_edge_list."""
+    rows = [ln for ln in (raw.strip() for raw in text.splitlines())
+            if ln and not ln.startswith("#")]
+    if not rows:
+        raise EdgeListFormatError("empty input")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise EdgeListFormatError(f"header must be 'n m', got {rows[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise EdgeListFormatError(f"non-integer header {rows[0]!r}") from exc
+    if n < 1:
+        raise EdgeListFormatError(f"vertex count must be >= 1, got {n}")
+    if m < 0:
+        raise EdgeListFormatError("negative edge count")
+    body = rows[1:]
+    if len(body) != m:
+        raise EdgeListFormatError(f"expected {m} edge lines, found {len(body)}")
+    edges = []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise EdgeListFormatError(f"edge line must be 'u v', got {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise EdgeListFormatError(f"non-integer edge line {ln!r}") from exc
+    return reference_from_edge_list(n, edges)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -57,6 +58,30 @@ def test_duplicate_rejected(edges):
 def test_out_of_range_rejected(edge):
     with pytest.raises(VertexOutOfRangeError):
         from_edge_list(3, [edge])
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        ([(0, 1), (1, 2)], None),
+        ([(0, 1), (1, 3)], VertexOutOfRangeError),
+        ([(0, 1), (2, 2)], LoopEdgeError),
+        ([(0, 1), (1, 0)], DuplicateEdgeError),
+    ],
+)
+def test_from_edge_list_restores_collector_state(collecting, edges, error):
+    was_collecting = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        if error is None:
+            assert from_edge_list(3, edges).m == 2
+        else:
+            with pytest.raises(error):
+                from_edge_list(3, edges)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was_collecting else gc.disable()
 
 
 def test_bfs_distances_path():
