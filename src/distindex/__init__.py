@@ -94,6 +94,7 @@ from .partial_cube import (
 from .tree_linear import (
     NO_PARENT,
     RootedTree,
+    level_sequence_counts,
     wiener_polynomial_linear,
     wk3_from_zagreb,
     wk_linear,
@@ -102,7 +103,9 @@ from .treegen import (
     MAX_ORDER,
     all_free_trees,
     canonical_form,
+    free_level_sequences,
     free_tree_count,
+    level_sequence_edges,
     prufer_to_tree,
     random_tree,
     rooted_level_sequences,
@@ -138,7 +141,7 @@ __all__ = [
     "index_report",
     # tree route
     "RootedTree", "NO_PARENT", "wk_linear", "wiener_polynomial_linear",
-    "wk3_from_zagreb",
+    "wk3_from_zagreb", "level_sequence_counts",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
     "is_partial_cube", "halfspace_degree_counts", "twk_cut", "twk_cut_tree",
@@ -151,7 +154,8 @@ __all__ = [
     "horizontal_cut_profile", "coronene_tw3",
     # enumeration and sampling
     "MAX_ORDER", "rooted_level_sequences", "tree_centers", "canonical_form",
-    "all_free_trees", "free_tree_count", "prufer_to_tree", "random_tree",
+    "free_level_sequences", "level_sequence_edges", "all_free_trees",
+    "free_tree_count", "prufer_to_tree", "random_tree",
     # verifiers
     "DEFAULT_SEED", "verify_max_wk", "verify_max_tw3", "verify_degree_count",
     "verify_wiener_bounds", "verify_extremal", "verify_eq1", "verify_coronene",

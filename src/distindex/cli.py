@@ -9,6 +9,7 @@ precondition failure, 4 disconnected input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -47,7 +48,7 @@ from .indices import (
 )
 from .partial_cube import is_partial_cube, twk_cut, twk_cut_tree
 from .tree_linear import RootedTree, wiener_polynomial_linear, wk_linear
-from .treegen import all_free_trees, free_tree_count
+from .treegen import free_level_sequences, free_tree_count, level_sequence_edges
 from .verify import (
     DEFAULT_SEED,
     verify_coronene,
@@ -58,7 +59,10 @@ from .verify import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args reads
+    it without changing it, so every main() call can share it."""
     ap = argparse.ArgumentParser(
         prog="distindex",
         description="Distance-based graph indices: computation, generation, verification.",
@@ -291,9 +295,12 @@ def _cmd_enumerate(args) -> dict:
     if args.count_only:
         payload["count"] = free_tree_count(args.n)
     else:
-        trees = [t.edges() for t in all_free_trees(args.n)]
+        trees = [
+            [[u, v] for u, v in level_sequence_edges(seq)]
+            for seq in free_level_sequences(args.n)
+        ]
         payload["count"] = len(trees)
-        payload["trees"] = [[[u, v] for u, v in edges] for edges in trees]
+        payload["trees"] = trees
     return payload
 
 

@@ -196,6 +196,7 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             pass
         else:
+            del rows, body  # nothing reads the line strings again
             it = iter(ends)
             return from_edge_list(n, zip(it, it))
     _raise_first_bad_line(body)

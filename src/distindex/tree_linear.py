@@ -83,8 +83,13 @@ def _pair_counts(t: RootedTree, k: int | None) -> list[int]:
         squares += r * r
         row[parent[v]] += (r << bits) & keep
     root_square = row[t.root] * row[t.root]
-    squares += root_square
+    return _read_pair_counts(squares + root_square, root_square, bits, k)
 
+
+def _read_pair_counts(squares: int, root_square: int, bits: int, k: int | None) -> list[int]:
+    """Digits of the row squares turned into pair counts: [W_k] for the
+    given k, or W_1..W_top when k is None, where top is the highest
+    digit of the root's square."""
     digit = (1 << bits) - 1
 
     def at(x: int, i: int) -> int:
@@ -98,6 +103,44 @@ def _pair_counts(t: RootedTree, k: int | None) -> list[int]:
             raise RuntimeError("doubled pair count must be even")
         counts.append(doubled // 2)
     return counts
+
+
+def level_sequence_counts(seq: list[int], k: int) -> tuple[WienerPolynomial, int, int]:
+    """The Wiener polynomial, TW_k and the number of degree-k vertices of
+    the rooted tree a level sequence encodes, from one reverse pass.
+
+    The sequence is a preorder in which vertex i hangs off the last
+    vertex before it one level up (root at level 1).  So, read backwards,
+    the children of a vertex at level l are the level-(l + 1) vertices
+    passed since the last vertex at level l or above; one running total
+    per level collects them, with no parent array.  The rows and the
+    read-out are those of wiener_polynomial_linear, and TW_k is
+    twk_cut_tree's sum of c_v * (K - c_v), kept as
+    K * sum(c_v) - sum(c_v ** 2) because K is known only at the end.
+    """
+    bits = 3 * len(seq).bit_length() + 1
+    depth = max(seq) + 2
+    rows = [0] * depth  # rows[l]: summed rows of level-l vertices awaiting their parent
+    kids = [0] * depth  # how many such vertices
+    marks = [0] * depth  # degree-k vertices in their subtrees
+    squares = c_sum = c_squares = 0
+    for lvl in reversed(seq):
+        below = lvl + 1
+        r = 1 + (rows[below] << bits)
+        c = marks[below] + (kids[below] + (lvl > 1) == k)
+        rows[below] = kids[below] = marks[below] = 0
+        squares += r * r
+        rows[lvl] += r
+        kids[lvl] += 1
+        marks[lvl] += c
+        c_sum += c
+        c_squares += c * c
+    # the loop ends at the root, so r is its row and c is K; the root's
+    # own term, K * K - K ** 2, is zero
+    coeffs = [0] + _read_pair_counts(squares, r * r, bits, None)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return WienerPolynomial(tuple(coeffs)), c * c_sum - c_squares, c
 
 
 def wk_linear(t: RootedTree | Graph, k: int) -> int:

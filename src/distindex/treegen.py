@@ -1,13 +1,27 @@
 """Exhaustive free-tree enumeration and random labeled tree sampling.
 
-Rooted trees are generated through the classic level-sequence successor
-rule (Beyer and Hedetniemi 1980), which walks all canonical level
-sequences in decreasing lexicographic order without repetition.  A free
-tree is its canonical sequence rooted at a centre (Wright, Richmond,
-Odlyzko and McKay 1986), so free trees come from the same walk by a test
-on each sequence: its root must be a centre, and when the tree has two
-centres the rooting with the larger half below the root is the one
-kept.  No graph is built and nothing is stored for a rejected sequence.
+A rooted tree is written as its level sequence: the levels of its
+vertices in preorder, root at level 1, children visited deepest subtree
+first, so vertex i hangs off the last vertex before it one level up.
+The Beyer and Hedetniemi (1980) successor walks every canonical level
+sequence in decreasing lexicographic order: take the last entry p above
+level 2, find the last entry q before it one level up, keep seq[:p] and
+fill the rest by repeating seq[q:p].
+
+Free trees follow the rule of Wright, Richmond, Odlyzko and McKay
+(1986), which visits a sequence per free tree and skips the others in
+bulk.  Split a sequence at its second level-2 entry into the root's
+first subtree and the rest of the tree (the root with its other
+subtrees).  The sequence is the tree rooted at a centre, once, when the
+first subtree is no higher than the rest; when the two heights tie, the
+root and its first child are both centres, and the first subtree must
+also be no larger than the rest and, at equal size, not
+lexicographically greater.  From any other sequence the walk jumps: it
+takes the successor at the split point, the last entry of the first
+subtree, and when that entry sat above level 3 it resets the suffix to
+a path as high as the new first subtree, so the rest is high enough
+again.  The walk starts at the path rooted at its centre and ends at the
+star.  No graph is built and nothing is stored for a skipped sequence.
 """
 
 from __future__ import annotations
@@ -23,40 +37,55 @@ from .graphs import Graph, from_edge_list
 MAX_ORDER = 16
 
 
+def _successor(seq: list[int], p: int) -> list[int]:
+    """The Beyer-Hedetniemi step at p: keep seq[:p] and fill the rest by
+    repeating seq[q:p], where q is the last entry before p one level up.
+    Returns a new list."""
+    n = len(seq)
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    nxt = seq[:p]
+    seg = seq[q:p]
+    while len(nxt) < n:
+        nxt.extend(seg[: n - len(nxt)])
+    return nxt
+
+
+def _next_rooted(seq: list[int]) -> list[int] | None:
+    """The rooted walk's step: the successor at the last entry above
+    level 2, or None after the star."""
+    p = len(seq) - 1
+    while seq[p] <= 2:
+        if p == 0:
+            return None
+        p -= 1
+    return _successor(seq, p)
+
+
 def rooted_level_sequences(n: int) -> Iterator[list[int]]:
     """All canonical level sequences of rooted trees on n vertices, in
     decreasing lexicographic order."""
     if n < 1:
         raise ValueError("needs n >= 1")
     seq = list(range(1, n + 1))
-    while True:
-        yield seq[:]
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if seq[i] > 2:
-                p = i
-                break
-        if p < 0:
-            return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-        nxt = seq[:p]
-        seg = seq[q:p]
-        while len(nxt) < n:
-            nxt.extend(seg[: n - len(nxt)])
+    while seq is not None:
+        nxt = _next_rooted(seq)  # built first, so a caller may change what it gets
+        yield seq
         seq = nxt
 
 
-def _sequence_to_edges(seq: list[int]) -> list[tuple[int, int]]:
-    """Edges of the rooted tree a level sequence encodes: vertex i hangs
-    off the most recent vertex one level up."""
+def level_sequence_edges(seq: list[int]) -> list[tuple[int, int]]:
+    """Edges of the rooted tree a level sequence encodes, vertex i
+    hanging off the most recent vertex one level up, as (u, v) pairs
+    with u < v in lexicographic order, like Graph.edges()."""
     last_at = {}
     edges = []
     for i, lvl in enumerate(seq):
         if i:
             edges.append((last_at[lvl - 1], i))
         last_at[lvl] = i
+    edges.sort()
     return edges
 
 
@@ -118,39 +147,56 @@ def canonical_form(g: Graph) -> str:
     return min(_rooted_string(g.adj, c) for c in centers)
 
 
-def _free_sequences(n: int) -> Iterator[list[int]]:
+def _split(seq: list[int]) -> int:
+    """Where the root's second subtree starts: the second level-2 entry,
+    or the end when the root has one child."""
+    try:
+        return seq.index(2, 2)
+    except ValueError:
+        return len(seq)
+
+
+def free_level_sequences(n: int) -> Iterator[list[int]]:
     """The centre-rooted level sequences of the unlabeled trees on n
     vertices, one per tree, for n up to MAX_ORDER, in decreasing
-    lexicographic order.
-
-    In a canonical sequence the root's first branch is its deepest, and
-    the second branch starts at the next level-2 entry.  The root is the
-    only centre when another branch is as deep as the first.  When the
-    first branch is one level deeper, the root and its first child are
-    the two centres; both halves are canonical, so keeping the rooting
-    whose child half is at least the root half keeps the tree once.
-    """
+    lexicographic order."""
     if n < 1 or n > MAX_ORDER:
         raise OrderTooLargeError(f"supported orders are 1..{MAX_ORDER}, got {n}")
-    for seq in rooted_level_sequences(n):
-        cut = seq.index(2, 2) if 2 in seq[2:] else n
-        gap = max(seq[:cut]) - max(seq[cut:], default=1)
-        if gap == 0 or (gap == 1 and [lvl - 1 for lvl in seq[1:cut]] >= seq[:1] + seq[cut:]):
+    seq = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    while seq is not None:
+        split = _split(seq)
+        first = [lvl - 1 for lvl in seq[1:split]]  # the first subtree as a rooted tree
+        rest = seq[:1] + seq[split:]
+        high = max(first, default=0)
+        if high < max(rest) or (high == max(rest) and (len(first), first) <= (len(rest), rest)):
+            nxt = _next_rooted(seq)
             yield seq
+            seq = nxt
+        else:
+            p = split - 1
+            seq = _successor(seq, p) if seq[p] <= 3 else _reset_suffix(_successor(seq, p))
+
+
+def _reset_suffix(seq: list[int]) -> list[int]:
+    """End seq with a path from the root as high as its first subtree, so
+    the rest of the tree is high enough again; changes seq in place."""
+    high = max(seq[1 : _split(seq)])
+    seq[len(seq) - high + 1 :] = range(2, high + 1)
+    return seq
 
 
 def all_free_trees(n: int) -> Iterator[Graph]:
     """Every unlabeled tree on n vertices exactly once, for n up to
     MAX_ORDER, with vertex 0 a centre.  Trees come in decreasing
     lexicographic order of their centre-rooted level sequences."""
-    for seq in _free_sequences(n):
-        yield from_edge_list(n, _sequence_to_edges(seq))
+    for seq in free_level_sequences(n):
+        yield from_edge_list(n, level_sequence_edges(seq))
 
 
 def free_tree_count(n: int) -> int:
     """How many unlabeled trees have n vertices, counted without
     building them."""
-    return sum(1 for _ in _free_sequences(n))
+    return sum(1 for _ in free_level_sequences(n))
 
 
 def prufer_to_tree(seq: list[int], n: int) -> Graph:

@@ -6,6 +6,12 @@ the evidence behind the verdict, so the CLI can print it unchanged and
 callers can drill into failures.  A run that checks nothing does not
 pass.  Randomized suites take an explicit
 seed and are fully reproducible.
+
+The extremal claims build no graph per tree: every number they compare
+comes from one pass over the tree's centre-rooted level sequence
+(level_sequence_counts), whose packed rows and cut sums the
+linear-vs-oracle and cut-vs-oracle suites tie to the oracle.  Canonical
+forms are computed only for the final tied trees and the witnesses.
 """
 
 from __future__ import annotations
@@ -23,14 +29,27 @@ from .extremal import (
     max_wk_even,
     max_wk_odd,
 )
-from .graphs import Graph, cycle_graph, hypercube_graph
+from .graphs import Graph, cycle_graph, from_edge_list, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
-from .tree_linear import RootedTree, wk_linear
-from .treegen import all_free_trees, canonical_form, random_tree
+from .tree_linear import RootedTree, level_sequence_counts, wk_linear
+from .treegen import canonical_form, free_level_sequences, level_sequence_edges, random_tree
 
 #: Seed used by every randomized suite unless the caller overrides it.
 DEFAULT_SEED = 1729
+
+
+def _free_tree_counts(n: int, k: int):
+    """(level sequence, Wiener polynomial, TW_k, degree-k count) for
+    every tree on n vertices, read from one pass over its centre-rooted
+    level sequence with no graph built."""
+    for seq in free_level_sequences(n):
+        yield (seq, *level_sequence_counts(seq, k))
+
+
+def _forms(seqs: list[list[int]]) -> list[str]:
+    """Canonical forms of the trees some level sequences encode."""
+    return [canonical_form(from_edge_list(len(seq), level_sequence_edges(seq))) for seq in seqs]
 
 
 def verify_max_wk(n: int, k: int) -> dict:
@@ -45,8 +64,8 @@ def verify_max_wk(n: int, k: int) -> dict:
         predicted, spec = max_wk_even(n, k)
     observed = -1
     count = 0
-    for t in all_free_trees(n):
-        value = wiener_polynomial(t).coefficient(k)
+    for _, poly, _, _ in _free_tree_counts(n, k):
+        value = poly.coefficient(k)
         if value > observed:
             observed, count = value, 1
         elif value == observed:
@@ -79,13 +98,13 @@ def verify_max_tw3(n: int) -> dict:
     spec = TreeSpec.caterpillar(n, 3, p)
     predicted = caterpillar_twk(n, 3, p)
     observed = -1
-    maximizers: list[str] = []
-    for t in all_free_trees(n):
-        value = twk(t, 3)
+    tied: list[list[int]] = []
+    for seq, _, value, _ in _free_tree_counts(n, 3):
         if value > observed:
-            observed, maximizers = value, [canonical_form(t)]
+            observed, tied = value, [seq]
         elif value == observed:
-            maximizers.append(canonical_form(t))
+            tied.append(seq)
+    maximizers = _forms(tied)
     witness_tree = gen_tree(spec)
     witness_value = twk(witness_tree, 3)
     witness_is_max = canonical_form(witness_tree) in maximizers
@@ -112,9 +131,7 @@ def verify_degree_count(n: int, k: int) -> dict:
     """Scan all trees on n vertices for the largest number of degree-k
     vertices and compare with floor((n-2)/(k-1))."""
     predicted = max_degree_count(n, k)
-    observed = 0
-    for t in all_free_trees(n):
-        observed = max(observed, sum(1 for d in t.degrees() if d == k))
+    observed = max(count for _, _, _, count in _free_tree_counts(n, k))
     return {
         "claim": "degree-count",
         "n": n,
@@ -131,18 +148,19 @@ def verify_wiener_bounds(n: int) -> dict:
     lo_pred = (n - 1) * (n - 1)
     hi_pred = (n + 1) * n * (n - 1) // 6
     lo = hi = None
-    lo_forms: list[str] = []
-    hi_forms: list[str] = []
-    for t in all_free_trees(n):
-        w = wiener_polynomial(t).wiener()
+    lo_seqs: list[list[int]] = []
+    hi_seqs: list[list[int]] = []
+    for seq, poly, _, _ in _free_tree_counts(n, 0):  # any degree: W only
+        w = poly.wiener()
         if lo is None or w < lo:
-            lo, lo_forms = w, [canonical_form(t)]
+            lo, lo_seqs = w, [seq]
         elif w == lo:
-            lo_forms.append(canonical_form(t))
+            lo_seqs.append(seq)
         if hi is None or w > hi:
-            hi, hi_forms = w, [canonical_form(t)]
+            hi, hi_seqs = w, [seq]
         elif w == hi:
-            hi_forms.append(canonical_form(t))
+            hi_seqs.append(seq)
+    lo_forms, hi_forms = _forms(lo_seqs), _forms(hi_seqs)
     star_form = canonical_form(gen_tree(TreeSpec.star(n)))
     path_form = canonical_form(gen_tree(TreeSpec.path(n)))
     return {

@@ -29,7 +29,7 @@ from distindex import (
     rooted_level_sequences,
     two_coloring,
 )
-from distindex.treegen import _sequence_to_edges
+from distindex.treegen import level_sequence_edges
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def reference_free_trees(n: int) -> Iterator[Graph]:
     form; a test-only reference for all_free_trees."""
     seen: set[str] = set()
     for seq in rooted_level_sequences(n):
-        g = from_edge_list(n, _sequence_to_edges(seq))
+        g = from_edge_list(n, level_sequence_edges(seq))
         key = canonical_form(g)
         if key not in seen:
             seen.add(key)

@@ -10,6 +10,7 @@ import pytest
 
 from distindex import (
     TreeSpec,
+    all_free_trees,
     caterpillar_twk,
     cycle_graph,
     format_edge_list,
@@ -20,7 +21,7 @@ from distindex import (
     path_graph,
     random_tree,
 )
-from distindex.cli import main
+from distindex.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "schema" / "report.json").read_text())
@@ -508,6 +509,47 @@ def test_enumerate_trees_listed(capsys):
     assert len(payload["trees"]) == 2
     for edges in payload["trees"]:
         assert len(edges) == 3
+
+
+def test_enumerate_lists_the_enumerated_trees(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "8")
+    assert code == 0
+    want = [[list(edge) for edge in t.edges()] for t in all_free_trees(8)]
+    assert document(out) == {"count": 23, "n": 8, "trees": want}
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once per process; flags, defaults and errors
+    of one main() call must not reach the next."""
+    assert build_parser() is build_parser()
+    path = write_graph(tmp_path, path_graph(4))
+    compute = ("compute", "--input", path, "--no-timing")
+    calls = [
+        (compute + ("--index", "wk", "--k", "2", "--pretty"), 0),
+        (compute + ("--index", "poly"), 0),
+        (compute + ("--index", "wk"), 2),  # --k from the first call must not linger
+        (("verify", "--claim", "max-tw3", "--n", "6", "--pretty"), 0),
+        (("enumerate", "--n", "4", "--count-only"), 0),
+        (compute + ("--index", "wk", "--k", "3"), 0),
+    ]
+    first = []
+    for argv, want in calls:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want
+        first.append((out, err))
+    assert json.loads(first[1][0]) == {
+        "index": "poly", "m": 3, "method": "linear", "n": 4, "poly": [0, 3, 2, 1]}
+    assert first[2] == ("", "error: --index wk needs --k >= 1\n")
+    assert first[3][0].startswith("claim ") and "witness_is_maximizer" in first[3][0]
+    assert json.loads(first[5][0])["wk"] == 1
+    # an argparse error exits from inside the shared parser
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--index", "wk", "--k", "2", "--pretty"])
+    assert exc.value.code == 2
+    assert "one of the arguments --input --stdin is required" in capsys.readouterr().err
+    # the same calls in reverse order give the same bytes
+    for (argv, want), (out, err) in zip(reversed(calls), reversed(first)):
+        assert run_cli(capsys, *argv) == (want, out, err)
 
 
 def test_enumerate_too_large(capsys):

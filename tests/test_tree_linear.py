@@ -9,10 +9,15 @@ from distindex import (
     TreeSpec,
     cycle_graph,
     from_edge_list,
+    free_level_sequences,
     gen_tree,
+    level_sequence_counts,
+    level_sequence_edges,
     path_graph,
     random_tree,
+    rooted_level_sequences,
     star_graph,
+    twk,
     wiener_polynomial,
     wiener_polynomial_linear,
     wk_linear,
@@ -139,3 +144,24 @@ def test_deep_path_no_recursion_limit():
     # interpreter recursion limit
     g = path_graph(50_000)
     assert wk_linear(g, 5) == 50_000 - 5
+
+
+def check_level_sequence_counts(seq):
+    g = from_edge_list(len(seq), level_sequence_edges(seq))
+    poly = wiener_polynomial(g)
+    degrees = g.degrees()
+    for k in range(1, 5):
+        assert level_sequence_counts(seq, k) == (poly, twk(g, k), degrees.count(k))
+
+
+def test_level_sequence_counts_match_oracle_on_every_free_tree():
+    for n in range(1, 13):
+        for seq in free_level_sequences(n):
+            check_level_sequence_counts(seq)
+
+
+def test_level_sequence_counts_match_oracle_at_every_root():
+    # the pass needs a level sequence, not a centre at the root
+    for n in range(1, 10):
+        for seq in rooted_level_sequences(n):
+            check_level_sequence_counts(seq)

@@ -10,9 +10,11 @@ from distindex import (
     all_free_trees,
     canonical_form,
     cycle_graph,
+    free_level_sequences,
     free_tree_count,
     from_edge_list,
     is_tree,
+    level_sequence_edges,
     path_graph,
     prufer_to_tree,
     random_tree,
@@ -24,7 +26,8 @@ from distindex.treegen import _rooted_string
 from helpers import reference_free_trees, relabel
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
-FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+#: OEIS A000055 for n = 1..MAX_ORDER.
+FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 
 
 def test_rooted_sequence_counts():
@@ -40,8 +43,50 @@ def test_rooted_sequences_strictly_decreasing():
 
 
 def test_free_counts():
+    assert len(FREE_COUNTS) == MAX_ORDER
     for n, want in enumerate(FREE_COUNTS, start=1):
         assert free_tree_count(n) == want
+        seqs = list(free_level_sequences(n))
+        assert all(a > b for a, b in zip(seqs, seqs[1:]))
+
+
+def test_free_walk_yields_canonical_rooted_sequences():
+    for n in range(1, 11):
+        rooted = {tuple(seq) for seq in rooted_level_sequences(n)}
+        assert all(tuple(seq) in rooted for seq in free_level_sequences(n))
+
+
+def test_free_walk_skips_in_bulk(monkeypatch):
+    # the jump and its suffix reset keep the walk near one step per tree:
+    # 20,541 steps for the 19,320 trees of order 16, against 117,637
+    # without the reset and 235,380 for a filter over the rooted walk
+    import distindex.treegen
+
+    steps = []
+    successor = distindex.treegen._successor
+
+    def counting_successor(seq, p):
+        steps.append(p)
+        return successor(seq, p)
+
+    monkeypatch.setattr(distindex.treegen, "_successor", counting_successor)
+    assert sum(1 for _ in free_level_sequences(16)) == 19320
+    assert len(steps) < 1.1 * 19320
+
+
+def test_free_walk_roots_bicentral_trees_at_the_smaller_child_half():
+    # the spider with legs 2, 1, 1 has centres at its hub and the hub's
+    # long-leg neighbour; the kept rooting hangs the 2-vertex half below
+    assert list(free_level_sequences(5)) == [[1, 2, 3, 2, 3], [1, 2, 3, 2, 2], [1, 2, 2, 2, 2]]
+    assert list(free_level_sequences(2)) == [[1, 2]]
+    assert list(free_level_sequences(1)) == [[1]]
+
+
+def test_level_sequence_edges_match_graph_edges():
+    for n in range(1, 10):
+        for seq in rooted_level_sequences(n):
+            edges = level_sequence_edges(seq)
+            assert edges == from_edge_list(n, edges).edges()
 
 
 def test_enumeration_yields_trees_deterministically():

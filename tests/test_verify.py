@@ -111,6 +111,41 @@ def test_verify_coronene_builds_the_partition_once(monkeypatch):
     assert calls == [96]
 
 
+@pytest.mark.parametrize(
+    "claim, k, graphs",
+    [("max-wk", 3, 1), ("max-tw3", None, 2), ("degree-count", 3, 0), ("wiener-bounds", None, 4)],
+)
+def test_extremal_claims_build_graphs_only_for_the_final_trees(monkeypatch, claim, k, graphs):
+    # Each claim has one maximizer (and minimizer) among the 106 trees of
+    # order 10: graphs are built only for the witnesses and to name those
+    # trees, and the oracle runs on the witness alone
+    import distindex.graphs
+    import distindex.indices
+
+    built, swept = [], []
+    graph = distindex.graphs.Graph
+    bfs, sweep = distindex.indices.bfs_distances, distindex.indices._sweep
+
+    def counting_graph(**fields):
+        built.append(graph(**fields))
+        return built[-1]
+
+    def counting_bfs(g, source):
+        swept.append(g)
+        return bfs(g, source)
+
+    def counting_sweep(g, *args):
+        swept.append(g)
+        return sweep(g, *args)
+
+    monkeypatch.setattr(distindex.graphs, "Graph", counting_graph)
+    monkeypatch.setattr(distindex.indices, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(distindex.indices, "_sweep", counting_sweep)
+    assert verify_extremal(10, claim, k)["pass"]
+    assert len(built) == graphs
+    assert len({id(g) for g in swept}) <= 1
+
+
 def test_verify_linear_vs_oracle_seeded():
     report = verify_linear_vs_oracle(trials=60, seed=7, n_hi=80)
     assert report["pass"]
