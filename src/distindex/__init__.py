@@ -54,15 +54,10 @@ from .graphs import (
     bfs_distances,
     complete_graph,
     cycle_graph,
-    degree_sequence,
     dump_edge_list,
     format_edge_list,
     from_edge_list,
     hypercube_graph,
-    is_bipartite,
-    is_connected,
-    is_tree,
-    load_edge_list,
     parse_edge_list,
     path_graph,
     star_graph,
@@ -130,11 +125,9 @@ __all__ = [
     "__version__",
     # graphs
     "Graph", "UNREACHABLE", "from_edge_list", "bfs_distances",
-    "is_connected", "is_tree", "is_bipartite",
-    "two_coloring", "degree_sequence", "parse_edge_list", "format_edge_list",
-    "load_edge_list", "dump_edge_list", "path_graph", "star_graph",
-    "cycle_graph", "complete_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM",
-    "MAX_GRAPH_ORDER",
+    "two_coloring", "parse_edge_list", "format_edge_list", "dump_edge_list",
+    "path_graph", "star_graph", "cycle_graph", "complete_graph",
+    "hypercube_graph", "MAX_HYPERCUBE_DIM", "MAX_GRAPH_ORDER",
     # indices
     "wiener", "wk", "WienerPolynomial", "wiener_polynomial", "twk",
     "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",

@@ -4,16 +4,17 @@ This module is the oracle that the faster tree and cut routes are tested
 against, so every function works on any connected graph and recomputes
 from scratch on each call.
 
-Every distance index here comes from one bit-parallel ball sweep: each
-vertex keeps the set of sources within radius r as an integer bitset,
-and one round of ORs over the edges takes every ball from radius r to
-r + 1.  The growth of the balls gives the pair counts by distance (W_k,
-the Wiener index, the Wiener polynomial and the cumulative W_k*), and
-the pairs of one degree class not yet reached give that class's
-distance sum (TW_k, TW_k*), so `index_report` runs a single sweep.  A
-lone `twk` or `twk_star` sweeps from the restricted vertices only, or
-runs one breadth-first search per restricted vertex when there are so
-few of them that this costs less.
+It also holds the package's one ball sweep, `_sweep`: each vertex keeps
+the set of sources within radius r as an integer bitset, and one round
+of ORs over the edges takes every ball from radius r to r + 1.  The
+growth of the balls gives the pair counts by distance (W_k, the Wiener
+index, the Wiener polynomial and the cumulative W_k*), and the pairs of
+one degree class not yet reached give that class's distance sum (TW_k,
+TW_k*), so `index_report` runs a single sweep.  On request the sweep
+also gives every edge a cut label, from which the partial-cube verifier
+reads the edge classes.  A lone `twk` or `twk_star` sweeps from the
+restricted vertices only, or runs one breadth-first search per
+restricted vertex when there are so few of them that this costs less.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ _SWEEP_BITS = 1 << 26
 
 
 def _sweep(
-    g: Graph, sources: Sequence[int], spans: Sequence[tuple[int, int]]
+    g: Graph,
+    sources: Sequence[int],
+    spans: Sequence[tuple[int, int]],
+    labels: list[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Ball sweep from `sources`.  Returns the doubled pair counts by
     distance (entry r counts the ordered pairs at distance r, up to the
@@ -47,14 +51,24 @@ def _sweep(
     distance r.  A pair at distance d is still unreached before each of
     the rounds 0..d-1, so before every round each span member v adds the
     span's sources of the block missing from ball[v]; a span is done
-    once no member misses any.  A sweep from every vertex runs until
-    every ball is full, and a round in which no ball grows before that
-    means the graph is disconnected; a sweep from fewer sources stops
-    once every span is done, and needs a connected graph.  The sweep
-    runs diameter rounds over n-bit balls, so on a long path it is
-    slower than one BFS per vertex (2000-vertex path: about 1.4 s
-    against 0.8 s); the CLI's `auto` sends W_k and the polynomial of a
-    tree to the tree route.
+    once no member misses any.  A sweep from every vertex runs each
+    block until every ball holds the whole block, and a round in which
+    no ball grows before that means the graph is disconnected; a sweep
+    from fewer sources stops once every span is done, and needs a
+    connected graph.
+
+    `labels`, when given, needs `sources` to hold every vertex and holds
+    one 0 per edge of g.edges().  In each round edge xy XORs B_r(x) |
+    B_r(y) into its block label, so after a block's R rounds bit s reads
+    the parity of R - min(d(s, x), d(s, y)).  The label is XOR-ed with
+    the parity of R and OR-ed into labels[i] at the block's offset, so
+    bit j of labels[i] ends as the parity of min(d(w, x), d(w, y)) for
+    w = sources[j], whichever block swept it.
+
+    A block runs as many rounds as its sources' largest eccentricity
+    over n-bit balls, so on a long path the sweep is slower than one BFS
+    per vertex (2000-vertex path: about 1.4 s against 0.8 s); the CLI's
+    `auto` sends W_k and the polynomial of a tree to the tree route.
     """
     n = g.n
     every = len(sources) == n
@@ -68,6 +82,7 @@ def _sweep(
         balls = [0] * n
         for s in range(size):
             balls[sources[first + s]] = 1 << s
+        cut = [] if labels is None else [0] * len(edges)
         live = []
         for j, (lo, hi) in enumerate(spans):
             a, b = max(lo, first), min(hi, first + size)
@@ -93,9 +108,17 @@ def _sweep(
             if reached == n * size if every else not live:
                 break
             grown = balls[:]
-            for x, y in edges:
-                grown[x] |= balls[y]
-                grown[y] |= balls[x]
+            if labels is None:
+                for x, y in edges:
+                    grown[x] |= balls[y]
+                    grown[y] |= balls[x]
+            else:
+                for i, (x, y) in enumerate(edges):
+                    bx = balls[x]
+                    by = balls[y]
+                    cut[i] ^= bx | by
+                    grown[x] |= by
+                    grown[y] |= bx
             balls = grown
             if every:
                 now = sum(map(int.bit_count, balls))
@@ -106,6 +129,10 @@ def _sweep(
                     doubled.append(0)
                 doubled[r] += now - reached
                 reached = now
+        if labels is not None:
+            flip = (1 << size) - 1 if r & 1 else 0
+            for i, c in enumerate(cut):
+                labels[i] |= (c ^ flip) << first
     return doubled, sums
 
 

@@ -11,11 +11,11 @@ each vertex which side of every class it lies on embeds the graph
 isometrically into a hypercube.
 
 The verifier is exact, builds no distance matrix and compares no pair
-of edges.  One bit-parallel sweep holds every ball B_r(v) as an integer
-bitset and grows all of them by big-int ORs of the neighbours' balls,
-for diameter + 1 rounds (radius 0 up to the diameter).  Along the way
-every edge collects one side of its cut and the ball sizes add up to
-twice the Wiener index.  Edges with equal cuts form one group.  A
+of edges.  It runs the oracle's ball sweep (`indices._sweep`) from every
+vertex with cut labels: bit w of edge xy's label is the parity of
+min(d(w, x), d(w, y)), which with w's colour tells which end w is
+closer to, so every edge gets one side of its cut, and the sweep's pair
+counts give the Wiener index.  Edges with equal cuts form one group.  A
 connected bipartite graph is a partial cube exactly when the relation
 is transitive (Winkler 1984), that is when no edge crosses the cut of a
 group other than its own; the groups are then the classes.  The
@@ -37,6 +37,7 @@ from .errors import (
     NotPartialCubeError,
 )
 from .graphs import UNREACHABLE, Graph, bfs_distances
+from .indices import _sweep
 from .tree_linear import RootedTree
 
 
@@ -57,41 +58,6 @@ class ThetaPartition:
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-
-def _cut_sweep(
-    n: int, edges: list[tuple[int, int]], odd: int
-) -> tuple[list[int], int]:
-    """One side of every edge's cut, and the Wiener index, of a connected
-    bipartite graph whose colour-1 vertices are the bits of odd.
-
-    Ball r of v is the bitset B_r(v); B_{r+1}(v) is B_r(v) OR-ed with
-    the balls of v's neighbours, and after R = diameter rounds every
-    ball is full.  Edge (x, y) XORs B_r(x) | B_r(y) into its label in
-    each round, so bit w of the label ends as the parity of R - a, where
-    a = min(d(w, x), d(w, y)).  In a bipartite graph w is closer to x
-    exactly when a has the parity of d(w, x), that is of colour(w) +
-    colour(x); so label XOR odd is W_xy = {w : d(w, x) < d(w, y)} or its
-    complement, one side of the cut either way.  A vertex w outside
-    B_r(v) adds 1 to d(v, w) for each round r, so the missing bits sum
-    to 2 * W(G).
-    """
-    balls = [1 << v for v in range(n)]
-    labels = [0] * len(edges)
-    missing_total = 0
-    while True:
-        missing = n * n - sum(map(int.bit_count, balls))
-        if not missing:
-            return [label ^ odd for label in labels], missing_total // 2
-        missing_total += missing
-        grown = balls[:]
-        for i, (x, y) in enumerate(edges):
-            bx = balls[x]
-            by = balls[y]
-            labels[i] ^= bx | by
-            grown[x] |= by
-            grown[y] |= bx
-        balls = grown
 
 
 def _transpose(masks: list[int], n: int) -> list[int]:
@@ -116,14 +82,21 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     if any(dist[u] == dist[v] for u, v in edges):
         raise NotBipartiteError("edge classes need a bipartite graph")
 
-    cuts, wiener = _cut_sweep(n, edges, sum((d & 1) << v for v, d in enumerate(dist)))
-    # Edge uv is related to xy iff it crosses xy's cut, so the edges of
-    # one cut are related, and the edges of two cuts are related iff the
-    # first edge of one crosses the other's cut.  A group is keyed by
-    # the side of its cut that holds vertex 0.
+    labels = [0] * len(edges)
+    doubled, _ = _sweep(g, range(n), (), labels)
+    wiener = sum(r * c for r, c in enumerate(doubled)) // 2
+    # w is closer to x exactly when min(d(w, x), d(w, y)) has the parity
+    # of d(w, x), that is of colour(w) + colour(x); so a label XOR the
+    # colour-1 vertices is one side of the edge's cut.  Edge uv is
+    # related to xy iff it crosses xy's cut, so the edges of one cut are
+    # related, and the edges of two cuts are related iff the first edge
+    # of one crosses the other's cut.  A group is keyed by the side of
+    # its cut that holds vertex 0.
+    odd = sum((d & 1) << v for v, d in enumerate(dist))
     full = (1 << n) - 1
     groups: dict[int, list[int]] = {}
-    for i, cut in enumerate(cuts):
+    for i, label in enumerate(labels):
+        cut = label ^ odd
         groups.setdefault(cut if cut & 1 else full ^ cut, []).append(i)
     keys = list(groups)
     members = list(groups.values())
@@ -261,11 +234,15 @@ def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:
 
     Every shortest path crosses each class at most once, so the sum of
     side products over the classes equals the sum of pairwise distances.
-    The graph must be a partial cube; pass a precomputed partition to
-    skip re-verification when the caller already knows it is one.
+    The graph must be a partial cube: a disconnected graph raises
+    DisconnectedError, any other one NotPartialCubeError.  Pass a
+    precomputed partition to skip re-verification when the caller
+    already knows it is one.
     """
     if partition is None:
         verdict = is_partial_cube(g)
+        if verdict.reason == "disconnected":
+            raise DisconnectedError(verdict.detail)
         if not verdict.accepted:
             raise NotPartialCubeError(f"{verdict.reason}: {verdict.detail}")
         partition = verdict.partition

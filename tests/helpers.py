@@ -24,7 +24,6 @@ from distindex import (
     bfs_distances,
     canonical_form,
     from_edge_list,
-    is_connected,
     random_tree,
     rooted_level_sequences,
     two_coloring,
@@ -52,6 +51,20 @@ class DistanceMatrix:
                 if x > best:
                     best = x
         return best
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether one BFS from vertex 0 reaches every vertex."""
+    return g.n <= 1 or UNREACHABLE not in bfs_distances(g, 0)
+
+
+def is_tree(g: Graph) -> bool:
+    """Connected with exactly n - 1 edges."""
+    return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
+
+
+def is_bipartite(g: Graph) -> bool:
+    return two_coloring(g) is not None
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:

@@ -6,13 +6,13 @@ from distindex import (
     coronene_tw3,
     gen_coronene,
     horizontal_cut_profile,
-    is_bipartite,
     is_partial_cube,
     orientation_groups,
     theta_classes,
     twk,
     twk_cut,
 )
+from helpers import is_bipartite
 
 
 def test_benzene_is_hexagon():

@@ -251,10 +251,15 @@ def test_compute_method_linear_rejects_cycle(tmp_path, capsys):
     assert "tree" in err
 
 
-def test_compute_disconnected_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("args", [
+    ["--index", "wiener"],
+    ["--index", "twk", "--k", "1"],
+    ["--index", "twk", "--k", "1", "--method", "cut"],
+], ids=["wiener", "twk", "twk-cut"])
+def test_compute_disconnected_exit_code(tmp_path, capsys, args):
     path = tmp_path / "dis.txt"
     path.write_text("4 2\n0 1\n2 3\n")
-    code, _, err = run_cli(capsys, "compute", "--input", str(path), "--index", "wiener")
+    code, _, err = run_cli(capsys, "compute", "--input", str(path), *args)
     assert code == 4
     assert "connected" in err
 

@@ -1,17 +1,19 @@
-"""Differential tests for the partial-cube verifier: the bit-parallel
-sweep in distindex.partial_cube must give the same edge classes and the
-same verdict as the O(m^2) pair-closure reference in tests/helpers.py,
-reason, partition, coordinates and exception type included.  The detail
-is compared too, except on class-removal rejections: there the sweep
-names two edges, and BFS must confirm that they are related and cut the
-graph differently.
+"""Differential tests for the partial-cube verifier: the edge classes
+that distindex.partial_cube reads from the cut labels of the ball sweep
+must be the same, and give the same verdict, as the O(m^2) pair-closure
+reference in tests/helpers.py, reason, partition, coordinates and
+exception type included.  The detail is compared too, except on
+class-removal rejections: there the verifier names two edges, and BFS
+must confirm that they are related and cut the graph differently.
 
 Inputs come from four seeded generators: non-tree partial cubes grown by
 isometric expansion (Chepoi 1988), subgraphs of grids with holes, random
 bipartite graphs with a planted K_{2,3}, and odd-cycle or disconnected
-graphs.  On the accepted non-tree partial cubes the cut route to TW_k
-must also match the oracle and networkx for every degree present, and
-every partition's side bitmasks must split the vertices along each class.
+graphs.  The verifier runs at the sweep's default bit budget and at
+small ones that sweep the sources in many blocks.  On the accepted
+non-tree partial cubes the cut route to TW_k must also match the oracle
+and networkx for every degree present, and every partition's side
+bitmasks must split the vertices along each class.
 """
 
 import dataclasses
@@ -19,9 +21,11 @@ import random
 import re
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distindex.indices
 from distindex import (
     ClassRemovalError,
     DisconnectedError,
@@ -199,11 +203,21 @@ def assert_matches_reference(g, verdict) -> None:
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.sampled_from(GENERATORS), st.integers(0, 2**32 - 1))
-def test_verifier_matches_reference(generator, seed):
+@given(
+    st.sampled_from(GENERATORS),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((distindex.indices._SWEEP_BITS, 7, 120)),
+)
+def test_verifier_matches_reference(generator, seed, sweep_bits):
+    """A small bit budget sweeps the sources in many blocks (of
+    sweep_bits // n sources, at least one), each stopping at its own
+    round."""
     g = generator(random.Random(seed))
-    assert_matches_reference(g, is_partial_cube(g))
-    got, want = outcome(theta_classes, g), outcome(reference_theta_classes, g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+        assert_matches_reference(g, is_partial_cube(g))
+        got = outcome(theta_classes, g)
+    want = outcome(reference_theta_classes, g)
     if type(want) is tuple and want[0] is ClassRemovalError:
         assert type(got) is tuple and got[0] is ClassRemovalError
         assert_witness(g, got[1])

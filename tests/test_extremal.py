@@ -12,7 +12,6 @@ from distindex import (
     even_group_bound,
     even_group_peak,
     gen_tree,
-    is_tree,
     max_degree_count,
     max_tw3,
     max_wk_even,
@@ -21,6 +20,7 @@ from distindex import (
     wiener_polynomial,
     wk,
 )
+from helpers import is_tree
 
 
 def test_spec_path_star():

@@ -16,13 +16,9 @@ from distindex import (
     bfs_distances,
     complete_graph,
     cycle_graph,
-    degree_sequence,
     format_edge_list,
     from_edge_list,
     hypercube_graph,
-    is_bipartite,
-    is_connected,
-    is_tree,
     parse_edge_list,
     path_graph,
     star_graph,
@@ -137,29 +133,14 @@ def test_diameter():
         all_pairs_distances(from_edge_list(3, [(0, 1)])).diameter()
 
 
-def test_connectivity_predicates():
-    assert is_connected(path_graph(5))
-    assert is_connected(path_graph(1))
-    assert not is_connected(from_edge_list(4, [(0, 1), (2, 3)]))
-    assert is_tree(path_graph(5))
-    assert is_tree(star_graph(7))
-    assert not is_tree(cycle_graph(4))
-    assert not is_tree(from_edge_list(4, [(0, 1), (2, 3)]))
-
-
-def test_degree_sequence():
-    assert degree_sequence(star_graph(5)) == [1, 1, 1, 1, 4]
-    assert degree_sequence(cycle_graph(4)) == [2, 2, 2, 2]
-
-
 def test_two_coloring():
     color = two_coloring(cycle_graph(6))
     assert color is not None
     for u, v in cycle_graph(6).edges():
         assert color[u] != color[v]
     assert two_coloring(cycle_graph(5)) is None
-    assert is_bipartite(hypercube_graph(4))
-    assert not is_bipartite(complete_graph(3))
+    assert two_coloring(hypercube_graph(4)) is not None
+    assert two_coloring(complete_graph(3)) is None
 
 
 def test_parse_edge_list_with_comments():

@@ -7,7 +7,7 @@ deep inside."""
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distindex import GraphError, from_edge_list, parse_edge_list
@@ -85,6 +85,7 @@ def edge_list_texts(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(edge_list_texts())
+@example("1 0\n")
 def test_parse_matches_reference(text):
     assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
 

@@ -13,7 +13,6 @@ from distindex import (
     free_level_sequences,
     free_tree_count,
     from_edge_list,
-    is_tree,
     level_sequence_edges,
     path_graph,
     prufer_to_tree,
@@ -23,7 +22,7 @@ from distindex import (
     tree_centers,
 )
 from distindex.treegen import _rooted_string
-from helpers import reference_free_trees, relabel
+from helpers import is_tree, reference_free_trees, relabel
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 #: OEIS A000055 for n = 1..MAX_ORDER.
