@@ -87,9 +87,9 @@ from .partial_cube import (
     twk_cut_tree,
 )
 from .tree_linear import (
-    NO_PARENT,
     RootedTree,
-    level_sequence_counts,
+    level_sequence_polynomial,
+    level_sequence_twk,
     wiener_polynomial_linear,
     wk3_from_zagreb,
     wk_linear,
@@ -133,8 +133,8 @@ __all__ = [
     "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",
     "index_report",
     # tree route
-    "RootedTree", "NO_PARENT", "wk_linear", "wiener_polynomial_linear",
-    "wk3_from_zagreb", "level_sequence_counts",
+    "RootedTree", "wk_linear", "wiener_polynomial_linear",
+    "wk3_from_zagreb", "level_sequence_polynomial", "level_sequence_twk",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
     "is_partial_cube", "halfspace_degree_counts", "twk_cut", "twk_cut_tree",

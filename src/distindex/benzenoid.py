@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, check_order, from_edge_list
 from .partial_cube import ThetaPartition
 
 #: Corner offsets of a hexagon in doubled coordinates, in cyclic order.
@@ -38,6 +38,7 @@ def gen_coronene(k: int) -> HexSystem:
     of which 6k have degree 2."""
     if k < 1:
         raise ValueError("coronene needs k >= 1")
+    check_order(6 * k * k)
     cells = [
         (q, r)
         for q in range(-(k - 1), k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleSpecError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, check_order, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,7 @@ def caterpillar_positions(s: int, p: int) -> list[int]:
 
 def gen_tree(spec: TreeSpec) -> Graph:
     """Materialize a TreeSpec as a concrete graph."""
+    check_order(spec.n)
     if spec.kind == "path":
         return from_edge_list(spec.n, ((i, i + 1) for i in range(spec.n - 1)))
     if spec.kind == "star":

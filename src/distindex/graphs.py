@@ -63,6 +63,13 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
 
+def check_order(n: int) -> None:
+    """Raise OrderTooLargeError when n exceeds MAX_GRAPH_ORDER; generators
+    call it before they build an edge list."""
+    if n > MAX_GRAPH_ORDER:
+        raise OrderTooLargeError(f"vertex count must be <= {MAX_GRAPH_ORDER}, got {n}")
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated graph from an iterable of endpoint pairs.
 
@@ -72,8 +79,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise VertexOutOfRangeError("vertex count must be non-negative")
-    if n > MAX_GRAPH_ORDER:
-        raise OrderTooLargeError(f"vertex count must be <= {MAX_GRAPH_ORDER}, got {n}")
+    check_order(n)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -194,10 +200,11 @@ def _raise_first_bad_line(body: list[str]) -> NoReturn:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Canonical text form: header then edges sorted with u < v."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """Canonical text form: header then edges sorted with u < v, read
+    straight off the sorted adjacency lists."""
+    return f"{g.n} {g.m}\n" + "".join(
+        [f"{u} {v}\n" for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
+    )
 
 
 def dump_edge_list(g: Graph, path: str | Path) -> None:
@@ -220,9 +227,7 @@ def star_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((0, n - 1))
-    return from_edge_list(n, edges)
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .graphs import UNREACHABLE, Graph, bfs_distances
 from .indices import _sweep
-from .tree_linear import RootedTree
+from .tree_linear import RootedTree, level_sequence_twk
 
 
 @dataclass(frozen=True)
@@ -250,22 +250,9 @@ def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:
 
 
 def twk_cut_tree(t: RootedTree, k: int) -> int:
-    """twk_cut on a tree, which needs no verification.
-
-    Every edge of a tree is a class of its own, and the edge from v to
-    its parent separates v's subtree from the rest.  With c_v degree-k
-    vertices in v's subtree and K in the whole tree, the sum is
-    c_v * (K - c_v) over the non-root v, from one pass in reverse
-    preorder.
-    """
+    """twk_cut on a tree, which needs no verification: every edge is a
+    class of its own, so the sum comes from one pass over the tree's
+    level sequence (level_sequence_twk)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    below = [int(len(nbrs) == k) for nbrs in t.graph.adj]
-    everywhere = sum(below)
-    parent = t.parent
-    total = 0
-    for v in t.order[:0:-1]:
-        c = below[v]
-        total += c * (everywhere - c)
-        below[parent[v]] += c
-    return total
+    return level_sequence_twk(t.levels, k)[0]

@@ -8,10 +8,12 @@ pass.  Randomized suites take an explicit
 seed and are fully reproducible.
 
 The extremal claims build no graph per tree: every number they compare
-comes from one pass over the tree's centre-rooted level sequence
-(level_sequence_counts), whose packed rows and cut sums the
-linear-vs-oracle and cut-vs-oracle suites tie to the oracle.  Canonical
-forms are computed only for the final tied trees and the witnesses.
+comes from one pass of the one kernel it needs over the tree's
+centre-rooted level sequence (level_sequence_polynomial for W_k and W,
+level_sequence_twk for TW_3 and the degree-k count).  Those kernels are
+the tree route of compute, which the linear-vs-oracle and cut-vs-oracle
+suites tie to the oracle.  Canonical forms are computed only for the
+final tied trees and the witnesses.
 """
 
 from __future__ import annotations
@@ -32,19 +34,11 @@ from .extremal import (
 from .graphs import Graph, cycle_graph, from_edge_list, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
-from .tree_linear import RootedTree, level_sequence_counts, wk_linear
+from .tree_linear import RootedTree, level_sequence_polynomial, level_sequence_twk, wk_linear
 from .treegen import canonical_form, free_level_sequences, level_sequence_edges, random_tree
 
 #: Seed used by every randomized suite unless the caller overrides it.
 DEFAULT_SEED = 1729
-
-
-def _free_tree_counts(n: int, k: int):
-    """(level sequence, Wiener polynomial, TW_k, degree-k count) for
-    every tree on n vertices, read from one pass over its centre-rooted
-    level sequence with no graph built."""
-    for seq in free_level_sequences(n):
-        yield (seq, *level_sequence_counts(seq, k))
 
 
 def _forms(seqs: list[list[int]]) -> list[str]:
@@ -64,8 +58,8 @@ def verify_max_wk(n: int, k: int) -> dict:
         predicted, spec = max_wk_even(n, k)
     observed = -1
     count = 0
-    for _, poly, _, _ in _free_tree_counts(n, k):
-        value = poly.coefficient(k)
+    for seq in free_level_sequences(n):
+        value = level_sequence_polynomial(seq, k).coefficient(k)
         if value > observed:
             observed, count = value, 1
         elif value == observed:
@@ -99,7 +93,8 @@ def verify_max_tw3(n: int) -> dict:
     predicted = caterpillar_twk(n, 3, p)
     observed = -1
     tied: list[list[int]] = []
-    for seq, _, value, _ in _free_tree_counts(n, 3):
+    for seq in free_level_sequences(n):
+        value = level_sequence_twk(seq, 3)[0]
         if value > observed:
             observed, tied = value, [seq]
         elif value == observed:
@@ -131,7 +126,7 @@ def verify_degree_count(n: int, k: int) -> dict:
     """Scan all trees on n vertices for the largest number of degree-k
     vertices and compare with floor((n-2)/(k-1))."""
     predicted = max_degree_count(n, k)
-    observed = max(count for _, _, _, count in _free_tree_counts(n, k))
+    observed = max(level_sequence_twk(seq, k)[1] for seq in free_level_sequences(n))
     return {
         "claim": "degree-count",
         "n": n,
@@ -150,8 +145,8 @@ def verify_wiener_bounds(n: int) -> dict:
     lo = hi = None
     lo_seqs: list[list[int]] = []
     hi_seqs: list[list[int]] = []
-    for seq, poly, _, _ in _free_tree_counts(n, 0):  # any degree: W only
-        w = poly.wiener()
+    for seq in free_level_sequences(n):
+        w = level_sequence_polynomial(seq).wiener()
         if lo is None or w < lo:
             lo, lo_seqs = w, [seq]
         elif w == lo:

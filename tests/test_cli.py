@@ -292,6 +292,31 @@ def test_compute_oversized_header_exits_two():
     assert proc.stderr == "error: vertex count must be <= 2097152, got 3000000000\n"
 
 
+@pytest.mark.parametrize(
+    "family, params, order",
+    [
+        ("coronene", ["--k", "100000"], 6 * 100000**2),
+        ("cycle", ["--n", "1000000000"], 10**9),
+        ("caterpillar", ["--n", "1000000000", "--kdeg", "3", "--p", "1"], 10**9),
+    ],
+)
+def test_gen_oversized_order_exits_two(tmp_path, family, params, order):
+    # the order is refused before any edge list is built
+    out = tmp_path / "big.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distindex.cli", "gen", "--family", family, *params,
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: vertex count must be <= 2097152, got {order}\n"
+    assert not out.exists()
+
+
 #: compute --no-timing documents of the oracle, frozen from the per-source
 #: BFS implementation the ball sweep replaced.
 ORACLE_DOCUMENTS = {

@@ -21,6 +21,7 @@ from distindex import (
     hypercube_graph,
     parse_edge_list,
     path_graph,
+    random_tree,
     star_graph,
     two_coloring,
 )
@@ -177,8 +178,12 @@ def test_parse_edge_list_propagates_validation():
 
 
 def test_format_round_trip():
-    for g in [path_graph(1), path_graph(7), star_graph(5), cycle_graph(8), hypercube_graph(3)]:
+    tree = random_tree(300, random.Random(11))
+    for g in [path_graph(1), path_graph(7), star_graph(5), cycle_graph(8), hypercube_graph(3), tree]:
         text = format_edge_list(g)
+        # the header, then one line per edge in Graph.edges() order
+        assert text.splitlines() == [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]
+        assert text.endswith("\n")
         back = parse_edge_list(text)
         assert back.n == g.n and back.adj == g.adj
         assert format_edge_list(back) == text

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from distindex import (
-    NO_PARENT,
     NotATreeError,
     RootedTree,
     TreeSpec,
@@ -11,8 +10,9 @@ from distindex import (
     from_edge_list,
     free_level_sequences,
     gen_tree,
-    level_sequence_counts,
     level_sequence_edges,
+    level_sequence_polynomial,
+    level_sequence_twk,
     path_graph,
     random_tree,
     rooted_level_sequences,
@@ -24,15 +24,15 @@ from distindex import (
     wk3_from_zagreb,
     zagreb_m1,
 )
-from distindex.tree_linear import _pair_counts
 
 
 def test_rooted_tree_build():
     t = RootedTree.build(path_graph(4))
     assert t.root == 0
-    assert t.parent == (NO_PARENT, 0, 1, 2)
-    assert t.order[0] == 0
-    assert sorted(t.order) == [0, 1, 2, 3]
+    assert t.levels == (1, 2, 3, 4)
+    assert RootedTree.build(path_graph(4), 1).levels in ((1, 2, 2, 3), (1, 2, 3, 2))
+    assert RootedTree.build(star_graph(6)).levels == (1, 2, 2, 2, 2, 2)
+    assert RootedTree.build(star_graph(6), 3).levels == (1, 2, 3, 3, 3, 3)
 
 
 def test_rooted_tree_rejects_non_trees():
@@ -100,17 +100,14 @@ def test_doubled_counts_even():
     rng = random.Random(19)
     for _ in range(20):
         g = random_tree(rng.randint(2, 40), rng)
-        t = RootedTree.build(g, rng.randrange(g.n))
+        levels = RootedTree.build(g, rng.randrange(g.n)).levels
         poly = wiener_polynomial(g)
-        counts = _pair_counts(t, None)
-        assert [0] + counts[: poly.degree()] == list(poly.coeffs)
-        assert not any(counts[poly.degree():])
+        assert level_sequence_polynomial(levels) == poly
         for k in range(1, 6):
-            assert _pair_counts(t, k) == [poly.coefficient(k)]
-    # a preorder that skips vertex 1 leaves the doubled count for k = 2 odd
-    broken = RootedTree(path_graph(3), 0, (NO_PARENT, 0, 1), (0, 2))
+            assert level_sequence_polynomial(levels, k).coeffs == poly.coeffs[: k + 1]
+    # a vertex two levels below the root leaves the doubled count for k = 2 odd
     with pytest.raises(RuntimeError):
-        _pair_counts(broken, 2)
+        level_sequence_polynomial([1, 3, 2], 2)
 
 
 def test_wk_linear_degree_identities():
@@ -146,22 +143,30 @@ def test_deep_path_no_recursion_limit():
     assert wk_linear(g, 5) == 50_000 - 5
 
 
-def check_level_sequence_counts(seq):
+def check_level_sequence_kernels(seq):
     g = from_edge_list(len(seq), level_sequence_edges(seq))
     poly = wiener_polynomial(g)
+    assert level_sequence_polynomial(seq) == poly
     degrees = g.degrees()
     for k in range(1, 5):
-        assert level_sequence_counts(seq, k) == (poly, twk(g, k), degrees.count(k))
+        assert level_sequence_polynomial(seq, k).coeffs == poly.coeffs[: k + 1]
+        assert level_sequence_twk(seq, k) == (twk(g, k), degrees.count(k))
 
 
 def test_level_sequence_counts_match_oracle_on_every_free_tree():
     for n in range(1, 13):
         for seq in free_level_sequences(n):
-            check_level_sequence_counts(seq)
+            check_level_sequence_kernels(seq)
 
 
 def test_level_sequence_counts_match_oracle_at_every_root():
-    # the pass needs a level sequence, not a centre at the root
+    # the kernels need a level sequence, not a centre at the root
     for n in range(1, 10):
         for seq in rooted_level_sequences(n):
-            check_level_sequence_counts(seq)
+            check_level_sequence_kernels(seq)
+    # and the preorder levels RootedTree.build records, at every root
+    rng = random.Random(47)
+    for _ in range(4):
+        g = random_tree(rng.randint(2, 30), rng)
+        for r in range(g.n):
+            check_level_sequence_kernels(RootedTree.build(g, r).levels)
