@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distindex import GraphError, from_edge_list, parse_edge_list
+from distindex.graphs import _CHUNK
 from helpers import reference_from_edge_list, reference_parse_edge_list
 
 LINE_BREAKS = ("\n", "\r\n", "\r", "\x0c")
@@ -97,7 +98,9 @@ def test_build_matches_reference(n, edges):
 
 
 #: A path on 200 000 vertices; faults go in at file line 150 000 (the
-#: header is line 1) and, for two faults, at line 190 000 or 120 000.
+#: header is line 1) and, for two faults, at line 190 000 or 120 000,
+#: and at the edges of parse_edge_list's chunks: edge line j is file
+#: line j + 1, so chunk c starts at file line c * _CHUNK + 2.
 PATH_N = 200_000
 PATH_LINES = [f"{PATH_N} {PATH_N - 1}"] + [f"{i} {i + 1}" for i in range(PATH_N - 1)]
 
@@ -114,6 +117,14 @@ PATH_LINES = [f"{PATH_N} {PATH_N - 1}"] + [f"{i} {i + 1}" for i in range(PATH_N 
         {150_000: "1 2 3", 120_000: "x 1"},
         {150_000: f"0 {PATH_N}", 190_000: "7 7"},
         {150_000: "1 0", 190_000: "7 7"},
+        # first and last edge line of a chunk, and the last line of the
+        # file, which falls in the short final chunk
+        {5 * _CHUNK + 2: "x y"},
+        {6 * _CHUNK + 1: "1 2 3"},
+        {PATH_N: "1 x"},
+        # a graph fault at the end of one chunk, a format fault at the
+        # start of the next: the format fault still wins
+        {8 * _CHUNK + 1: "7 7", 8 * _CHUNK + 2: "x y"},
     ],
     ids=lambda faults: " + ".join(f"{line}:{text}" for line, text in faults.items()),
 )
@@ -127,10 +138,11 @@ def test_first_fault_reported_at_scale(faults):
     assert got == outcome(reference_parse_edge_list, text)
 
 
-def test_parse_peak_leaves_out_the_line_strings():
-    # Once every token is an int the line strings are dropped before the
-    # build.  tracemalloc read a 52.4 MiB peak with them dropped and 59.1
-    # MiB with them kept on Python 3.10 and 3.11 (47.8 and 57.6 on 3.13).
+def test_parse_peak_with_chunked_conversion_and_lists_freed():
+    # Edge lines are converted a chunk at a time and dropped as they go,
+    # and each neighbour list is freed once its tuple exists.  On Python
+    # 3.11 tracemalloc read a 32.4 MiB peak with both, 44.8 MiB with
+    # chunking alone, and 52.4 MiB with one batch and every list kept.
     text = "\n".join(PATH_LINES) + "\n"
     tracemalloc.start()
     try:
@@ -139,4 +151,4 @@ def test_parse_peak_leaves_out_the_line_strings():
     finally:
         tracemalloc.stop()
     assert g.n == PATH_N and g.m == PATH_N - 1
-    assert peak < 55 * 2**20
+    assert peak < 40 * 2**20
