@@ -11,16 +11,20 @@ growth of the balls gives the pair counts by distance (W_k, the Wiener
 index, the Wiener polynomial and the cumulative W_k*), and the pairs of
 one degree class not yet reached give that class's distance sum (TW_k,
 TW_k*), so `index_report` runs a single sweep.  On request the sweep
-also gives every edge a cut label, from which the partial-cube verifier
-reads the edge classes.  A lone `twk` or `twk_star` sweeps from the
-restricted vertices only, or runs one breadth-first search per
-restricted vertex when there are so few of them that this costs less.
+also XORs each vertex's odd-radius balls; on a bipartite graph the XOR
+of these parities across an edge is the edge's cut label, from which
+the partial-cube verifier reads the edge classes.  A lone `twk` or
+`twk_star` sweeps from the restricted vertices only, or runs one
+breadth-first search per restricted vertex when there are so few of
+them that this costs less.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift, or_, xor
 from typing import Sequence
 
 from .errors import DisconnectedError
@@ -36,7 +40,7 @@ def _sweep(
     g: Graph,
     sources: Sequence[int],
     spans: Sequence[tuple[int, int]],
-    labels: list[int] | None = None,
+    parities: list[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Ball sweep from `sources`.  Returns the doubled pair counts by
     distance (entry r counts the ordered pairs at distance r, up to the
@@ -57,13 +61,17 @@ def _sweep(
     from fewer sources stops once every span is done, and needs a
     connected graph.
 
-    `labels`, when given, needs `sources` to hold every vertex and holds
-    one 0 per edge of g.edges().  In each round edge xy XORs B_r(x) |
-    B_r(y) into its block label, so after a block's R rounds bit s reads
-    the parity of R - min(d(s, x), d(s, y)).  The label is XOR-ed with
-    the parity of R and OR-ed into labels[i] at the block's offset, so
-    bit j of labels[i] ends as the parity of min(d(w, x), d(w, y)) for
-    w = sources[j], whichever block swept it.
+    `parities`, when given, needs `sources` to hold every vertex and
+    holds one 0 per vertex.  Each block XORs the balls of every odd
+    round into an accumulator, so P_v = B_1(v) ^ B_3(v) ^ ..., and ORs
+    it into parities[v] at the block's offset.  The graph must be
+    bipartite: then d(w, y) = d(w, x) +- 1 for every edge xy, so w lies
+    in exactly one of B_r(x) and B_r(y) at r = min(d(w, x), d(w, y)) and
+    in both or neither at every other radius.  Bit j of
+    parities[x] ^ parities[y] is therefore the parity of
+    min(d(w, x), d(w, y)) for w = sources[j]; the number of rounds a
+    block ran cancels between the two ends.  This costs one XOR per
+    vertex every second round and no work per edge.
 
     A block runs as many rounds as its sources' largest eccentricity
     over n-bit balls, so on a long path the sweep is slower than one BFS
@@ -82,7 +90,7 @@ def _sweep(
         balls = [0] * n
         for s in range(size):
             balls[sources[first + s]] = 1 << s
-        cut = [] if labels is None else [0] * len(edges)
+        acc = None if parities is None else [0] * n
         live = []
         for j, (lo, hi) in enumerate(spans):
             a, b = max(lo, first), min(hi, first + size)
@@ -108,17 +116,9 @@ def _sweep(
             if reached == n * size if every else not live:
                 break
             grown = balls[:]
-            if labels is None:
-                for x, y in edges:
-                    grown[x] |= balls[y]
-                    grown[y] |= balls[x]
-            else:
-                for i, (x, y) in enumerate(edges):
-                    bx = balls[x]
-                    by = balls[y]
-                    cut[i] ^= bx | by
-                    grown[x] |= by
-                    grown[y] |= bx
+            for x, y in edges:
+                grown[x] |= balls[y]
+                grown[y] |= balls[x]
             balls = grown
             if every:
                 now = sum(map(int.bit_count, balls))
@@ -129,10 +129,10 @@ def _sweep(
                     doubled.append(0)
                 doubled[r] += now - reached
                 reached = now
-        if labels is not None:
-            flip = (1 << size) - 1 if r & 1 else 0
-            for i, c in enumerate(cut):
-                labels[i] |= (c ^ flip) << first
+                if acc is not None and r & 1:
+                    acc = list(map(xor, acc, balls))
+        if acc is not None:
+            parities[:] = map(or_, parities, map(lshift, acc, repeat(first, n)))
     return doubled, sums
 
 

@@ -12,14 +12,16 @@ isometrically into a hypercube.
 
 The verifier is exact, builds no distance matrix and compares no pair
 of edges.  It runs the oracle's ball sweep (`indices._sweep`) from every
-vertex with cut labels: bit w of edge xy's label is the parity of
-min(d(w, x), d(w, y)), which with w's colour tells which end w is
-closer to, so every edge gets one side of its cut, and the sweep's pair
-counts give the Wiener index.  Edges with equal cuts form one group.  A
-connected bipartite graph is a partial cube exactly when the relation
-is transitive (Winkler 1984), that is when no edge crosses the cut of a
-group other than its own; the groups are then the classes.  The
-embedding is certified isometric by checking that the class side
+vertex, which also XORs each vertex's odd-radius balls into a parity
+P_v = B_1(v) ^ B_3(v) ^ ....  In a bipartite graph bit w of P_x ^ P_y
+is the parity of min(d(w, x), d(w, y)) for every edge xy: that is the
+edge's cut label, which with w's colour tells which end w is closer to,
+so every edge gets one side of its cut from one XOR, and the sweep's
+pair counts give the Wiener index.  Edges with equal cuts form one
+group.  A connected bipartite graph is a partial cube exactly when the
+relation is transitive (Winkler 1984), that is when no edge crosses the
+cut of a group other than its own; the groups are then the classes.
+The embedding is certified isometric by checking that the class side
 products sum to the Wiener index.
 
 Both sides of a class are kept as vertex bitmasks (bit v set when v lies
@@ -64,8 +66,9 @@ def _transpose(masks: list[int], n: int) -> list[int]:
     """Per-vertex bitsets: bit j of entry v is bit v of masks[j]."""
     if not masks:
         return [0] * n
-    rows = [format(mask, f"0{n}b") for mask in reversed(masks)]
-    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+    # row j of the flat string is masks[-1 - j], most significant bit first
+    flat = "".join([format(mask, f"0{n}b") for mask in reversed(masks)])
+    return [int(flat[c::n], 2) for c in range(n - 1, -1, -1)]
 
 
 def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
@@ -82,8 +85,11 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     if any(dist[u] == dist[v] for u, v in edges):
         raise NotBipartiteError("edge classes need a bipartite graph")
 
-    labels = [0] * len(edges)
-    doubled, _ = _sweep(g, range(n), (), labels)
+    # the parities need the bipartite graph checked above: bit w of
+    # parity[x] ^ parity[y], edge xy's label, is the parity of
+    # min(d(w, x), d(w, y))
+    parity = [0] * n
+    doubled, _ = _sweep(g, range(n), (), parity)
     wiener = sum(r * c for r, c in enumerate(doubled)) // 2
     # w is closer to x exactly when min(d(w, x), d(w, y)) has the parity
     # of d(w, x), that is of colour(w) + colour(x); so a label XOR the
@@ -95,8 +101,8 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     odd = sum((d & 1) << v for v, d in enumerate(dist))
     full = (1 << n) - 1
     groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        cut = label ^ odd
+    for i, (x, y) in enumerate(edges):
+        cut = parity[x] ^ parity[y] ^ odd
         groups.setdefault(cut if cut & 1 else full ^ cut, []).append(i)
     keys = list(groups)
     members = list(groups.values())

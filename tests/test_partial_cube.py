@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import distindex.indices
 from distindex import (
     ClassRemovalError,
     DisconnectedError,
     NotBipartiteError,
     NotPartialCubeError,
+    bfs_distances,
     complete_graph,
     gen_coronene,
     cycle_graph,
@@ -22,6 +24,8 @@ from distindex import (
     twk_cut,
     wiener,
 )
+from distindex.indices import _sweep
+from distindex.partial_cube import _transpose
 from helpers import all_pairs_distances
 
 K23 = from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
@@ -211,3 +215,54 @@ def test_accepting_builds_no_distance_matrix(monkeypatch):
         calls.update(bfs=0)
         assert is_partial_cube(g).accepted
         assert calls["bfs"] <= 1
+
+
+def _grid(a: int, b: int):
+    return from_edge_list(
+        a * b,
+        [(b * i + j, b * i + j + 1) for i in range(a) for j in range(b - 1)]
+        + [(b * i + j, b * i + j + b) for i in range(a - 1) for j in range(b)],
+    )
+
+
+def _trees_with_even_chords(rng: random.Random, count: int):
+    """Random trees plus chords between vertices of opposite colours, so
+    each chord closes an even cycle and the graph stays bipartite."""
+    for _ in range(count):
+        t = random_tree(rng.randint(2, 30), rng)
+        colour = bfs_distances(t, 0)
+        edges = set(t.edges())
+        for _ in range(rng.randint(0, 4)):
+            u, v = sorted(rng.sample(range(t.n), 2))
+            if (colour[u] ^ colour[v]) & 1:
+                edges.add((u, v))
+        yield from_edge_list(t.n, sorted(edges))
+
+
+@pytest.mark.parametrize("sweep_bits", [distindex.indices._SWEEP_BITS, 1, 7, 120])
+def test_sweep_parities_give_min_distance_parity_labels(monkeypatch, sweep_bits):
+    """Bit w of parities[x] ^ parities[y] is the parity of
+    min(d(w, x), d(w, y)) on every edge of a bipartite graph, however the
+    sources are split into blocks: a budget of 1 or 7 bits sweeps one
+    source per block, 120 bits several per block with a shorter last one."""
+    monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+    graphs = [cycle_graph(n) for n in (4, 6, 10, 14)]
+    graphs += [_grid(a, b) for a, b in ((1, 2), (2, 3), (3, 5), (4, 4), (5, 6))]
+    graphs += [hypercube_graph(d) for d in (1, 2, 3, 4, 5)]
+    graphs += [K23, *_trees_with_even_chords(random.Random(15), 12)]
+    for g in graphs:
+        parities = [0] * g.n
+        _sweep(g, range(g.n), (), parities)
+        rows = [bfs_distances(g, v) for v in range(g.n)]
+        for x, y in g.edges():
+            want = sum((min(rows[x][w], rows[y][w]) & 1) << w for w in range(g.n))
+            assert parities[x] ^ parities[y] == want
+
+
+@pytest.mark.parametrize("count, n", [(0, 6), (0, 1), (1, 1), (5, 1), (40, 7), (3, 64), (9, 9)])
+def test_transpose_matches_per_bit_reference(count, n):
+    """No masks, one vertex, more masks than vertices and fewer."""
+    rng = random.Random(count * 100 + n)
+    masks = [rng.getrandbits(n) for _ in range(count)]
+    want = [sum((mask >> v & 1) << j for j, mask in enumerate(masks)) for v in range(n)]
+    assert _transpose(masks, n) == want
