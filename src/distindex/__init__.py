@@ -58,6 +58,7 @@ from .graphs import (
     format_edge_list,
     from_edge_list,
     hypercube_graph,
+    parse_edge_ends,
     parse_edge_list,
     path_graph,
     star_graph,
@@ -88,8 +89,8 @@ from .partial_cube import (
 )
 from .tree_linear import (
     RootedTree,
-    level_sequence_polynomial,
-    level_sequence_twk,
+    tree_polynomial,
+    tree_twk,
     wiener_polynomial_linear,
     wk3_from_zagreb,
     wk_linear,
@@ -101,6 +102,7 @@ from .treegen import (
     free_level_sequences,
     free_tree_count,
     level_sequence_edges,
+    level_sequence_parents,
     prufer_to_tree,
     random_tree,
     rooted_level_sequences,
@@ -125,7 +127,8 @@ __all__ = [
     "__version__",
     # graphs
     "Graph", "UNREACHABLE", "from_edge_list", "bfs_distances",
-    "two_coloring", "parse_edge_list", "format_edge_list", "dump_edge_list",
+    "two_coloring", "parse_edge_ends", "parse_edge_list", "format_edge_list",
+    "dump_edge_list",
     "path_graph", "star_graph", "cycle_graph", "complete_graph",
     "hypercube_graph", "MAX_HYPERCUBE_DIM", "MAX_GRAPH_ORDER",
     # indices
@@ -134,7 +137,7 @@ __all__ = [
     "index_report",
     # tree route
     "RootedTree", "wk_linear", "wiener_polynomial_linear",
-    "wk3_from_zagreb", "level_sequence_polynomial", "level_sequence_twk",
+    "wk3_from_zagreb", "tree_polynomial", "tree_twk",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
     "is_partial_cube", "halfspace_degree_counts", "twk_cut", "twk_cut_tree",
@@ -147,7 +150,8 @@ __all__ = [
     "horizontal_cut_profile", "coronene_tw3",
     # enumeration and sampling
     "MAX_ORDER", "rooted_level_sequences", "tree_centers", "canonical_form",
-    "free_level_sequences", "level_sequence_edges", "all_free_trees",
+    "free_level_sequences", "level_sequence_edges", "level_sequence_parents",
+    "all_free_trees",
     "free_tree_count", "prufer_to_tree", "random_tree",
     # verifiers
     "DEFAULT_SEED", "verify_max_wk", "verify_max_tw3", "verify_degree_count",

@@ -32,8 +32,10 @@ from .extremal import TreeSpec, caterpillar_twk, gen_tree
 from .graphs import (
     cycle_graph,
     dump_edge_list,
+    edge_pairs,
+    from_edge_list,
     hypercube_graph,
-    parse_edge_list,
+    parse_edge_ends,
 )
 from .indices import (
     index_report,
@@ -147,8 +149,23 @@ def _need(value, flag: str):
 def _cmd_compute(args) -> dict:
     t0 = time.perf_counter()
     text = sys.stdin.read() if args.stdin else Path(args.input).read_text()
-    g = parse_edge_list(text)
+    n, ends = parse_edge_ends(text)
+    del text  # freed before the strip or the build allocates its lists
     index, k, method = args.index, args.k, args.method
+
+    tree = g = None
+    # A tree needs no Graph: the strip certifies and roots it.  Anything
+    # else is built, so a bad input raises the error it always has, and
+    # before any flag is checked.  A tree is a partial cube whose classes
+    # are its single edges, so the cut route needs no verification on one.
+    if (method == "auto" and index in ("wk", "poly", "twk")) or method in ("linear", "cut"):
+        try:
+            tree = RootedTree.build(n, ends)
+        except NotATreeError:
+            pass
+    if tree is None:
+        g = from_edge_list(n, edge_pairs(ends))
+    ends.clear()
 
     if index in ("wk", "wk-star", "twk-star") and (k is None or k < 1):
         raise ValueError(f"--index {index} needs --k >= 1")
@@ -159,14 +176,7 @@ def _cmd_compute(args) -> dict:
     if method == "cut" and index != "twk":
         raise ValueError("--method cut applies to --index twk")
 
-    tree = partition = None
-    # a tree is a partial cube whose classes are its single edges, so
-    # the cut route needs no verification on one
-    if (method == "auto" and index in ("wk", "poly", "twk")) or method == "cut":
-        try:
-            tree = RootedTree.build(g)
-        except NotATreeError:
-            pass
+    partition = None
     if method == "auto":
         if index in ("wk", "poly"):
             method = "oracle" if tree is None else "linear"
@@ -179,7 +189,7 @@ def _cmd_compute(args) -> dict:
         else:
             method = "oracle"
 
-    payload: dict = {"n": g.n, "m": g.m, "index": index, "method": method}
+    payload: dict = {"n": n, "m": n - 1 if g is None else g.m, "index": index, "method": method}
     if k is not None:
         payload["k"] = k
     if index == "wiener":

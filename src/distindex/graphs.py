@@ -15,13 +15,16 @@ on when the call began.  The switch is process-wide: a thread that
 flips it while another thread builds may see its change undone.
 
 Ingest drops each input once it has read it, so a large file is not
-held in several forms at once.  parse_edge_list converts the edge lines
+held in several forms at once.  parse_edge_ends converts the edge lines
 _CHUNK at a time into one flat list of ints and deletes each chunk's
 lines before the next, so at most one chunk's token strings are alive,
-beside the unread lines.  from_edge_list pops each neighbour list as
-its tuple is built, so the lists are freed one by one while the tuples
-grow.  On a 2*10^5-vertex path the parse then peaks at 32.4 MiB of
-traced memory, against 22.9 MiB for the finished Graph (Python 3.11).
+beside the unread lines; it checks the format only.  A tree request
+hands that list to tree_linear.RootedTree.build and never builds a
+Graph.  parse_edge_list goes on to from_edge_list, which pops each
+neighbour list as its tuple is built, so the lists are freed one by one
+while the tuples grow.  On a 2*10^5-vertex path parse_edge_list peaks
+at 32.4 MiB of traced memory, against 22.9 MiB for the finished Graph,
+and parse_edge_ends plus the strip at 24.5 MiB (Python 3.11).
 """
 
 from __future__ import annotations
@@ -165,9 +168,12 @@ def two_coloring(g: Graph) -> list[int] | None:
     return color
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_ends(text: str) -> tuple[int, list[int]]:
     """Parse the plain text format: a header line "n m" followed by m
     lines "u v".  Blank lines and lines starting with '#' are ignored.
+
+    Returns n and the edges' endpoints as one flat list, u then v for
+    each line in order; only the format is checked, not the graph.
     """
     rows = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not rows:
@@ -186,7 +192,7 @@ def parse_edge_list(text: str) -> Graph:
     del rows[0]  # the header
     if len(rows) != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(rows)}")
-    # Every chunk is converted before the build starts, so a format error
+    # Every chunk is converted before any graph check, so a format error
     # anywhere still comes before any graph error.  Earlier chunks have
     # passed, so a chunk's first bad line is the file's.
     ends: list[int] = []
@@ -199,8 +205,20 @@ def parse_edge_list(text: str) -> Graph:
             ends += map(int, " ".join(chunk).split())
         except ValueError:
             _raise_first_bad_line(chunk)
+    return n, ends
+
+
+def edge_pairs(ends: list[int]) -> Iterator[tuple[int, int]]:
+    """The (u, v) pairs of a flat endpoint list, in order."""
     it = iter(ends)
-    return from_edge_list(n, zip(it, it))
+    return zip(it, it)
+
+
+def parse_edge_list(text: str) -> Graph:
+    """The validated graph of an edge-list text (parse_edge_ends, then
+    from_edge_list)."""
+    n, ends = parse_edge_ends(text)
+    return from_edge_list(n, edge_pairs(ends))
 
 
 def _raise_first_bad_line(lines: list[str]) -> NoReturn:

@@ -38,15 +38,17 @@ _SWEEP_BITS = 1 << 26
 
 def _sweep(
     g: Graph,
+    edges: list[tuple[int, int]],
     sources: Sequence[int],
     spans: Sequence[tuple[int, int]],
     parities: list[int] | None = None,
 ) -> tuple[list[int], list[int]]:
-    """Ball sweep from `sources`.  Returns the doubled pair counts by
-    distance (entry r counts the ordered pairs at distance r, up to the
-    diameter; filled only when `sources` holds every vertex) and, for
-    each span (lo, hi) of `sources`, the distance sum over the ordered
-    pairs of sources[lo:hi].
+    """Ball sweep from `sources` over `edges`, which are g.edges(),
+    passed in so that a caller holding them builds them once.  Returns
+    the doubled pair counts by distance (entry r counts the ordered
+    pairs at distance r, up to the diameter; filled only when `sources`
+    holds every vertex) and, for each span (lo, hi) of `sources`, the
+    distance sum over the ordered pairs of sources[lo:hi].
 
     For a block of sources, ball[w] holds bit s when source s lies within
     radius r of w.  B_{r+1}(w) is B_r(w) OR-ed with the balls of w's
@@ -80,7 +82,6 @@ def _sweep(
     """
     n = g.n
     every = len(sources) == n
-    edges = g.edges()
     block = max(1, _SWEEP_BITS // max(n, 1))
     members = [sources[lo:hi] for lo, hi in spans]
     doubled = [0]
@@ -150,7 +151,7 @@ def _restricted_sum(g: Graph, members: list[int]) -> int:
     if UNREACHABLE in row0:
         raise DisconnectedError("graph is not connected")
     if len(members) * (g.n + g.m) > max(row0) * 2 * g.m:
-        _, (doubled,) = _sweep(g, members, [(0, len(members))])
+        _, (doubled,) = _sweep(g, g.edges(), members, [(0, len(members))])
         return doubled // 2
     total = 0
     for i, u in enumerate(members[:-1]):
@@ -193,7 +194,7 @@ class WienerPolynomial:
 def wiener_polynomial(g: Graph) -> WienerPolynomial:
     """Distance distribution of the unordered pairs, as coefficients up
     to the diameter.  coeffs[0] is always 0."""
-    doubled, _ = _sweep(g, range(g.n), ())
+    doubled, _ = _sweep(g, g.edges(), range(g.n), ())
     return WienerPolynomial(tuple(c // 2 for c in doubled))
 
 
@@ -275,7 +276,7 @@ def index_report(g: Graph, star_k: int | None = None) -> IndexReport:
     spans = [(bisect_left(ranked, k), bisect_right(ranked, k)) for k in present]
     if star_k is not None:
         spans.append((0, bisect_right(ranked, star_k)))
-    doubled, sums = _sweep(g, order, spans)
+    doubled, sums = _sweep(g, g.edges(), order, spans)
     # checked after the sweep, so a disconnected graph is reported as
     # such whatever star_k is
     if star_k is not None and star_k < 1:

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .graphs import UNREACHABLE, Graph, bfs_distances
 from .indices import _sweep
-from .tree_linear import RootedTree, level_sequence_twk
+from .tree_linear import RootedTree, tree_twk
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     # parity[x] ^ parity[y], edge xy's label, is the parity of
     # min(d(w, x), d(w, y))
     parity = [0] * n
-    doubled, _ = _sweep(g, range(n), (), parity)
+    doubled, _ = _sweep(g, edges, range(n), (), parity)
     wiener = sum(r * c for r, c in enumerate(doubled)) // 2
     # w is closer to x exactly when min(d(w, x), d(w, y)) has the parity
     # of d(w, x), that is of colour(w) + colour(x); so a label XOR the
@@ -258,7 +258,7 @@ def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:
 def twk_cut_tree(t: RootedTree, k: int) -> int:
     """twk_cut on a tree, which needs no verification: every edge is a
     class of its own, so the sum comes from one pass over the tree's
-    level sequence (level_sequence_twk)."""
+    parent array (tree_twk)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return level_sequence_twk(t.levels, k)[0]
+    return tree_twk(t.parent, t.order, k)[0]

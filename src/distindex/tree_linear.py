@@ -1,19 +1,26 @@
 """The tree route: pair counts by distance and degree-restricted
-distance sums, from one reverse pass over a preorder level sequence.
+distance sums, from one children-first pass over a parent array.
 
-A rooted tree is read as its level sequence: the levels of its vertices
-in a depth-first preorder, root at level 1, so each vertex hangs off
-the last vertex before it one level up (Beyer and Hedetniemi 1980;
-Wright, Richmond, Odlyzko and McKay 1986).  Read backwards, the
-children of a vertex at level l are the level-(l + 1) vertices passed
-since the last vertex at level l or above, so one running total per
-level collects them and no parent array is kept.  RootedTree.build
-records this sequence for any tree; the free-tree walk yields it
-directly.  Two kernels read it.
+RootedTree.build certifies and roots a tree straight from the flat
+endpoint list graphs.parse_edge_ends returns, with no Graph and no
+adjacency lists.  It keeps two ints per vertex, its degree and the XOR
+of its neighbours, and strips leaves first in, first out, using the
+order list itself as the queue.  A leaf's only neighbour is its XOR,
+so that is its parent; removing the leaf XORs it out of the parent's
+entry, so when the strip ends the XOR list is the parent array.  The
+order is children-first and ends at the last vertex left, a centre of
+the tree, which is the root.  When n - 1 vertices are stripped the
+input is exactly a simple tree: a loop, a repeated edge or a cycle
+keeps its vertices above degree 1 for good, so the strip stops short.
+The free-tree walk reaches the same form through
+treegen.level_sequence_parents, with the reversed preorder as order.
 
-level_sequence_polynomial keeps for every vertex v a row a[v] where
-a[v][i] counts the vertices of v's subtree exactly i levels below v.  A
-row is one integer whose digit i holds a[v][i]; each digit is
+Two kernels read (parent, order), each in one pass over the non-root
+vertices of order.
+
+tree_polynomial keeps for every vertex v a row a[v] where a[v][i]
+counts the vertices of v's subtree exactly i levels below v.  A row is
+one integer whose digit i holds a[v][i]; each digit is
 bits = 3 * n.bit_length() + 1 bits wide, so a digit holds n**3 and no
 sum below ever carries into the next digit.  A vertex's row is 1 plus
 its children's summed rows shifted up one digit.  Squaring a row counts
@@ -25,12 +32,13 @@ digit i of X:
     2 * W_k = D[k] - D[k - 2] + R[k - 2]        (k >= 1)
 
 W_1..W_top need digits 0..top only, so the rows are truncated to
-top + 1 digits when top is given; the whole polynomial keeps them all.
+top + 1 digits when top is given; the whole polynomial keeps them all,
+and rooting at a centre keeps them as short as any root can.
 
-level_sequence_twk sums c_v * (K - c_v) over the non-root v, where c_v
-counts the degree-k vertices of v's subtree and K those of the tree:
-every edge of a tree is an edge class of its own, and the edge above v
-separates v's subtree from the rest.
+tree_twk sums c_v * (K - c_v) over the non-root v, where c_v counts the
+degree-k vertices of v's subtree and K those of the tree: every edge of
+a tree is an edge class of its own, and the edge above v separates v's
+subtree from the rest.
 
 Nothing recurses, so paths with millions of vertices do not exhaust the
 interpreter stack.
@@ -40,67 +48,93 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 
-from .errors import NotATreeError, VertexOutOfRangeError
-from .graphs import Graph
+from .errors import NotATreeError
+from .graphs import MAX_GRAPH_ORDER, Graph, edge_pairs
 from .indices import WienerPolynomial, zagreb_m1, zagreb_m2
 
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A tree with a chosen root and its level sequence: levels[i] is the
-    level, root at 1, of the i-th vertex of a depth-first preorder."""
+    """A tree as a parent array and a children-first vertex order:
+    every vertex comes before its parent, and the root comes last and is
+    its own parent."""
 
-    graph: Graph
-    root: int
-    levels: tuple[int, ...]
+    parent: Sequence[int]
+    order: Sequence[int]
+
+    @property
+    def root(self) -> int:
+        return self.order[-1]
 
     @classmethod
-    def build(cls, g: Graph, root: int = 0) -> "RootedTree":
-        """Root g at root; a graph with n >= 1 vertices, n - 1 edges and a
-        traversal reaching every vertex is a tree."""
-        if g.n < 1 or g.m != g.n - 1:
+    def build(cls, n: int, ends: list[int]) -> "RootedTree":
+        """Certify and root the graph on 0..n-1 whose edges are the pairs
+        of ends (u then v, as graphs.parse_edge_ends returns them) by
+        leaf stripping; the root is a centre.  Raises NotATreeError
+        unless the pairs are exactly the edges of a tree, that is also
+        on a loop, a repeat, an end outside 0..n-1 or an order above
+        MAX_GRAPH_ORDER, which from_edge_list names more precisely."""
+        if not 1 <= n <= MAX_GRAPH_ORDER or len(ends) != 2 * (n - 1):
             raise NotATreeError("input graph is not a tree")
-        if not 0 <= root < g.n:
-            raise VertexOutOfRangeError(f"root {root} outside 0..{g.n - 1}")
-        level = [0] * g.n  # 0 until the vertex is reached
-        level[root] = 1
-        levels: list[int] = []
-        stack = [root]
-        adj, push, pop, record = g.adj, stack.append, stack.pop, levels.append
-        while stack:
-            v = pop()
-            lv = level[v]
-            record(lv)
-            lv += 1
-            for u in adj[v]:
-                if not level[u]:
-                    level[u] = lv
-                    push(u)
-        if len(levels) != g.n:
+        if n == 1:
+            return cls(parent=[0], order=[0])
+        # checked before any indexing, since a negative end would wrap
+        if min(ends) < 0 or max(ends) >= n:
             raise NotATreeError("input graph is not a tree")
-        return cls(graph=g, root=root, levels=tuple(levels))
+        deg = [0] * n
+        acc = [0] * n  # XOR of the neighbours not yet stripped
+        for u, v in edge_pairs(ends):
+            deg[u] += 1
+            deg[v] += 1
+            acc[u] ^= v
+            acc[v] ^= u
+        order = [v for v, d in enumerate(deg) if d == 1]
+        push = order.append
+        for v in order:  # the list grows as it is read: a FIFO queue
+            p = acc[v]
+            d = deg[p] - 1
+            deg[p] = d
+            acc[p] ^= v
+            if d == 1:
+                push(p)
+            elif not d:
+                # p has no edge left: in a tree that is the last strip.
+                # Stopping here also keeps every strip exact, so a
+                # vertex on a cycle, loop or repeat is never queued.
+                break
+        if len(order) != n:
+            raise NotATreeError("input graph is not a tree")
+        acc[order[-1]] = order[-1]
+        return cls(parent=acc, order=order)
+
+    @classmethod
+    def of(cls, g: Graph) -> "RootedTree":
+        """RootedTree.build on a Graph's edges."""
+        return cls.build(g.n, list(chain.from_iterable(g.edges())))
 
 
-def level_sequence_polynomial(seq: Sequence[int], top: int | None = None) -> WienerPolynomial:
-    """Pair counts by distance of the tree a level sequence encodes:
+def tree_polynomial(
+    parent: Sequence[int], order: Sequence[int], top: int | None = None
+) -> WienerPolynomial:
+    """Pair counts by distance of the tree (parent, order) describes:
     W_1..W_top when top is given, else up to the diameter, trimmed of
-    trailing zeros.  An odd doubled count, which only a malformed
-    sequence gives, raises RuntimeError."""
-    bits = 3 * len(seq).bit_length() + 1
+    trailing zeros.  An odd doubled count, which only a malformed tree
+    gives, raises RuntimeError."""
+    n = len(order)
+    bits = 3 * n.bit_length() + 1
     keep = -1 if top is None else (1 << ((top + 1) * bits)) - 1  # -1 keeps every digit
-    # rows[l]: the row so far of the vertex the pending level-l vertices
-    # hang off, 1 plus their shifted rows; reset to 1 once it is read
-    rows = [1] * (len(seq) + 2)  # no level exceeds n; cheaper than max(seq)
+    rows = [1] * n  # 1 plus the shifted rows of the children seen so far
     squares = 0
-    for lvl in reversed(seq):
-        below = lvl + 1
-        r = rows[below]
-        rows[below] = 1
+    for v in islice(order, n - 1):
+        r = rows[v]
+        rows[v] = 1  # frees the row, which nothing reads again
         squares += r * r
-        rows[lvl] += (r << bits) & keep
-    # the loop ends at the root, so r is its row
+        rows[parent[v]] += (r << bits) & keep
+    r = rows[order[-1]]
     root_square = r * r
+    squares += root_square
     digit = (1 << bits) - 1
 
     def at(x: int, i: int) -> int:
@@ -121,56 +155,55 @@ def level_sequence_polynomial(seq: Sequence[int], top: int | None = None) -> Wie
     return WienerPolynomial(tuple(coeffs))
 
 
-def level_sequence_twk(seq: Sequence[int], k: int) -> tuple[int, int]:
-    """TW_k and the number of degree-k vertices of the tree a level
-    sequence encodes.
+def tree_twk(parent: Sequence[int], order: Sequence[int], k: int) -> tuple[int, int]:
+    """TW_k and the number of degree-k vertices of the tree (parent,
+    order) describes.
 
     A vertex's degree is its child count, plus one unless it is the
     root.  The sum of c_v * (K - c_v) is kept as
     K * sum(c_v) - sum(c_v ** 2), because K is known only at the end.
     """
-    depth = len(seq) + 2  # no level exceeds n; cheaper than max(seq)
-    kids = [0] * depth  # kids[l]: level-l vertices awaiting their parent
-    marks = [0] * depth  # degree-k vertices in their subtrees
+    n = len(order)
+    kids = [0] * n
+    marks = [0] * n  # degree-k vertices in the subtree
     c_sum = c_squares = 0
-    for lvl in reversed(seq):
-        below = lvl + 1
-        c = marks[below] + (kids[below] + (lvl > 1) == k)
-        kids[below] = marks[below] = 0
-        kids[lvl] += 1
-        marks[lvl] += c
+    for v in islice(order, n - 1):
+        c = marks[v] + (kids[v] + 1 == k)
+        p = parent[v]
+        kids[p] += 1
+        marks[p] += c
         c_sum += c
         c_squares += c * c
-    # the loop ends at the root, so c is K; the root's own term,
-    # K * K - K ** 2, is zero
-    return c * c_sum - c_squares, c
+    root = order[-1]
+    total = marks[root] + (kids[root] == k)
+    return total * c_sum - c_squares, total
 
 
 def wk_linear(t: RootedTree | Graph, k: int) -> int:
     """Number of unordered vertex pairs at distance exactly k in a tree.
 
-    Accepts a Graph (rooted at 0 internally) or a prebuilt RootedTree.
+    Accepts a Graph (rooted by RootedTree.of) or a prebuilt RootedTree.
     """
     if isinstance(t, Graph):
-        t = RootedTree.build(t)
+        t = RootedTree.of(t)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k >= t.graph.n:  # no tree path is that long; also bounds the row width
+    if k >= len(t.order):  # no tree path is that long; also bounds the row width
         return 0
-    return level_sequence_polynomial(t.levels, k).coefficient(k)
+    return tree_polynomial(t.parent, t.order, k).coefficient(k)
 
 
 def wiener_polynomial_linear(t: RootedTree | Graph) -> WienerPolynomial:
     """Pair counts of a tree by distance, up to its diameter.
 
-    Accepts a Graph (rooted at 0 internally) or a prebuilt RootedTree.
+    Accepts a Graph (rooted by RootedTree.of) or a prebuilt RootedTree.
     """
     if isinstance(t, Graph):
-        t = RootedTree.build(t)
-    return level_sequence_polynomial(t.levels)
+        t = RootedTree.of(t)
+    return tree_polynomial(t.parent, t.order)
 
 
 def wk3_from_zagreb(g: Graph) -> int:
     """Distance-3 pair count of a tree from its Zagreb indices."""
-    RootedTree.build(g)  # raises NotATreeError unless g is a tree
+    RootedTree.of(g)  # raises NotATreeError unless g is a tree
     return zagreb_m2(g) - zagreb_m1(g) + g.m

@@ -2,7 +2,9 @@
 
 A rooted tree is written as its level sequence: the levels of its
 vertices in preorder, root at level 1, children visited deepest subtree
-first, so vertex i hangs off the last vertex before it one level up.
+first, so vertex i hangs off the last vertex before it one level up;
+level_sequence_parents reads the parents off in one loop, the form
+the tree kernels take.
 The Beyer and Hedetniemi (1980) successor walks every canonical level
 sequence in decreasing lexicographic order: take the last entry p above
 level 2, find the last entry q before it one level up, keep seq[:p] and
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import NotATreeError, OrderTooLargeError
 from .graphs import Graph, from_edge_list
@@ -75,18 +77,25 @@ def rooted_level_sequences(n: int) -> Iterator[list[int]]:
         seq = nxt
 
 
-def level_sequence_edges(seq: list[int]) -> list[tuple[int, int]]:
-    """Edges of the rooted tree a level sequence encodes, vertex i
-    hanging off the most recent vertex one level up, as (u, v) pairs
-    with u < v in lexicographic order, like Graph.edges()."""
-    last_at = {}
-    edges = []
+def level_sequence_parents(seq: Sequence[int]) -> list[int]:
+    """Parent array of the rooted tree a level sequence encodes: vertex
+    i hangs off the most recent vertex one level up, and the root, 0,
+    is its own parent.  With range(n - 1, -1, -1) as the order, which
+    is children-first, it is the form tree_linear's kernels read."""
+    last_at = [0] * (len(seq) + 1)  # last_at[l]: latest vertex at level l
+    parent = []
+    push = parent.append
     for i, lvl in enumerate(seq):
-        if i:
-            edges.append((last_at[lvl - 1], i))
+        push(last_at[lvl - 1])
         last_at[lvl] = i
-    edges.sort()
-    return edges
+    return parent
+
+
+def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges of the rooted tree a level sequence encodes, as (u, v)
+    pairs with u < v in lexicographic order, like Graph.edges()."""
+    parent = level_sequence_parents(seq)
+    return sorted(zip(parent[1:], range(1, len(seq))))
 
 
 def tree_centers(g: Graph) -> list[int]:

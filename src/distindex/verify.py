@@ -8,11 +8,12 @@ pass.  Randomized suites take an explicit
 seed and are fully reproducible.
 
 The extremal claims build no graph per tree: every number they compare
-comes from one pass of the one kernel it needs over the tree's
-centre-rooted level sequence (level_sequence_polynomial for W_k and W,
-level_sequence_twk for TW_3 and the degree-k count).  Those kernels are
-the tree route of compute, which the linear-vs-oracle and cut-vs-oracle
-suites tie to the oracle.  Canonical forms are computed only for the
+comes from one pass of the one kernel it needs over the parent array of
+the tree's centre-rooted level sequence (level_sequence_parents, read
+in reversed preorder; tree_polynomial for W_k and W, tree_twk for TW_3
+and the degree-k count).  Those kernels are the tree route of compute,
+which the linear-vs-oracle and cut-vs-oracle suites tie to the
+oracle.  Canonical forms are computed only for the
 final tied trees and the witnesses.
 """
 
@@ -34,8 +35,14 @@ from .extremal import (
 from .graphs import Graph, cycle_graph, from_edge_list, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
-from .tree_linear import RootedTree, level_sequence_polynomial, level_sequence_twk, wk_linear
-from .treegen import canonical_form, free_level_sequences, level_sequence_edges, random_tree
+from .tree_linear import RootedTree, tree_polynomial, tree_twk, wk_linear
+from .treegen import (
+    canonical_form,
+    free_level_sequences,
+    level_sequence_edges,
+    level_sequence_parents,
+    random_tree,
+)
 
 #: Seed used by every randomized suite unless the caller overrides it.
 DEFAULT_SEED = 1729
@@ -58,8 +65,9 @@ def verify_max_wk(n: int, k: int) -> dict:
         predicted, spec = max_wk_even(n, k)
     observed = -1
     count = 0
+    order = range(n - 1, -1, -1)
     for seq in free_level_sequences(n):
-        value = level_sequence_polynomial(seq, k).coefficient(k)
+        value = tree_polynomial(level_sequence_parents(seq), order, k).coefficient(k)
         if value > observed:
             observed, count = value, 1
         elif value == observed:
@@ -93,8 +101,9 @@ def verify_max_tw3(n: int) -> dict:
     predicted = caterpillar_twk(n, 3, p)
     observed = -1
     tied: list[list[int]] = []
+    order = range(n - 1, -1, -1)
     for seq in free_level_sequences(n):
-        value = level_sequence_twk(seq, 3)[0]
+        value = tree_twk(level_sequence_parents(seq), order, 3)[0]
         if value > observed:
             observed, tied = value, [seq]
         elif value == observed:
@@ -126,7 +135,10 @@ def verify_degree_count(n: int, k: int) -> dict:
     """Scan all trees on n vertices for the largest number of degree-k
     vertices and compare with floor((n-2)/(k-1))."""
     predicted = max_degree_count(n, k)
-    observed = max(level_sequence_twk(seq, k)[1] for seq in free_level_sequences(n))
+    order = range(n - 1, -1, -1)
+    observed = max(
+        tree_twk(level_sequence_parents(seq), order, k)[1] for seq in free_level_sequences(n)
+    )
     return {
         "claim": "degree-count",
         "n": n,
@@ -145,8 +157,9 @@ def verify_wiener_bounds(n: int) -> dict:
     lo = hi = None
     lo_seqs: list[list[int]] = []
     hi_seqs: list[list[int]] = []
+    order = range(n - 1, -1, -1)
     for seq in free_level_sequences(n):
-        w = level_sequence_polynomial(seq).wiener()
+        w = tree_polynomial(level_sequence_parents(seq), order).wiener()
         if lo is None or w < lo:
             lo, lo_seqs = w, [seq]
         elif w == lo:
@@ -264,7 +277,7 @@ def verify_linear_vs_oracle(
         n = rng.randint(n_lo, n_hi)
         g = random_tree(n, rng)
         poly = wiener_polynomial(g)
-        rt = RootedTree.build(g)
+        rt = RootedTree.of(g)
         for k in range(1, k_max + 1):
             got = wk_linear(rt, k)
             want = poly.coefficient(k)

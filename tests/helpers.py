@@ -17,6 +17,7 @@ from distindex import (
     MAX_GRAPH_ORDER,
     NotBipartiteError,
     OrderTooLargeError,
+    RootedTree,
     ThetaPartition,
     UNREACHABLE,
     VertexOutOfRangeError,
@@ -83,6 +84,22 @@ def random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
             continue
         edges.add((min(u, v), max(u, v)))
     return from_edge_list(n, sorted(edges))
+
+
+def rooted_at(g: Graph, root: int) -> RootedTree:
+    """Tree g hung from any root, by BFS: the reversed BFS order is
+    children-first and ends at the root, the form the tree kernels read,
+    whereas RootedTree.build always roots at a centre."""
+    parent = [-1] * g.n
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for u in g.adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    assert len(order) == g.n, "not a tree"
+    return RootedTree(parent=parent, order=order[::-1])
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -119,14 +119,14 @@ def test_compute_elapsed_counts_reading_and_parsing(capsys, monkeypatch):
             time.sleep(0.03)
             return "2 1\n0 1\n"
 
-    parse = distindex.cli.parse_edge_list
+    parse = distindex.cli.parse_edge_ends
 
     def slow_parse(text):
         time.sleep(0.03)
         return parse(text)
 
     monkeypatch.setattr("sys.stdin", SlowStdin())
-    monkeypatch.setattr(distindex.cli, "parse_edge_list", slow_parse)
+    monkeypatch.setattr(distindex.cli, "parse_edge_ends", slow_parse)
     code, out, _ = run_cli(capsys, "compute", "--stdin", "--index", "wiener")
     assert code == 0
     assert document(out)["elapsed_ms"] >= 60
@@ -208,9 +208,9 @@ def test_compute_auto_tree_certified_once(tmp_path, capsys, monkeypatch, index):
     build = distindex.tree_linear.RootedTree.build
     search = distindex.graphs.bfs_distances
 
-    def counting_build(g, root=0):
-        builds.append(g.n)
-        return build(g, root)
+    def counting_build(n, ends):
+        builds.append(n)
+        return build(n, ends)
 
     def counting_search(g, source):
         searches.append(source)
@@ -225,6 +225,37 @@ def test_compute_auto_tree_certified_once(tmp_path, capsys, monkeypatch, index):
     assert document(out)["method"] == "linear"
     assert builds == [30]
     assert searches == []
+
+
+@pytest.mark.parametrize("index", [["wk", "--k", "2"], ["poly"], ["twk", "--k", "1"]])
+@pytest.mark.parametrize(
+    "text, code, err",
+    [
+        ("3 2\n0 1\n1 -1\n", 2, "error: edge (1, -1) outside 0..2\n"),
+        ("3 2\n0 1\n1 3\n", 2, "error: edge (1, 3) outside 0..2\n"),
+        ("3 2\n0 0\n1 2\n", 2, "error: loop at vertex 0\n"),
+        ("3 2\n0 1\n0 1\n", 2, "error: edge (0, 1) repeated\n"),
+        ("4 3\n0 1\n1 2\n0 2\n", 4, "error: graph is not connected\n"),
+    ],
+)
+def test_compute_tree_shaped_bad_inputs(tmp_path, capsys, index, text, code, err):
+    """n - 1 edges that are no tree: the leaf strip refuses them and the
+    Graph build or the oracle reports the same error as ever."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    got = run_cli(capsys, "compute", "--input", str(path), "--index", *index, "--no-timing")
+    assert got == (code, "", err)
+
+
+def test_compute_single_vertex_on_the_tree_route(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("1 0\n")
+    for index, want in ((["poly"], '"poly":[0]'), (["wk", "--k", "2"], '"wk":0')):
+        code, out, _ = run_cli(
+            capsys, "compute", "--input", str(path), "--index", *index, "--no-timing"
+        )
+        assert code == 0
+        assert document(out)["method"] == "linear" and want in out
 
 
 def test_compute_method_cut_rejects_odd_cycle(tmp_path, capsys):

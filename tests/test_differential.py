@@ -47,6 +47,7 @@ from helpers import (
     reference_twk_star,
     reference_wiener_polynomial,
     relabel,
+    rooted_at,
 )
 
 SCHEMA = json.loads(
@@ -59,7 +60,8 @@ def rooted_trees(draw):
     n = draw(st.integers(min_value=2, max_value=40))
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     root = draw(st.integers(0, n - 1))
-    return RootedTree.build(prufer_to_tree(code, n), root)
+    g = prufer_to_tree(code, n)
+    return g, rooted_at(g, root)
 
 
 @st.composite
@@ -132,8 +134,8 @@ def workdir(tmp_path_factory):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(rooted_trees())
-def test_tree_routes_agree(t):
-    g = t.graph
+def test_tree_routes_agree(gt):
+    g, t = gt
     want = networkx_histogram(g)
     assert list(wiener_polynomial(g).coeffs) == want
     assert list(wiener_polynomial_linear(t).coeffs) == want
@@ -143,8 +145,8 @@ def test_tree_routes_agree(t):
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(rooted_trees())
-def test_tree_route_cli_documents(workdir, t):
-    g = t.graph
+def test_tree_route_cli_documents(workdir, gt):
+    g, _ = gt
     path = workdir / "tree.txt"
     path.write_text(format_edge_list(g))
     want = networkx_histogram(g)
@@ -154,6 +156,44 @@ def test_tree_route_cli_documents(workdir, t):
     wk = cli_document(path, "--index", "wk", "--k", str(k))
     assert wk["method"] == "linear" and wk["wk"] == want[k]
     assert wk["elapsed_ms"] >= 0
+
+
+def cli_bytes(path: Path, *argv: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["compute", "--input", str(path), *argv, "--no-timing"])
+    assert code == 0
+    return out.getvalue()
+
+
+def test_strip_route_matches_oracle_documents(workdir):
+    """Random trees with shuffled labels, edge order and orientation: the
+    tree route (the leaf strip and its parent array) prints the oracle's
+    --no-timing bytes but for the method field, for every k <= 8, and
+    the strip roots each tree at a centre."""
+    rng = random.Random(61)
+    path = workdir / "shuffled.txt"
+    for n in [1, 2, 3, 4, 5, 6] + [rng.randint(7, 300) for _ in range(14)]:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = relabel(random_tree(n, rng), perm).edges()
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        requests = [("linear", ["--index", "poly"])]
+        requests += [("linear", ["--index", "wk", "--k", str(k)]) for k in range(1, 9)]
+        requests += [("cut", ["--index", "twk", "--k", str(k)]) for k in range(0, 9)]
+        for route, argv in requests:
+            got = cli_bytes(path, *argv)
+            want = cli_bytes(path, *argv, "--method", "oracle")
+            assert got.replace(f'"method":"{route}"', '"method":"oracle"') == want, (n, argv)
+
+        t = RootedTree.build(n, [x for e in edges for x in e])
+        depth = [0] * n
+        for v in reversed(t.order[:-1]):  # parents before children
+            depth[v] = depth[t.parent[v]] + 1
+        g = from_edge_list(n, edges)
+        assert max(depth) == (nx.radius(networkx_graph(g)) if n > 1 else 0)
 
 
 def check_pair_counts(g):
@@ -197,8 +237,8 @@ def test_oracle_pair_counts_agree_in_blocks(g, other, sweep_bits):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(rooted_trees())
-def test_twk_cut_tree_agrees(t):
-    g = t.graph
+def test_twk_cut_tree_agrees(gt):
+    g, t = gt
     for k in sorted(set(g.degrees())):
         want = twk(g, k)
         assert twk_cut_tree(t, k) == want
@@ -233,9 +273,9 @@ def check_restricted_sums(g, patch):
     sweeps = []
     sweep = distindex.indices._sweep
 
-    def counting(g, sources, spans):
+    def counting(g, edges, sources, spans):
         sweeps.append(len(sources))
-        return sweep(g, sources, spans)
+        return sweep(g, edges, sources, spans)
 
     patch.setattr(distindex.indices, "_sweep", counting)
     top = max(g.degrees())
@@ -247,7 +287,7 @@ def check_restricted_sums(g, patch):
         sweeps.clear()
         assert twk(g, k) == want
         assert sweeps == ([len(members)] if g.n > 1 and sweep_chosen(g, members) else [])
-        _, (doubled,) = sweep(g, members, [(0, len(members))])
+        _, (doubled,) = sweep(g, g.edges(), members, [(0, len(members))])
         assert doubled == 2 * want
         if members:
             by_degree[k] = want

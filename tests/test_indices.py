@@ -222,9 +222,9 @@ def count_work(monkeypatch):
         searches.append(source)
         return search(g, source)
 
-    def counting_sweep(g, sources, spans):
+    def counting_sweep(g, edges, sources, spans):
         sweeps.append(len(sources))
-        return sweep(g, sources, spans)
+        return sweep(g, edges, sources, spans)
 
     monkeypatch.setattr(distindex.graphs, "bfs_distances", counting_search)
     monkeypatch.setattr(distindex.indices, "bfs_distances", counting_search)

@@ -3,20 +3,25 @@ import random
 import pytest
 
 from distindex import (
+    MAX_GRAPH_ORDER,
+    UNREACHABLE,
+    GraphError,
     NotATreeError,
     RootedTree,
     TreeSpec,
+    bfs_distances,
     cycle_graph,
     from_edge_list,
     free_level_sequences,
     gen_tree,
     level_sequence_edges,
-    level_sequence_polynomial,
-    level_sequence_twk,
+    level_sequence_parents,
     path_graph,
     random_tree,
     rooted_level_sequences,
     star_graph,
+    tree_polynomial,
+    tree_twk,
     twk,
     wiener_polynomial,
     wiener_polynomial_linear,
@@ -24,29 +29,89 @@ from distindex import (
     wk3_from_zagreb,
     zagreb_m1,
 )
+from helpers import rooted_at
 
 
 def test_rooted_tree_build():
-    t = RootedTree.build(path_graph(4))
-    assert t.root == 0
-    assert t.levels == (1, 2, 3, 4)
-    assert RootedTree.build(path_graph(4), 1).levels in ((1, 2, 2, 3), (1, 2, 3, 2))
-    assert RootedTree.build(star_graph(6)).levels == (1, 2, 2, 2, 2, 2)
-    assert RootedTree.build(star_graph(6), 3).levels == (1, 2, 3, 3, 3, 3)
+    # leaves are stripped first in, first out, each XOR naming its parent
+    t = RootedTree.build(4, [0, 1, 1, 2, 2, 3])
+    assert list(t.order) == [0, 3, 1, 2]
+    assert list(t.parent) == [1, 2, 2, 2]
+    assert t.root == 2
+    star = RootedTree.of(star_graph(6))
+    assert list(star.order) == [1, 2, 3, 4, 5, 0]
+    assert list(star.parent) == [0] * 6
+    assert RootedTree.build(1, []) == RootedTree(parent=[0], order=[0])
+    assert RootedTree.build(2, [1, 0]).order == [0, 1]
 
 
 def test_rooted_tree_rejects_non_trees():
     with pytest.raises(NotATreeError):
-        RootedTree.build(cycle_graph(4))
+        RootedTree.of(cycle_graph(4))
 
 
 def test_rooted_tree_rejects_disconnected_with_tree_edge_count():
     # a triangle plus an isolated vertex has m = n - 1 but is no tree
     g = from_edge_list(4, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(NotATreeError):
-        RootedTree.build(g)
+        RootedTree.of(g)
     with pytest.raises(NotATreeError):
         wk_linear(g, 1)
+
+
+@pytest.mark.parametrize(
+    "n, ends",
+    [
+        (3, [0, 1, 1, -1]),  # a negative end, which would index from the back
+        (3, [0, 1, 1, 3]),
+        (3, [0, 0, 1, 2]),  # a loop
+        (3, [0, 1, 0, 1]),  # a repeat
+        (4, [0, 1, 1, 2, 0, 2]),  # a triangle and an isolated vertex
+        (5, [0, 1, 2, 3, 3, 4, 4, 2]),  # an edge and a triangle
+        (6, [0, 1, 2, 3, 3, 4, 4, 5, 5, 2]),  # an edge and a 4-cycle
+        (4, [0, 1, 1, 2]),  # too few edges
+        (2, [0, 1, 0, 1]),  # too many
+        (MAX_GRAPH_ORDER + 1, []),
+    ],
+)
+def test_strip_rejects_every_non_tree(n, ends):
+    with pytest.raises(NotATreeError):
+        RootedTree.build(n, ends)
+
+
+def graph_is_tree(n, ends):
+    try:
+        g = from_edge_list(n, zip(ends[::2], ends[1::2]))
+    except GraphError:
+        return False
+    return UNREACHABLE not in bfs_distances(g, 0)
+
+
+def test_strip_certifies_exactly_the_trees():
+    # n - 1 random pairs over -1..n, so loops, repeats, cycles and
+    # out-of-range ends all occur; the strip must accept just the trees
+    rng = random.Random(53)
+    accepted = 0
+    for _ in range(4000):
+        n = rng.randint(1, 7)
+        ends = [rng.randint(-1, n) if rng.random() < 0.05 else rng.randrange(n)
+                for _ in range(2 * (n - 1))]
+        want = graph_is_tree(n, ends)
+        try:
+            t = RootedTree.build(n, ends)
+        except NotATreeError:
+            assert not want, (n, ends)
+            continue
+        assert want, (n, ends)
+        accepted += 1
+        g = from_edge_list(n, zip(ends[::2], ends[1::2]))
+        assert sorted(t.order) == list(range(n))
+        assert t.parent[t.root] == t.root
+        seen = set()
+        for v in t.order[:-1]:
+            assert t.parent[v] in g.adj[v] and t.parent[v] not in seen
+            seen.add(v)
+    assert accepted > 500
 
 
 def test_wiener_polynomial_linear_small():
@@ -60,7 +125,7 @@ def test_wiener_polynomial_linear_matches_oracle():
     rng = random.Random(3)
     for _ in range(60):
         g = random_tree(rng.randint(1, 80), rng)
-        t = RootedTree.build(g, rng.randrange(g.n))
+        t = rooted_at(g, rng.randrange(g.n))
         assert wiener_polynomial_linear(t) == wiener_polynomial(g)
 
 
@@ -91,7 +156,7 @@ def test_wk_linear_root_independent():
     for _ in range(10):
         g = random_tree(rng.randint(2, 40), rng)
         k = rng.randint(1, 6)
-        values = {wk_linear(RootedTree.build(g, r), k) for r in range(g.n)}
+        values = {wk_linear(rooted_at(g, r), k) for r in range(g.n)}
         assert len(values) == 1
 
 
@@ -100,14 +165,15 @@ def test_doubled_counts_even():
     rng = random.Random(19)
     for _ in range(20):
         g = random_tree(rng.randint(2, 40), rng)
-        levels = RootedTree.build(g, rng.randrange(g.n)).levels
+        t = rooted_at(g, rng.randrange(g.n))
         poly = wiener_polynomial(g)
-        assert level_sequence_polynomial(levels) == poly
+        assert tree_polynomial(t.parent, t.order) == poly
         for k in range(1, 6):
-            assert level_sequence_polynomial(levels, k).coeffs == poly.coeffs[: k + 1]
-    # a vertex two levels below the root leaves the doubled count for k = 2 odd
+            assert tree_polynomial(t.parent, t.order, k).coeffs == poly.coeffs[: k + 1]
+    # an order that reads vertex 1 before its child 2 leaves the doubled
+    # count for k = 2 odd
     with pytest.raises(RuntimeError):
-        level_sequence_polynomial([1, 3, 2], 2)
+        tree_polynomial([0, 0, 1], [1, 2, 0], 2)
 
 
 def test_wk_linear_degree_identities():
@@ -143,14 +209,18 @@ def test_deep_path_no_recursion_limit():
     assert wk_linear(g, 5) == 50_000 - 5
 
 
-def check_level_sequence_kernels(seq):
-    g = from_edge_list(len(seq), level_sequence_edges(seq))
+def check_kernels(g, parent, order):
     poly = wiener_polynomial(g)
-    assert level_sequence_polynomial(seq) == poly
+    assert tree_polynomial(parent, order) == poly
     degrees = g.degrees()
     for k in range(1, 5):
-        assert level_sequence_polynomial(seq, k).coeffs == poly.coeffs[: k + 1]
-        assert level_sequence_twk(seq, k) == (twk(g, k), degrees.count(k))
+        assert tree_polynomial(parent, order, k).coeffs == poly.coeffs[: k + 1]
+        assert tree_twk(parent, order, k) == (twk(g, k), degrees.count(k))
+
+
+def check_level_sequence_kernels(seq):
+    g = from_edge_list(len(seq), level_sequence_edges(seq))
+    check_kernels(g, level_sequence_parents(seq), range(len(seq) - 1, -1, -1))
 
 
 def test_level_sequence_counts_match_oracle_on_every_free_tree():
@@ -160,13 +230,25 @@ def test_level_sequence_counts_match_oracle_on_every_free_tree():
 
 
 def test_level_sequence_counts_match_oracle_at_every_root():
-    # the kernels need a level sequence, not a centre at the root
+    # the kernels need a children-first order, not a centre at the root
     for n in range(1, 10):
         for seq in rooted_level_sequences(n):
             check_level_sequence_kernels(seq)
-    # and the preorder levels RootedTree.build records, at every root
+    # and parent arrays hung from every root, and the strip's
     rng = random.Random(47)
     for _ in range(4):
         g = random_tree(rng.randint(2, 30), rng)
         for r in range(g.n):
-            check_level_sequence_kernels(RootedTree.build(g, r).levels)
+            t = rooted_at(g, r)
+            check_kernels(g, t.parent, t.order)
+        t = RootedTree.of(g)
+        check_kernels(g, t.parent, t.order)
+
+
+def test_level_sequence_parents():
+    assert level_sequence_parents([1]) == [0]
+    assert level_sequence_parents([1, 2, 3, 2, 3, 3]) == [0, 0, 1, 0, 3, 3]
+    for n in range(1, 9):
+        for seq in rooted_level_sequences(n):
+            parent = level_sequence_parents(seq)
+            assert all(parent[i] < i and seq[parent[i]] == seq[i] - 1 for i in range(1, n))
