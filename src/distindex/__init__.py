@@ -52,7 +52,6 @@ from .graphs import (
     UNREACHABLE,
     Graph,
     bfs_distances,
-    complete_graph,
     cycle_graph,
     dump_edge_list,
     format_edge_list,
@@ -60,8 +59,6 @@ from .graphs import (
     hypercube_graph,
     parse_edge_ends,
     parse_edge_list,
-    path_graph,
-    star_graph,
     two_coloring,
 )
 from .indices import (
@@ -129,8 +126,7 @@ __all__ = [
     "Graph", "UNREACHABLE", "from_edge_list", "bfs_distances",
     "two_coloring", "parse_edge_ends", "parse_edge_list", "format_edge_list",
     "dump_edge_list",
-    "path_graph", "star_graph", "cycle_graph", "complete_graph",
-    "hypercube_graph", "MAX_HYPERCUBE_DIM", "MAX_GRAPH_ORDER",
+    "cycle_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM", "MAX_GRAPH_ORDER",
     # indices
     "wiener", "wk", "WienerPolynomial", "wiener_polynomial", "twk",
     "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",

@@ -15,21 +15,32 @@ on when the call began.  The switch is process-wide: a thread that
 flips it while another thread builds may see its change undone.
 
 Ingest drops each input once it has read it, so a large file is not
-held in several forms at once.  parse_edge_ends converts the edge lines
-_CHUNK at a time into one flat list of ints and deletes each chunk's
-lines before the next, so at most one chunk's token strings are alive,
-beside the unread lines; it checks the format only.  A tree request
-hands that list to tree_linear.RootedTree.build and never builds a
-Graph.  parse_edge_list goes on to from_edge_list, which pops each
-neighbour list as its tuple is built, so the lists are freed one by one
-while the tuples grow.  On a 2*10^5-vertex path parse_edge_list peaks
-at 32.4 MiB of traced memory, against 22.9 MiB for the finished Graph,
-and parse_edge_ends plus the strip at 24.5 MiB (Python 3.11).
+held in several forms at once.  parse_edge_ends first tries the
+canonical form that format_edge_list, gen and the bench inputs write:
+every line, the header included, is two ASCII tokens over 0-9, '+' and
+'-' joined by one space and ended by '\n'.  It reads the body by slices
+of _SLICE characters run on to the next newline, and checks and converts
+each slice with bytes.translate, a comparison and one json.loads, so no
+Python code runs per line.  Any text it refuses (comments, blank lines,
+CR or other line breaks, tabs, non-ASCII, tokens such as '+2' or '07'
+that int() reads and JSON does not, a wrong edge count, a missing final
+newline) is read again by the line-at-a-time reader, which gives the
+same result or names the error.  That reader converts the edge lines
+_CHUNK at a time and deletes each chunk's lines before the next.  Both
+check the format only.  A tree request hands the flat list to
+tree_linear.RootedTree.build and never builds a Graph.  parse_edge_list
+goes on to from_edge_list, which pops each neighbour list as its tuple
+is built, so the lists are freed one by one while the tuples grow.  On a
+2*10^5-vertex path parse_edge_ends takes 51 ms and peaks at 14.7 MiB of
+traced memory, against 115 ms and 17.4 MiB line by line; with the strip
+the peak is 24.8 MiB, and parse_edge_list peaks at 32.4 MiB against
+22.9 MiB for the finished Graph (Python 3.11).
 """
 
 from __future__ import annotations
 
 import gc
+import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -52,8 +63,18 @@ UNREACHABLE = -1
 #: before any adjacency list is allocated.
 MAX_GRAPH_ORDER = 1 << 21
 
-#: Edge lines checked and converted per batch by parse_edge_list.
+#: Characters of canonical edge lines checked and converted per batch
+#: by parse_edge_ends; a slice runs on to the next newline.
+_SLICE = 1 << 18
+
+#: Edge lines checked and converted per batch by the line-at-a-time
+#: reader that parse_edge_ends falls back on.
 _CHUNK = 1 << 14
+
+#: The characters of canonical tokens, and the table that turns the
+#: separators of canonical lines into JSON commas.
+_TOKEN_CHARS = b"0123456789+-"
+_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 #: Largest hypercube dimension built: 2^20 vertices, the scale of the
 #: million-vertex path the tree route is checked on.
@@ -175,6 +196,52 @@ def parse_edge_ends(text: str) -> tuple[int, list[int]]:
     Returns n and the edges' endpoints as one flat list, u then v for
     each line in order; only the format is checked, not the graph.
     """
+    parsed = _parse_canonical(text)
+    return _parse_lines(text) if parsed is None else parsed
+
+
+def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
+    """parse_edge_ends of a canonical text, read by slices; None when the
+    text is not canonical or its header does not hold, so that the
+    line-at-a-time reader names the error."""
+    if not text.endswith("\n"):
+        return None
+    stop = text.index("\n") + 1
+    head = _canonical_ints(text[:stop])
+    if head is None or head[0] < 1 or head[1] < 0:
+        return None
+    n, m = head
+    ends: list[int] = []
+    size = len(text)
+    while stop < size:
+        start = stop
+        stop = text.find("\n", start + _SLICE - 1) + 1 or size
+        part = _canonical_ints(text[start:stop])
+        if part is None:
+            return None
+        ends += part
+    return (n, ends) if len(ends) == 2 * m else None
+
+
+def _canonical_ints(lines: str) -> list[int] | None:
+    """The tokens of lines that are each two tokens joined by one space
+    and ended by '\n', as ints; None for any other text.  A token is
+    what JSON reads as an integer: an optional '-', then digits without
+    a leading zero.  JSON also refuses the empty token that a leading or
+    trailing space leaves."""
+    try:
+        raw = lines.encode("ascii")
+        rest = raw.translate(None, _TOKEN_CHARS)
+        if rest != b" \n" * (len(rest) // 2):
+            return None
+        return json.loads(b"[" + raw.translate(_TO_COMMAS)[:-1] + b"]")
+    except ValueError:  # not ASCII, or a token JSON refuses
+        return None
+
+
+def _parse_lines(text: str) -> tuple[int, list[int]]:
+    """parse_edge_ends one line at a time: reads any text the canonical
+    reader refuses, and raises the format error."""
     rows = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not rows:
         raise EdgeListFormatError("empty input")
@@ -247,29 +314,10 @@ def dump_edge_list(g: Graph, path: str | Path) -> None:
     Path(path).write_text(format_edge_list(g))
 
 
-def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def star_graph(n: int) -> Graph:
-    """Star on n vertices with center 0."""
-    if n < 1:
-        raise ValueError("star needs n >= 1")
-    return from_edge_list(n, ((0, i) for i in range(1, n)))
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
-
-
-def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    return from_edge_list(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def hypercube_graph(d: int) -> Graph:

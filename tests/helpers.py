@@ -54,6 +54,25 @@ class DistanceMatrix:
         return best
 
 
+def path_graph(n: int) -> Graph:
+    if n < 1:
+        raise ValueError("path needs n >= 1")
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def star_graph(n: int) -> Graph:
+    """Star on n vertices with center 0."""
+    if n < 1:
+        raise ValueError("star needs n >= 1")
+    return from_edge_list(n, ((0, i) for i in range(1, n)))
+
+
+def complete_graph(n: int) -> Graph:
+    if n < 1:
+        raise ValueError("complete graph needs n >= 1")
+    return from_edge_list(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
 def is_connected(g: Graph) -> bool:
     """Whether one BFS from vertex 0 reaches every vertex."""
     return g.n <= 1 or UNREACHABLE not in bfs_distances(g, 0)
@@ -318,10 +337,9 @@ def reference_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adj=tuple(tuple(nbrs) for nbrs in lists), m=m)
 
 
-def reference_parse_edge_list(text: str) -> Graph:
-    """The edge-list parser that splits and converts one line at a time
-    into a list of edge tuples; a test-only reference for
-    parse_edge_list."""
+def reference_parse_edge_ends(text: str) -> tuple[int, list[int]]:
+    """The edge-list parser that splits and converts one line at a time;
+    a test-only reference for parse_edge_ends."""
     rows = [ln for ln in (raw.strip() for raw in text.splitlines())
             if ln and not ln.startswith("#")]
     if not rows:
@@ -340,13 +358,20 @@ def reference_parse_edge_list(text: str) -> Graph:
     body = rows[1:]
     if len(body) != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
+    ends = []
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise EdgeListFormatError(f"edge line must be 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            ends += [int(parts[0]), int(parts[1])]
         except ValueError as exc:
             raise EdgeListFormatError(f"non-integer edge line {ln!r}") from exc
-    return reference_from_edge_list(n, edges)
+    return n, ends
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """reference_parse_edge_ends, then reference_from_edge_list; a
+    test-only reference for parse_edge_list."""
+    n, ends = reference_parse_edge_ends(text)
+    return reference_from_edge_list(n, list(zip(ends[::2], ends[1::2])))

@@ -34,7 +34,6 @@ from distindex import (
     hypercube_graph,
     is_partial_cube,
     max_degree_count,
-    path_graph,
     random_tree,
     theta_classes,
     twk,
@@ -52,7 +51,7 @@ from distindex import (
     zagreb_m1,
     zagreb_m2,
 )
-from helpers import all_pairs_distances
+from helpers import all_pairs_distances, path_graph
 
 FREE_TREE_COUNTS_1_TO_12 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 

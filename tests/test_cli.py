@@ -18,10 +18,10 @@ from distindex import (
     gen_tree,
     hypercube_graph,
     parse_edge_list,
-    path_graph,
     random_tree,
 )
 from distindex.cli import build_parser, main
+from helpers import path_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "schema" / "report.json").read_text())

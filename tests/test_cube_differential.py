@@ -35,7 +35,6 @@ from distindex import (
     cycle_graph,
     from_edge_list,
     is_partial_cube,
-    path_graph,
     theta_classes,
     twk,
     twk_cut,
@@ -43,6 +42,7 @@ from distindex import (
 )
 from distindex.partial_cube import _first_mismatch
 from helpers import (
+    path_graph,
     reference_edge_classes,
     reference_is_partial_cube,
     reference_theta_classes,

@@ -14,18 +14,15 @@ from distindex import (
     OrderTooLargeError,
     VertexOutOfRangeError,
     bfs_distances,
-    complete_graph,
     cycle_graph,
     format_edge_list,
     from_edge_list,
     hypercube_graph,
     parse_edge_list,
-    path_graph,
     random_tree,
-    star_graph,
     two_coloring,
 )
-from helpers import all_pairs_distances
+from helpers import all_pairs_distances, complete_graph, path_graph, star_graph
 
 
 def test_from_edge_list_basic():

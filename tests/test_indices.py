@@ -6,16 +6,13 @@ import pytest
 from distindex import (
     DisconnectedError,
     all_free_trees,
-    complete_graph,
     coronene_tw3,
     gen_coronene,
     cycle_graph,
     from_edge_list,
     hypercube_graph,
     index_report,
-    path_graph,
     random_tree,
-    star_graph,
     twk,
     twk_star,
     wiener,
@@ -25,7 +22,7 @@ from distindex import (
     zagreb_m1,
     zagreb_m2,
 )
-from helpers import random_connected_graph
+from helpers import complete_graph, path_graph, random_connected_graph, star_graph
 
 
 def test_wiener_small():

@@ -1,18 +1,25 @@
-"""Differential tests for edge-list input: parse_edge_list and
-from_edge_list must give the same Graph, or raise the same exception type
-with the same message, as the line-at-a-time references in
-tests/helpers.py, on generated texts and on large files with faults
-deep inside."""
+"""Differential tests for edge-list input: parse_edge_ends,
+parse_edge_list and from_edge_list must give the same result, or raise
+the same exception type with the same message, as the line-at-a-time
+references in tests/helpers.py, on generated texts, on canonical texts
+with one fault that only the line-at-a-time reader takes, and on large
+files with faults deep inside and at the canonical reader's slice
+boundaries."""
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distindex import GraphError, from_edge_list, parse_edge_list
-from distindex.graphs import _CHUNK
-from helpers import reference_from_edge_list, reference_parse_edge_list
+from distindex import GraphError, from_edge_list, graphs, parse_edge_ends, parse_edge_list
+from distindex.graphs import _CHUNK, _SLICE
+from helpers import (
+    reference_from_edge_list,
+    reference_parse_edge_ends,
+    reference_parse_edge_list,
+)
 
 LINE_BREAKS = ("\n", "\r\n", "\r", "\x0c")
 #: Separators inside a line; "\xa0" and "\x1f" are whitespace to
@@ -91,6 +98,94 @@ def test_parse_matches_reference(text):
     assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
 
 
+#: Characters str.splitlines breaks a line at, besides "\n".
+BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r")
+#: Stand-ins for the one space between two tokens.
+SEPARATORS = ("\t", "\xa0", "\x1f", "\u3000", "  ")
+#: Tokens JSON does not read as the integer int() reads, if any.
+FALLBACK_TOKENS = ("+2", "07", "00", "1_0", "٣", "-", "+", "1-2", "--1", "2.0", "x", "")
+#: A token JSON and int() both read, as 0.
+NEGATIVE_ZERO = "-0"
+
+
+@st.composite
+def canonical_texts(draw):
+    """The lines (without "\n") of a canonical text on n <= 6 vertices:
+    the header "n m", then m lines of two vertices, sometimes -1 or n."""
+    n = draw(st.integers(1, 6))
+    vertex = st.one_of(st.integers(0, n - 1), st.sampled_from((-1, n)))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    return [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+
+
+@st.composite
+def faulted_texts(draw):
+    """A canonical text with one fault; returns the text and whether the
+    canonical reader must refuse it."""
+    lines = draw(canonical_texts())
+    i = draw(st.integers(0, len(lines) - 1))
+    a, b = lines[i].split(" ")
+    kind = draw(st.sampled_from(("break", "separator", "token", "final", "count", "insert")))
+    ending = "\n"
+    if kind == "break":
+        ch = draw(st.sampled_from(BREAKS))
+        where = draw(st.sampled_from(("space", "end", "token")))
+        if where == "space":
+            lines[i] = a + ch + b
+        elif where == "end":
+            lines[i] += ch
+        else:
+            cut = draw(st.integers(0, len(a)))
+            lines[i] = a[:cut] + ch + a[cut:] + " " + b
+    elif kind == "separator":
+        sep = draw(st.sampled_from(SEPARATORS + ("lead", "trail")))
+        if sep == "lead":
+            lines[i] = " " + lines[i]
+        elif sep == "trail":
+            lines[i] += " "
+        else:
+            lines[i] = a + sep + b
+    elif kind == "token":
+        token = draw(st.sampled_from(FALLBACK_TOKENS + (NEGATIVE_ZERO,)))
+        first = draw(st.booleans())
+        lines[i] = f"{token} {b}" if first else f"{a} {token}"
+        if token == NEGATIVE_ZERO:
+            # read as 0 by both: refused only where 0 breaks the header
+            return "\n".join(lines) + ending, i == 0 and (first or b != "0")
+    elif kind == "final":
+        ending = ""
+    elif kind == "count":
+        n, m = lines[0].split(" ")
+        lines[0] = f"{n} {int(m) + draw(st.sampled_from((-1, 1)))}"
+    else:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("# c", "#", "", " "))))
+    return "\n".join(lines) + ending, True
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(canonical_texts())
+def test_canonical_text_skips_line_reader(lines):
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(graphs, "_parse_lines", side_effect=AssertionError("line reader ran")):
+        got = outcome(parse_edge_ends, text)
+    assert got == outcome(reference_parse_edge_ends, text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=800)
+@given(faulted_texts())
+@example(("3\x0c2\n0 1\n1 2\n", True))
+@example(("3 2\n0 +1\n1 02\n", True))
+@example(("3 2\n0 -0\n1 2\n", False))
+@example(("2 1\n0 1", True))
+def test_one_fault_matches_reference(case):
+    text, refused = case
+    with mock.patch.object(graphs, "_parse_lines", wraps=graphs._parse_lines) as lines_read:
+        got = outcome(parse_edge_ends, text)
+    assert got == outcome(reference_parse_edge_ends, text)
+    assert lines_read.called == refused
+    assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.integers(-1, 6), st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=10))
 def test_build_matches_reference(n, edges):
@@ -99,10 +194,34 @@ def test_build_matches_reference(n, edges):
 
 #: A path on 200 000 vertices; faults go in at file line 150 000 (the
 #: header is line 1) and, for two faults, at line 190 000 or 120 000,
-#: and at the edges of parse_edge_list's chunks: edge line j is file
-#: line j + 1, so chunk c starts at file line c * _CHUNK + 2.
+#: and around the canonical reader's slice boundaries.
 PATH_N = 200_000
 PATH_LINES = [f"{PATH_N} {PATH_N - 1}"] + [f"{i} {i + 1}" for i in range(PATH_N - 1)]
+
+
+def slice_first_lines(text):
+    """The file line that opens each slice of the canonical reader: a
+    slice runs from the line after the last one's end for _SLICE - 1
+    characters, then on to the end of that line."""
+    firsts, stop = [], text.index("\n") + 1
+    while stop < len(text):
+        firsts.append(text.count("\n", 0, stop) + 1)
+        stop = text.find("\n", stop + _SLICE - 1) + 1 or len(text)
+    return firsts
+
+
+#: The first lines of the path's 4th and 7th slices.
+SLICE_A, SLICE_B = (slice_first_lines("\n".join(PATH_LINES) + "\n")[i] for i in (3, 6))
+
+
+def same_length(line, kind):
+    """A fault in file line `line` of the path that keeps the line's
+    length, so no slice boundary moves: a non-integer token, a loop, a
+    tab or a form feed for the space."""
+    u, v = PATH_LINES[line - 1].split(" ")
+    fault = {"x": f"{u} {v[:-1]}x", "loop": f"{u} {u}", "tab": f"{u}\t{v}", "ff": f"{u}\x0c{v}"}[kind]
+    assert len(fault) == len(u) + 1 + len(v)
+    return fault
 
 
 @pytest.mark.parametrize(
@@ -117,13 +236,28 @@ PATH_LINES = [f"{PATH_N} {PATH_N - 1}"] + [f"{i} {i + 1}" for i in range(PATH_N 
         {150_000: "1 2 3", 120_000: "x 1"},
         {150_000: f"0 {PATH_N}", 190_000: "7 7"},
         {150_000: "1 0", 190_000: "7 7"},
-        # first and last edge line of a chunk, and the last line of the
-        # file, which falls in the short final chunk
-        {5 * _CHUNK + 2: "x y"},
-        {6 * _CHUNK + 1: "1 2 3"},
+        # the first edge line, the last line of a slice, the first and
+        # second line of the next, and the last line of the file, which
+        # falls in the short final slice
+        {2: same_length(2, "x")},
+        {SLICE_A - 1: same_length(SLICE_A - 1, "x")},
+        {SLICE_A: same_length(SLICE_A, "x")},
+        {SLICE_A + 1: same_length(SLICE_A + 1, "x")},
         {PATH_N: "1 x"},
-        # a graph fault at the end of one chunk, a format fault at the
-        # start of the next: the format fault still wins
+        # a line break for the space at a slice's edge: one line too many
+        {SLICE_A - 1: same_length(SLICE_A - 1, "ff")},
+        {SLICE_A: same_length(SLICE_A, "ff")},
+        # a graph fault at the end of one slice, a format fault at the
+        # start of the next: the format fault still wins; and the other
+        # way round
+        {SLICE_A - 1: same_length(SLICE_A - 1, "loop"), SLICE_A: same_length(SLICE_A, "x")},
+        {SLICE_A - 1: same_length(SLICE_A - 1, "x"), SLICE_A: same_length(SLICE_A, "loop")},
+        # a tab the line reader takes at a slice boundary, then a loop
+        # slices later: all is read again, and the loop is named
+        {SLICE_A: same_length(SLICE_A, "tab"), SLICE_B: same_length(SLICE_B, "loop")},
+        # the line reader's own chunks: a graph fault at the end of one,
+        # a format fault at the start of the next (edge line j is file
+        # line j + 1, so chunk c starts at file line c * _CHUNK + 2)
         {8 * _CHUNK + 1: "7 7", 8 * _CHUNK + 2: "x y"},
     ],
     ids=lambda faults: " + ".join(f"{line}:{text}" for line, text in faults.items()),
@@ -139,10 +273,11 @@ def test_first_fault_reported_at_scale(faults):
 
 
 def test_parse_peak_with_chunked_conversion_and_lists_freed():
-    # Edge lines are converted a chunk at a time and dropped as they go,
-    # and each neighbour list is freed once its tuple exists.  On Python
-    # 3.11 tracemalloc read a 32.4 MiB peak with both, 44.8 MiB with
-    # chunking alone, and 52.4 MiB with one batch and every list kept.
+    # The canonical text is converted a slice at a time, and each
+    # neighbour list is freed once its tuple exists.  On Python 3.11
+    # tracemalloc read a 32.4 MiB peak (32.1 MiB with the line reader's
+    # chunks), 44.8 MiB with chunking alone, and 52.4 MiB with one batch
+    # and every list kept.
     text = "\n".join(PATH_LINES) + "\n"
     tracemalloc.start()
     try:

@@ -9,16 +9,13 @@ from distindex import (
     NotBipartiteError,
     NotPartialCubeError,
     bfs_distances,
-    complete_graph,
     gen_coronene,
     cycle_graph,
     from_edge_list,
     halfspace_degree_counts,
     hypercube_graph,
     is_partial_cube,
-    path_graph,
     random_tree,
-    star_graph,
     theta_classes,
     twk,
     twk_cut,
@@ -26,7 +23,7 @@ from distindex import (
 )
 from distindex.indices import _sweep
 from distindex.partial_cube import _transpose
-from helpers import all_pairs_distances
+from helpers import all_pairs_distances, complete_graph, path_graph, star_graph
 
 K23 = from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 

@@ -16,10 +16,8 @@ from distindex import (
     gen_tree,
     level_sequence_edges,
     level_sequence_parents,
-    path_graph,
     random_tree,
     rooted_level_sequences,
-    star_graph,
     tree_polynomial,
     tree_twk,
     twk,
@@ -29,7 +27,7 @@ from distindex import (
     wk3_from_zagreb,
     zagreb_m1,
 )
-from helpers import rooted_at
+from helpers import path_graph, rooted_at, star_graph
 
 
 def test_rooted_tree_build():

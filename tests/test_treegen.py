@@ -14,15 +14,13 @@ from distindex import (
     free_tree_count,
     from_edge_list,
     level_sequence_edges,
-    path_graph,
     prufer_to_tree,
     random_tree,
     rooted_level_sequences,
-    star_graph,
     tree_centers,
 )
 from distindex.treegen import _rooted_string
-from helpers import is_tree, reference_free_trees, relabel
+from helpers import is_tree, path_graph, reference_free_trees, relabel, star_graph
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 #: OEIS A000055 for n = 1..MAX_ORDER.
