@@ -71,6 +71,7 @@ from .indices import (
     wiener_polynomial,
     wk,
     wk_star,
+    zagreb,
     zagreb_m1,
     zagreb_m2,
 )
@@ -88,6 +89,7 @@ from .tree_linear import (
     RootedTree,
     tree_polynomial,
     tree_twk,
+    tree_zagreb,
     wiener_polynomial_linear,
     wk3_from_zagreb,
     wk_linear,
@@ -129,11 +131,11 @@ __all__ = [
     "cycle_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM", "MAX_GRAPH_ORDER",
     # indices
     "wiener", "wk", "WienerPolynomial", "wiener_polynomial", "twk",
-    "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",
+    "zagreb", "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",
     "index_report",
     # tree route
     "RootedTree", "wk_linear", "wiener_polynomial_linear",
-    "wk3_from_zagreb", "tree_polynomial", "tree_twk",
+    "wk3_from_zagreb", "tree_polynomial", "tree_twk", "tree_zagreb",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
     "is_partial_cube", "halfspace_degree_counts", "twk_cut", "twk_cut_tree",

@@ -45,11 +45,10 @@ from .indices import (
     wk,
     wk_star,
     twk_star,
-    zagreb_m1,
-    zagreb_m2,
+    zagreb,
 )
 from .partial_cube import is_partial_cube, twk_cut, twk_cut_tree
-from .tree_linear import RootedTree, wiener_polynomial_linear, wk_linear
+from .tree_linear import RootedTree, tree_zagreb, wiener_polynomial_linear, wk_linear
 from .treegen import free_level_sequences, free_tree_count, level_sequence_edges
 from .verify import (
     DEFAULT_SEED,
@@ -158,7 +157,7 @@ def _cmd_compute(args) -> dict:
     # else is built, so a bad input raises the error it always has, and
     # before any flag is checked.  A tree is a partial cube whose classes
     # are its single edges, so the cut route needs no verification on one.
-    if (method == "auto" and index in ("wk", "poly", "twk")) or method in ("linear", "cut"):
+    if (method == "auto" and index in ("wk", "poly", "twk", "zagreb")) or method in ("linear", "cut"):
         try:
             tree = RootedTree.build(n, ends)
         except NotATreeError:
@@ -207,8 +206,9 @@ def _cmd_compute(args) -> dict:
         else:
             payload["twk"] = twk_cut(g, k, partition)
     elif index == "zagreb":
-        payload["m1"] = zagreb_m1(g)
-        payload["m2"] = zagreb_m2(g)
+        payload["m1"], payload["m2"] = (
+            tree_zagreb(tree) if g is None else zagreb(g.degrees(), g.edges())
+        )
     elif index == "wk-star":
         payload["wk_star"] = wk_star(g, k)
     elif index == "twk-star":

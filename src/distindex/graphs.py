@@ -21,7 +21,10 @@ every line, the header included, is two ASCII tokens over 0-9, '+' and
 '-' joined by one space and ended by '\n'.  It reads the body by slices
 of _SLICE characters run on to the next newline, and checks and converts
 each slice with bytes.translate, a comparison and one json.loads, so no
-Python code runs per line.  Any text it refuses (comments, blank lines,
+Python code runs per line.  It fills one list allocated at its final
+size, 2m, and sends a header whose m exceeds a quarter of the text's
+length (an edge line has at least 4 characters) to the other reader
+before allocating it.  Any text it refuses (comments, blank lines,
 CR or other line breaks, tabs, non-ASCII, tokens such as '+2' or '07'
 that int() reads and JSON does not, a wrong edge count, a missing final
 newline) is read again by the line-at-a-time reader, which gives the
@@ -31,9 +34,9 @@ check the format only.  A tree request hands the flat list to
 tree_linear.RootedTree.build and never builds a Graph.  parse_edge_list
 goes on to from_edge_list, which pops each neighbour list as its tuple
 is built, so the lists are freed one by one while the tuples grow.  On a
-2*10^5-vertex path parse_edge_ends takes 51 ms and peaks at 14.7 MiB of
+2*10^5-vertex path parse_edge_ends takes 51 ms and peaks at 14.9 MiB of
 traced memory, against 115 ms and 17.4 MiB line by line; with the strip
-the peak is 24.8 MiB, and parse_edge_list peaks at 32.4 MiB against
+the peak is 24.4 MiB, and parse_edge_list peaks at 32.4 MiB against
 22.9 MiB for the finished Graph (Python 3.11).
 """
 
@@ -211,16 +214,20 @@ def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
     if head is None or head[0] < 1 or head[1] < 0:
         return None
     n, m = head
-    ends: list[int] = []
     size = len(text)
+    if 4 * m > size:  # a canonical edge line has at least 4 characters
+        return None
+    ends = [0] * (2 * m)  # filled in place, so it holds no spare slots
+    filled = 0
     while stop < size:
         start = stop
         stop = text.find("\n", start + _SLICE - 1) + 1 or size
         part = _canonical_ints(text[start:stop])
-        if part is None:
+        if part is None or len(part) > len(ends) - filled:
             return None
-        ends += part
-    return (n, ends) if len(ends) == 2 * m else None
+        ends[filled:filled + len(part)] = part
+        filled += len(part)
+    return (n, ends) if filled == len(ends) else None
 
 
 def _canonical_ints(lines: str) -> list[int] | None:

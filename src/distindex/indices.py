@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_, xor
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DisconnectedError
 from .graphs import UNREACHABLE, Graph, bfs_distances
@@ -205,15 +205,21 @@ def twk(g: Graph, k: int) -> int:
     return _restricted_sum(g, [v for v in range(g.n) if g.degree(v) == k])
 
 
+def zagreb(deg: Sequence[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The Zagreb indices M1 and M2 of the graph with degrees deg and
+    edge pairs edges: the sum of squared degrees, and the sum of degree
+    products over the edges."""
+    return sum(d * d for d in deg), sum(deg[u] * deg[v] for u, v in edges)
+
+
 def zagreb_m1(g: Graph) -> int:
     """Sum of squared degrees."""
-    return sum(d * d for d in g.degrees())
+    return zagreb(g.degrees(), ())[0]
 
 
 def zagreb_m2(g: Graph) -> int:
     """Sum of degree products over the edges."""
-    deg = g.degrees()
-    return sum(deg[u] * deg[v] for u, v in g.edges())
+    return zagreb(g.degrees(), g.edges())[1]
 
 
 def wk_star(g: Graph, k: int) -> int:
@@ -276,20 +282,22 @@ def index_report(g: Graph, star_k: int | None = None) -> IndexReport:
     spans = [(bisect_left(ranked, k), bisect_right(ranked, k)) for k in present]
     if star_k is not None:
         spans.append((0, bisect_right(ranked, star_k)))
-    doubled, sums = _sweep(g, g.edges(), order, spans)
+    edges = g.edges()
+    doubled, sums = _sweep(g, edges, order, spans)
     # checked after the sweep, so a disconnected graph is reported as
     # such whatever star_k is
     if star_k is not None and star_k < 1:
         raise ValueError("k must be >= 1")
     poly = WienerPolynomial(tuple(c // 2 for c in doubled))
+    m1, m2 = zagreb(deg, edges)
     return IndexReport(
         n=g.n,
         m=g.m,
         wiener=poly.wiener(),
         poly=poly.coeffs,
         twk_by_degree=tuple((k, s // 2) for k, s in zip(present, sums)),
-        m1=zagreb_m1(g),
-        m2=zagreb_m2(g),
+        m1=m1,
+        m2=m2,
         star_k=star_k,
         wk_star=None if star_k is None else sum(poly.coeffs[1:star_k + 1]),
         twk_star=None if star_k is None else sums[-1] // 2,

@@ -12,33 +12,52 @@ order is children-first and ends at the last vertex left, a centre of
 the tree, which is the root.  When n - 1 vertices are stripped the
 input is exactly a simple tree: a loop, a repeated edge or a cycle
 keeps its vertices above degree 1 for good, so the strip stops short.
+The input's leaves open the order, and RootedTree.leaves counts them
+(one of the two when n = 2, since the other is the root).
 The free-tree walk reaches the same form through
 treegen.level_sequence_parents, with the reversed preorder as order.
 
 Two kernels read (parent, order), each in one pass over the non-root
-vertices of order.
+vertices of order.  Both assume that (parent, order) is a rooted tree:
+every vertex comes before its parent and the root, last, is its own
+parent.  They do not check it.
 
 tree_polynomial keeps for every vertex v a row a[v] where a[v][i]
 counts the vertices of v's subtree exactly i levels below v.  A row is
-one integer whose digit i holds a[v][i]; each digit is
-bits = 3 * n.bit_length() + 1 bits wide, so a digit holds n**3 and no
-sum below ever carries into the next digit.  A vertex's row is 1 plus
-its children's summed rows shifted up one digit.  Squaring a row counts
-the ordered pairs of v's subtree by the sum of their depths below v.
-Charging each distance-k pair to the top vertex of its path then gives,
-with D = sum of row[v]**2 over all v, R = row[root]**2 and X[i] for
-digit i of X:
+one integer whose digit i holds a[v][i], in bits = 2 * n.bit_length()
+bits.  A vertex's row is 1 plus its children's summed rows shifted up
+one digit.  Squaring a row counts the ordered pairs of v's subtree by
+the sum of their depths below v.  Charging each distance-k pair to the
+top vertex of its path then gives, with D = sum of row[v]**2 over all v,
+R = row[root]**2 and X[i] for digit i of X:
 
     2 * W_k = D[k] - D[k - 2] + R[k - 2]        (k >= 1)
 
+No digit carries into the next.  A row digit is at most n.  Digit i of D
+counts the triples (v, x, y) with v a common ancestor of x and y and
+depth_v(x) + depth_v(y) = i.  Along the ancestors of lca(x, y) that sum
+grows by 2 a level, so each (x, y, i) has at most one such v, and digit i
+is at most n**2 < 2**bits.  The digits of R, of any one square and of a
+truncated square count subsets of the same triples.
+
 W_1..W_top need digits 0..top only, so the rows are truncated to
 top + 1 digits when top is given; the whole polynomial keeps them all,
-and rooting at a centre keeps them as short as any root can.
+and rooting at a centre keeps them as short as any root can.  Two kinds
+of vertex cost no big-integer product:
+- a leaf's row is 1, so the first `leaves` vertices of order, which
+  RootedTree.build puts there, each add one constant to the parent's
+  row and 1 to D;
+- with top given, a vertex with one descendant at each depth 1..top has
+  the row full = 1 + x + ... + x**top.  It adds full shifted (a second
+  constant) to its parent's row and is counted, and D gains
+  chains * full**2 once at the end.  This catches paths, spines and
+  broom handles.
 
 tree_twk sums c_v * (K - c_v) over the non-root v, where c_v counts the
 degree-k vertices of v's subtree and K those of the tree: every edge of
 a tree is an edge class of its own, and the edge above v separates v's
-subtree from the rest.
+subtree from the rest.  tree_zagreb counts the same degrees and hands
+them, with the edges to the parents, to indices.zagreb.
 
 Nothing recurses, so paths with millions of vertices do not exhaust the
 interpreter stack.
@@ -52,7 +71,7 @@ from itertools import chain, islice
 
 from .errors import NotATreeError
 from .graphs import MAX_GRAPH_ORDER, Graph, edge_pairs
-from .indices import WienerPolynomial, zagreb_m1, zagreb_m2
+from .indices import WienerPolynomial, zagreb
 
 
 @dataclass(frozen=True)
@@ -63,6 +82,7 @@ class RootedTree:
 
     parent: Sequence[int]
     order: Sequence[int]
+    leaves: int = 0  # order[:leaves] are leaves other than the root
 
     @property
     def root(self) -> int:
@@ -91,6 +111,7 @@ class RootedTree:
             acc[u] ^= v
             acc[v] ^= u
         order = [v for v, d in enumerate(deg) if d == 1]
+        leaves = min(len(order), n - 1)  # for n = 2 one leaf is the root
         push = order.append
         for v in order:  # the list grows as it is read: a FIFO queue
             p = acc[v]
@@ -107,7 +128,7 @@ class RootedTree:
         if len(order) != n:
             raise NotATreeError("input graph is not a tree")
         acc[order[-1]] = order[-1]
-        return cls(parent=acc, order=order)
+        return cls(parent=acc, order=order, leaves=leaves)
 
     @classmethod
     def of(cls, g: Graph) -> "RootedTree":
@@ -116,25 +137,39 @@ class RootedTree:
 
 
 def tree_polynomial(
-    parent: Sequence[int], order: Sequence[int], top: int | None = None
+    parent: Sequence[int], order: Sequence[int], top: int | None = None, leaves: int = 0
 ) -> WienerPolynomial:
     """Pair counts by distance of the tree (parent, order) describes:
     W_1..W_top when top is given, else up to the diameter, trimmed of
-    trailing zeros.  An odd doubled count, which only a malformed tree
-    gives, raises RuntimeError."""
+    trailing zeros.  The first leaves vertices of order must be leaves
+    other than the root (RootedTree.leaves counts them).  An odd doubled
+    count, which only a malformed tree gives, raises RuntimeError."""
     n = len(order)
-    bits = 3 * n.bit_length() + 1
+    bits = 2 * n.bit_length()
     keep = -1 if top is None else (1 << ((top + 1) * bits)) - 1  # -1 keeps every digit
     rows = [1] * n  # 1 plus the shifted rows of the children seen so far
-    squares = 0
-    for v in islice(order, n - 1):
+    if leaves:  # skipped by the free-tree walk's many small calls, which pass none
+        one = (1 << bits) & keep  # a leaf's row, shifted
+        for p in map(parent.__getitem__, islice(order, leaves)):
+            rows[p] += one
+    # 1 + x + ... + x**top: the row of a vertex with one descendant at
+    # each depth up to top.  -1 when top is None, which no row equals.
+    full = keep // ((1 << bits) - 1)
+    step = (full << bits) & keep
+    squares = leaves
+    chains = 0
+    for v in islice(order, leaves, n - 1):
         r = rows[v]
         rows[v] = 1  # frees the row, which nothing reads again
-        squares += r * r
-        rows[parent[v]] += (r << bits) & keep
+        if r == full:
+            chains += 1
+            rows[parent[v]] += step
+        else:
+            squares += r * r
+            rows[parent[v]] += (r << bits) & keep
     r = rows[order[-1]]
     root_square = r * r
-    squares += root_square
+    squares += root_square + chains * full * full
     digit = (1 << bits) - 1
 
     def at(x: int, i: int) -> int:
@@ -190,7 +225,7 @@ def wk_linear(t: RootedTree | Graph, k: int) -> int:
         raise ValueError("k must be >= 1")
     if k >= len(t.order):  # no tree path is that long; also bounds the row width
         return 0
-    return tree_polynomial(t.parent, t.order, k).coefficient(k)
+    return tree_polynomial(t.parent, t.order, k, t.leaves).coefficient(k)
 
 
 def wiener_polynomial_linear(t: RootedTree | Graph) -> WienerPolynomial:
@@ -200,10 +235,23 @@ def wiener_polynomial_linear(t: RootedTree | Graph) -> WienerPolynomial:
     """
     if isinstance(t, Graph):
         t = RootedTree.of(t)
-    return tree_polynomial(t.parent, t.order)
+    return tree_polynomial(t.parent, t.order, leaves=t.leaves)
+
+
+def tree_zagreb(t: RootedTree) -> tuple[int, int]:
+    """The Zagreb indices M1 and M2 of a tree (indices.zagreb), over the
+    edges from each non-root vertex to its parent: a vertex's degree is
+    its child count, plus one unless it is the root."""
+    kids = t.order[:-1]
+    ups = list(map(t.parent.__getitem__, kids))
+    deg = [1] * len(t.order)
+    deg[t.root] = 0
+    for p in ups:
+        deg[p] += 1
+    return zagreb(deg, zip(kids, ups))
 
 
 def wk3_from_zagreb(g: Graph) -> int:
     """Distance-3 pair count of a tree from its Zagreb indices."""
-    RootedTree.of(g)  # raises NotATreeError unless g is a tree
-    return zagreb_m2(g) - zagreb_m1(g) + g.m
+    m1, m2 = tree_zagreb(RootedTree.of(g))  # raises NotATreeError unless g is a tree
+    return m2 - m1 + g.m

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from distindex import (
+    GraphError,
     TreeSpec,
     all_free_trees,
     caterpillar_twk,
@@ -19,6 +20,8 @@ from distindex import (
     hypercube_graph,
     parse_edge_list,
     random_tree,
+    zagreb_m1,
+    zagreb_m2,
 )
 from distindex.cli import build_parser, main
 from helpers import path_graph
@@ -301,6 +304,56 @@ def test_compute_auto_disconnected_with_tree_edge_count(tmp_path, capsys, index)
     path.write_text("5 4\n0 1\n1 2\n0 2\n3 4\n")
     code, out, err = run_cli(capsys, "compute", "--input", str(path), *index)
     assert (code, out, err) == (4, "", "error: graph is not connected\n")
+
+
+@pytest.mark.parametrize(
+    "text, builds",
+    [
+        ("1 0\n", 0),
+        ("2 1\n1 0\n", 0),
+        ("5 4\n0 1\n1 2\n1 3\n3 4\n", 0),
+        (format_edge_list(random_tree(40, random.Random(61))), 0),
+        (format_edge_list(gen_tree(TreeSpec.caterpillar(40, 4, 6))), 0),
+        (format_edge_list(cycle_graph(6)), 1),
+        ("4 3\n0 1\n1 2\n0 2\n", 1),  # n - 1 edges, not connected
+        ("4 2\n0 1\n2 3\n", 1),
+        ("3 2\n0 1\n1 -1\n", 1),
+        ("3 2\n0 0\n1 2\n", 1),
+        ("3 2\n0 1\n0 1\n", 1),
+        ("3 2\n0 1\n", 0),  # a format error, before any build
+    ],
+)
+def test_compute_zagreb_tree_route_matches_graph(tmp_path, capsys, monkeypatch, text, builds):
+    """auto zagreb reads a tree's degrees off the leaf strip and builds no
+    Graph; its bytes, and its errors on anything else, are those of the
+    Graph route (--method oracle), and so are the flag errors' order."""
+    import distindex.cli
+
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    argv = ("compute", "--input", str(path), "--index", "zagreb", "--no-timing")
+    want = run_cli(capsys, *argv, "--method", "oracle")
+    try:
+        g = parse_edge_list(text)
+    except GraphError:
+        g = None
+    else:
+        doc = document(want[1])
+        assert (doc["m1"], doc["m2"]) == (zagreb_m1(g), zagreb_m2(g))
+    built = []
+    build = distindex.cli.from_edge_list
+
+    def counting_build(n, edges):
+        built.append(n)
+        return build(n, edges)
+
+    monkeypatch.setattr(distindex.cli, "from_edge_list", counting_build)
+    assert run_cli(capsys, *argv) == want
+    assert len(built) == builds
+    # a flag error comes after the input's own error, as ever
+    for method, applies in (("linear", "wk or poly"), ("cut", "twk")):
+        flag_error = (2, "", f"error: --method {method} applies to --index {applies}\n")
+        assert run_cli(capsys, *argv, "--method", method) == (want if g is None else flag_error)
 
 
 def _limit_memory():

@@ -6,6 +6,7 @@ with one fault that only the line-at-a-time reader takes, and on large
 files with faults deep inside and at the canonical reader's slice
 boundaries."""
 
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -270,6 +271,30 @@ def test_first_fault_reported_at_scale(faults):
     got = outcome(parse_edge_list, text)
     assert isinstance(got, tuple)
     assert got == outcome(reference_parse_edge_list, text)
+
+
+def test_overstated_edge_count_reaches_line_reader_unallocated():
+    # canonical lines, but a header m that four characters a line cannot
+    # reach: the flat list is never allocated, and the line reader names
+    # the count
+    text = "3 1000000\n0 1\n1 2\n"
+    tracemalloc.start()
+    try:
+        with mock.patch.object(graphs, "_parse_lines", wraps=graphs._parse_lines) as lines_read:
+            got = outcome(parse_edge_ends, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == outcome(reference_parse_edge_ends, text)
+    assert got[1] == "expected 1000000 edge lines, found 2" and lines_read.called
+    assert peak < 2**20
+
+
+def test_canonical_ends_hold_no_spare_slots():
+    text = "\n".join(PATH_LINES) + "\n"
+    n, ends = parse_edge_ends(text)
+    assert len(ends) == 2 * (n - 1)
+    assert sys.getsizeof(ends) == sys.getsizeof([0] * len(ends))
 
 
 def test_parse_peak_with_chunked_conversion_and_lists_freed():

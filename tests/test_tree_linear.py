@@ -1,6 +1,9 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distindex import (
     MAX_GRAPH_ORDER,
@@ -20,12 +23,14 @@ from distindex import (
     rooted_level_sequences,
     tree_polynomial,
     tree_twk,
+    tree_zagreb,
     twk,
     wiener_polynomial,
     wiener_polynomial_linear,
     wk_linear,
     wk3_from_zagreb,
     zagreb_m1,
+    zagreb_m2,
 )
 from helpers import path_graph, rooted_at, star_graph
 
@@ -41,6 +46,17 @@ def test_rooted_tree_build():
     assert list(star.parent) == [0] * 6
     assert RootedTree.build(1, []) == RootedTree(parent=[0], order=[0])
     assert RootedTree.build(2, [1, 0]).order == [0, 1]
+    assert (t.leaves, star.leaves, RootedTree.build(2, [1, 0]).leaves) == (2, 5, 1)
+
+
+def test_rooted_tree_leaf_prefix():
+    # order[:leaves] are exactly the degree-1 vertices other than the root
+    rng = random.Random(59)
+    for n in [1, 2, 3] + [rng.randint(4, 60) for _ in range(60)]:
+        g = random_tree(n, rng) if n > 1 else from_edge_list(1, [])
+        t = RootedTree.of(g)
+        want = [v for v in range(n) if g.degree(v) == 1 and v != t.root]
+        assert sorted(t.order[:t.leaves]) == want
 
 
 def test_rooted_tree_rejects_non_trees():
@@ -250,3 +266,83 @@ def test_level_sequence_parents():
         for seq in rooted_level_sequences(n):
             parent = level_sequence_parents(seq)
             assert all(parent[i] < i and seq[parent[i]] == seq[i] - 1 for i in range(1, n))
+
+
+def tree_edges(kind, n, rng):
+    """Edges of a random tree, path, caterpillar or broom on n vertices
+    (before relabelling); paths and broom handles give chains longer than
+    small tops."""
+    if kind == "random":
+        return random_tree(n, rng).edges()
+    if kind == "path":
+        return [(v, v + 1) for v in range(n - 1)]
+    if kind == "caterpillar":
+        spine = rng.randint(1, n)
+        feet = [rng.randrange(spine) for _ in range(n - spine)]
+        return [(v, v + 1) for v in range(spine - 1)] + [
+            (spine + i, s) for i, s in enumerate(feet)
+        ]
+    # a broom: a handle with the remaining vertices hung on one or both ends
+    handle = rng.randint(1, n)
+    ends = (0, handle - 1) if rng.random() < 0.5 else (handle - 1,)
+    return [(v, v + 1) for v in range(handle - 1)] + [
+        (v, rng.choice(ends)) for v in range(handle, n)
+    ]
+
+
+@st.composite
+def shaped_trees(draw):
+    kind = draw(st.sampled_from(["random", "path", "caterpillar", "broom"]))
+    n = draw(st.integers(1, 70))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = tree_edges(kind, n, rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(edges)
+    return from_edge_list(n, edges), rng.randrange(n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(shaped_trees())
+def test_tree_polynomial_leaf_prefix_and_chain_rows(gr):
+    """With and without the leaf prefix, at every top up to the diameter
+    plus one and at None, the kernel gives the oracle's counts."""
+    g, root = gr
+    poly = wiener_polynomial(g)
+    t = RootedTree.of(g)
+    hung = rooted_at(g, root)
+    diameter = len(poly.coeffs) - 1
+    for top in [None, *range(1, diameter + 2)]:
+        # the oracle has no zero coefficient up to the diameter
+        want = poly.coeffs[: None if top is None else top + 1]
+        assert tree_polynomial(t.parent, t.order, top, t.leaves).coeffs == want
+        assert tree_polynomial(t.parent, t.order, top).coeffs == want
+        assert tree_polynomial(hung.parent, hung.order, top).coeffs == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3] + [(1 << b) + d for b in (8, 10, 12) for d in (-1, 0)])
+def test_tree_polynomial_digit_width_on_stars(n):
+    """A star's centre squares to (n - 1)**2 in digit 2, which fits the
+    2 * bit_length(n)-bit digits with least room when n = 2**b - 1: one
+    bit fewer would carry there."""
+    want = (0, n - 1, comb(n - 1, 2))[: min(n, 3)]
+    g = star_graph(n)
+    t = RootedTree.of(g)
+    # the centre-first level sequence of a star, read leaves first
+    parent, order = [0] * n, range(n - 1, -1, -1)
+    for top in (None, 1, 2, 3):
+        cut = want[: None if top is None else top + 1]
+        assert tree_polynomial(t.parent, t.order, top, t.leaves).coeffs == cut
+        assert tree_polynomial(t.parent, t.order, top).coeffs == cut
+        assert tree_polynomial(parent, order, top).coeffs == cut
+    assert wiener_polynomial_linear(t).coeffs == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(shaped_trees())
+def test_tree_zagreb_matches_graph(gr):
+    g, root = gr
+    want = (zagreb_m1(g), zagreb_m2(g))
+    assert tree_zagreb(RootedTree.of(g)) == want
+    assert tree_zagreb(rooted_at(g, root)) == want
