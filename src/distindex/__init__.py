@@ -39,7 +39,6 @@ from .extremal import (
     caterpillar_positions,
     caterpillar_twk,
     even_group_bound,
-    even_group_peak,
     gen_tree,
     max_degree_count,
     max_tw3,
@@ -91,7 +90,6 @@ from .tree_linear import (
     tree_twk,
     tree_zagreb,
     wiener_polynomial_linear,
-    wk3_from_zagreb,
     wk_linear,
 )
 from .treegen import (
@@ -135,13 +133,13 @@ __all__ = [
     "index_report",
     # tree route
     "RootedTree", "wk_linear", "wiener_polynomial_linear",
-    "wk3_from_zagreb", "tree_polynomial", "tree_twk", "tree_zagreb",
+    "tree_polynomial", "tree_twk", "tree_zagreb",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
     "is_partial_cube", "halfspace_degree_counts", "twk_cut", "twk_cut_tree",
     # extremal families
     "TreeSpec", "gen_tree", "caterpillar_positions", "max_wk_odd",
-    "even_group_bound", "even_group_peak", "max_wk_even", "max_degree_count",
+    "even_group_bound", "max_wk_even", "max_degree_count",
     "caterpillar_twk", "max_tw3",
     # benzenoids
     "HexSystem", "gen_coronene", "edge_direction", "orientation_groups",

@@ -29,7 +29,10 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .extremal import TreeSpec, caterpillar_twk, gen_tree
+from . import graphs
 from .graphs import (
+    NotCanonical,
+    canonical_slices,
     cycle_graph,
     dump_edge_list,
     edge_pairs,
@@ -145,11 +148,39 @@ def _need(value, flag: str):
     return value
 
 
+def _read_tree(text: str) -> tuple[int, RootedTree | None, list[int] | None]:
+    """n and the rooted tree of an edge-list text, or n, None and the
+    flat endpoint list when the text is no tree.
+
+    A canonical text whose header has m = n - 1 is stripped slice by
+    slice, so its flat list is never held.  A text refused for its form
+    goes straight to the line-at-a-time reader, whose list is stripped
+    whole.  A canonical text that is no tree is read again by
+    parse_edge_ends, with no second strip.  So every error is the one
+    parse_edge_ends and from_edge_list raise, in the same order."""
+    head = canonical_slices(text)
+    if head is not None:
+        n, m, slices = head
+        try:
+            if m == n - 1:
+                return n, RootedTree.build(n, slices), None
+        except NotATreeError:
+            pass
+        except NotCanonical:
+            head = None
+    # outside the handlers, so the strip's tables are freed first
+    if head is not None:
+        return n, None, parse_edge_ends(text)[1]
+    n, ends = graphs._parse_lines(text)
+    try:
+        return n, RootedTree.build(n, [ends]), None
+    except NotATreeError:
+        return n, None, ends
+
+
 def _cmd_compute(args) -> dict:
     t0 = time.perf_counter()
     text = sys.stdin.read() if args.stdin else Path(args.input).read_text()
-    n, ends = parse_edge_ends(text)
-    del text  # freed before the strip or the build allocates its lists
     index, k, method = args.index, args.k, args.method
 
     tree = g = None
@@ -158,13 +189,13 @@ def _cmd_compute(args) -> dict:
     # before any flag is checked.  A tree is a partial cube whose classes
     # are its single edges, so the cut route needs no verification on one.
     if (method == "auto" and index in ("wk", "poly", "twk", "zagreb")) or method in ("linear", "cut"):
-        try:
-            tree = RootedTree.build(n, ends)
-        except NotATreeError:
-            pass
+        n, tree, ends = _read_tree(text)
+    else:
+        n, ends = parse_edge_ends(text)
+    del text  # freed before the Graph build or the kernel allocates
     if tree is None:
         g = from_edge_list(n, edge_pairs(ends))
-    ends.clear()
+    del ends
 
     if index in ("wk", "wk-star", "twk-star") and (k is None or k < 1):
         raise ValueError(f"--index {index} needs --k >= 1")

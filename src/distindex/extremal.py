@@ -10,7 +10,6 @@ vertices, then pendant groups in spine/arm order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,14 +181,6 @@ def even_group_bound(n: int, k: int, p: int) -> Fraction:
         raise ValueError(f"p={p} outside 2..2(n-1)/k")
     q = Fraction(n - 1 - p * k // 2 + p)
     return Fraction(1, 2) * q * q * (1 - Fraction(1, p))
-
-
-def even_group_peak(n: int, k: int) -> float:
-    """Real maximizer of the relaxed even-k objective:
-    1/4 + sqrt((16n + k - 18) / (k - 2)) / 4."""
-    if k < 4 or k % 2:
-        raise InfeasibleSpecError("even-case peak needs even k >= 4")
-    return 0.25 + math.sqrt((16 * n + k - 18) / (k - 2)) / 4
 
 
 def _balanced_parts(q: int, p: int) -> tuple[int, ...]:

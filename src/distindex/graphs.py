@@ -15,29 +15,33 @@ on when the call began.  The switch is process-wide: a thread that
 flips it while another thread builds may see its change undone.
 
 Ingest drops each input once it has read it, so a large file is not
-held in several forms at once.  parse_edge_ends first tries the
-canonical form that format_edge_list, gen and the bench inputs write:
-every line, the header included, is two ASCII tokens over 0-9, '+' and
-'-' joined by one space and ended by '\n'.  It reads the body by slices
-of _SLICE characters run on to the next newline, and checks and converts
-each slice with bytes.translate, a comparison and one json.loads, so no
-Python code runs per line.  It fills one list allocated at its final
-size, 2m, and sends a header whose m exceeds a quarter of the text's
-length (an edge line has at least 4 characters) to the other reader
-before allocating it.  Any text it refuses (comments, blank lines,
-CR or other line breaks, tabs, non-ASCII, tokens such as '+2' or '07'
-that int() reads and JSON does not, a wrong edge count, a missing final
-newline) is read again by the line-at-a-time reader, which gives the
-same result or names the error.  That reader converts the edge lines
-_CHUNK at a time and deletes each chunk's lines before the next.  Both
-check the format only.  A tree request hands the flat list to
-tree_linear.RootedTree.build and never builds a Graph.  parse_edge_list
-goes on to from_edge_list, which pops each neighbour list as its tuple
-is built, so the lists are freed one by one while the tuples grow.  On a
-2*10^5-vertex path parse_edge_ends takes 51 ms and peaks at 14.9 MiB of
-traced memory, against 115 ms and 17.4 MiB line by line; with the strip
-the peak is 24.4 MiB, and parse_edge_list peaks at 32.4 MiB against
-22.9 MiB for the finished Graph (Python 3.11).
+held in several forms at once.  canonical_slices reads the canonical
+form that format_edge_list, gen and the bench inputs write: every line,
+the header included, is two ASCII tokens over 0-9, '+' and '-' joined
+by one space and ended by '\n'.  It reads the header at once and the
+body lazily, by slices of _SLICE characters run on to the next newline,
+and checks and converts each slice with bytes.translate, a comparison
+and one json.loads, so no Python code runs per line.  It is the one
+slice loop: parse_edge_ends joins the slices into one list allocated at
+its final size, 2m, and a tree request (cli) hands them one at a time
+to tree_linear.RootedTree.build, which frees each once counted, so the
+flat list is never held and no Graph is built.  A header whose m
+exceeds a quarter of the text's length (an edge line has at least 4
+characters) is refused before anything is allocated.  Any text the
+slices refuse (comments, blank lines, CR or other line breaks, tabs,
+non-ASCII, tokens such as '+2' or '07' that int() reads and JSON does
+not, a wrong edge count, a missing final newline) is read again by the
+line-at-a-time reader, which gives the same result or names the error.
+That reader converts the edge lines _CHUNK at a time and deletes each
+chunk's lines before the next.  Both check the format only.
+parse_edge_list goes on to from_edge_list, which pops each neighbour
+list as its tuple is built, so the lists are freed one by one while the
+tuples grow.  On a 2*10^5-vertex path parse_edge_ends takes 51 ms and
+peaks at 14.9 MiB of traced memory, against 115 ms and 17.4 MiB line by
+line; compute --index wk --k 5 on it, a tree request, peaks at
+13.2 MiB with the file's text, the strip and the kernel, and
+parse_edge_list peaks at 32.4 MiB against 22.9 MiB for the finished
+Graph (Python 3.11).
 """
 
 from __future__ import annotations
@@ -203,10 +207,20 @@ def parse_edge_ends(text: str) -> tuple[int, list[int]]:
     return _parse_lines(text) if parsed is None else parsed
 
 
-def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
-    """parse_edge_ends of a canonical text, read by slices; None when the
-    text is not canonical or its header does not hold, so that the
-    line-at-a-time reader names the error."""
+class NotCanonical(Exception):
+    """Raised by the slices of canonical_slices once the text proves not
+    canonical; the line-at-a-time reader must read it."""
+
+
+def canonical_slices(text: str) -> tuple[int, int, Iterator[list[int]]] | None:
+    """The header n, m of a canonical text and the ends of its edge
+    lines, one slice at a time; None when the header is not canonical or
+    does not hold (n < 1, m < 0, or more edge lines than the text has
+    room for), so that the line-at-a-time reader names the error.
+
+    Each slice is read as it is asked for.  The iterator raises
+    NotCanonical at the first slice that is not canonical or would take
+    the ends past 2m, and after the last when they fall short of 2m."""
     if not text.endswith("\n"):
         return None
     stop = text.index("\n") + 1
@@ -214,20 +228,44 @@ def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
     if head is None or head[0] < 1 or head[1] < 0:
         return None
     n, m = head
-    size = len(text)
-    if 4 * m > size:  # a canonical edge line has at least 4 characters
+    if 4 * m > len(text):  # a canonical edge line has at least 4 characters
         return None
-    ends = [0] * (2 * m)  # filled in place, so it holds no spare slots
-    filled = 0
+    return n, m, _slices(text, stop, 2 * m)
+
+
+def _slices(text: str, stop: int, want: int) -> Iterator[list[int]]:
+    """The canonical_slices iterator over text[stop:], which must hold
+    exactly want ends."""
+    size = len(text)
     while stop < size:
         start = stop
         stop = text.find("\n", start + _SLICE - 1) + 1 or size
         part = _canonical_ints(text[start:stop])
-        if part is None or len(part) > len(ends) - filled:
-            return None
-        ends[filled:filled + len(part)] = part
-        filled += len(part)
-    return (n, ends) if filled == len(ends) else None
+        if part is None or len(part) > want:
+            raise NotCanonical
+        want -= len(part)
+        yield part
+        del part  # the consumer is done with it: freed before the next is read
+    if want:
+        raise NotCanonical
+
+
+def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
+    """parse_edge_ends of a canonical text, its slices joined into one
+    list; None when canonical_slices refuses the text."""
+    head = canonical_slices(text)
+    if head is None:
+        return None
+    n, m, slices = head
+    ends = [0] * (2 * m)  # filled in place, so it holds no spare slots
+    filled = 0
+    try:
+        for part in slices:
+            ends[filled:filled + len(part)] = part
+            filled += len(part)
+    except NotCanonical:
+        return None
+    return n, ends
 
 
 def _canonical_ints(lines: str) -> list[int] | None:

@@ -1,15 +1,18 @@
 """The tree route: pair counts by distance and degree-restricted
 distance sums, from one children-first pass over a parent array.
 
-RootedTree.build certifies and roots a tree straight from the flat
-endpoint list graphs.parse_edge_ends returns, with no Graph and no
-adjacency lists.  It keeps two ints per vertex, its degree and the XOR
-of its neighbours, and strips leaves first in, first out, using the
-order list itself as the queue.  A leaf's only neighbour is its XOR,
-so that is its parent; removing the leaf XORs it out of the parent's
-entry, so when the strip ends the XOR list is the parent array.  The
-order is children-first and ends at the last vertex left, a centre of
-the tree, which is the root.  When n - 1 vertices are stripped the
+RootedTree.build certifies and roots a tree straight from the edge
+ends, with no Graph and no adjacency lists.  It takes them in chunks of
+whole pairs: the slices of graphs.canonical_slices one at a time, each
+freed once its ends are counted, or one flat list such as
+graphs.parse_edge_ends returns.  Each chunk's count and range are
+checked before it is indexed.  It keeps two ints per vertex, its degree
+and the XOR of its neighbours, and strips leaves first in, first out,
+using the order list itself as the queue.  A leaf's only neighbour is
+its XOR, so that is its parent; removing the leaf XORs it out of the
+parent's entry, so when the strip ends the XOR list is the parent
+array.  The order is children-first and ends at the last vertex left,
+a centre of the tree, which is the root.  When n - 1 vertices are stripped the
 input is exactly a simple tree: a loop, a repeated edge or a cycle
 keeps its vertices above degree 1 for good, so the strip stops short.
 The input's leaves open the order, and RootedTree.leaves counts them
@@ -65,7 +68,7 @@ interpreter stack.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -89,27 +92,36 @@ class RootedTree:
         return self.order[-1]
 
     @classmethod
-    def build(cls, n: int, ends: list[int]) -> "RootedTree":
+    def build(cls, n: int, chunks: Iterable[list[int]]) -> "RootedTree":
         """Certify and root the graph on 0..n-1 whose edges are the pairs
-        of ends (u then v, as graphs.parse_edge_ends returns them) by
-        leaf stripping; the root is a centre.  Raises NotATreeError
-        unless the pairs are exactly the edges of a tree, that is also
-        on a loop, a repeat, an end outside 0..n-1 or an order above
-        MAX_GRAPH_ORDER, which from_edge_list names more precisely."""
-        if not 1 <= n <= MAX_GRAPH_ORDER or len(ends) != 2 * (n - 1):
-            raise NotATreeError("input graph is not a tree")
-        if n == 1:
-            return cls(parent=[0], order=[0])
-        # checked before any indexing, since a negative end would wrap
-        if min(ends) < 0 or max(ends) >= n:
+        of the chunks' ends (u then v; each chunk holds whole pairs) by
+        leaf stripping; the root is a centre.  A flat list, as
+        graphs.parse_edge_ends returns it, is one chunk; the slices of
+        graphs.canonical_slices are read one at a time, each dropped once
+        counted.  Raises NotATreeError unless the pairs are exactly the
+        edges of a tree, that is also on a loop, a repeat, an end outside
+        0..n-1 or an order above MAX_GRAPH_ORDER, which from_edge_list
+        names more precisely."""
+        if not 1 <= n <= MAX_GRAPH_ORDER:
             raise NotATreeError("input graph is not a tree")
         deg = [0] * n
         acc = [0] * n  # XOR of the neighbours not yet stripped
-        for u, v in edge_pairs(ends):
-            deg[u] += 1
-            deg[v] += 1
-            acc[u] ^= v
-            acc[v] ^= u
+        left = 2 * (n - 1)  # ends still to come
+        for part in chunks:
+            left -= len(part)
+            # checked before any indexing, since a negative end would wrap
+            if left < 0 or part and (min(part) < 0 or max(part) >= n):
+                raise NotATreeError("input graph is not a tree")
+            for u, v in edge_pairs(part):
+                deg[u] += 1
+                deg[v] += 1
+                acc[u] ^= v
+                acc[v] ^= u
+            del part  # its ints are freed before the next chunk is read
+        if left:
+            raise NotATreeError("input graph is not a tree")
+        if n == 1:
+            return cls(parent=[0], order=[0])
         order = [v for v, d in enumerate(deg) if d == 1]
         leaves = min(len(order), n - 1)  # for n = 2 one leaf is the root
         push = order.append
@@ -132,8 +144,8 @@ class RootedTree:
 
     @classmethod
     def of(cls, g: Graph) -> "RootedTree":
-        """RootedTree.build on a Graph's edges."""
-        return cls.build(g.n, list(chain.from_iterable(g.edges())))
+        """RootedTree.build on a Graph's edges, as one chunk."""
+        return cls.build(g.n, [list(chain.from_iterable(g.edges()))])
 
 
 def tree_polynomial(
@@ -249,9 +261,3 @@ def tree_zagreb(t: RootedTree) -> tuple[int, int]:
     for p in ups:
         deg[p] += 1
     return zagreb(deg, zip(kids, ups))
-
-
-def wk3_from_zagreb(g: Graph) -> int:
-    """Distance-3 pair count of a tree from its Zagreb indices."""
-    m1, m2 = tree_zagreb(RootedTree.of(g))  # raises NotATreeError unless g is a tree
-    return m2 - m1 + g.m

@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from distindex import (
     DisconnectedError,
     DuplicateEdgeError,
     EdgeListFormatError,
+    InfeasibleSpecError,
     Graph,
     LoopEdgeError,
     MAX_GRAPH_ORDER,
@@ -25,6 +27,7 @@ from distindex import (
     bfs_distances,
     canonical_form,
     from_edge_list,
+    tree_zagreb,
     random_tree,
     rooted_level_sequences,
     two_coloring,
@@ -375,3 +378,18 @@ def reference_parse_edge_list(text: str) -> Graph:
     test-only reference for parse_edge_list."""
     n, ends = reference_parse_edge_ends(text)
     return reference_from_edge_list(n, list(zip(ends[::2], ends[1::2])))
+
+
+def wk3_from_zagreb(g: Graph) -> int:
+    """Distance-3 pair count of a tree from its Zagreb indices,
+    W_3 = M2 - M1 + m: a tested identity, not a route of the package."""
+    m1, m2 = tree_zagreb(RootedTree.of(g))  # raises NotATreeError unless g is a tree
+    return m2 - m1 + g.m
+
+
+def even_group_peak(n: int, k: int) -> float:
+    """Real maximizer of the relaxed even-k objective
+    (extremal.even_group_bound): 1/4 + sqrt((16n + k - 18) / (k - 2)) / 4."""
+    if k < 4 or k % 2:
+        raise InfeasibleSpecError("even-case peak needs even k >= 4")
+    return 0.25 + math.sqrt((16 * n + k - 18) / (k - 2)) / 4

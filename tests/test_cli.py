@@ -211,9 +211,9 @@ def test_compute_auto_tree_certified_once(tmp_path, capsys, monkeypatch, index):
     build = distindex.tree_linear.RootedTree.build
     search = distindex.graphs.bfs_distances
 
-    def counting_build(n, ends):
+    def counting_build(n, chunks):
         builds.append(n)
-        return build(n, ends)
+        return build(n, chunks)
 
     def counting_search(g, source):
         searches.append(source)
@@ -228,6 +228,62 @@ def test_compute_auto_tree_certified_once(tmp_path, capsys, monkeypatch, index):
     assert document(out)["method"] == "linear"
     assert builds == [30]
     assert searches == []
+
+
+#: A 40-vertex path in canonical form: a header and four slices of 64
+#: characters, which open at edge lines 1, 15, 26 and 37.
+PATH40 = format_edge_list(path_graph(40))
+
+
+@pytest.mark.parametrize(
+    "text, want, reads",
+    [
+        # a comment line in the second slice: the sliced strip stops
+        # there, the line reader reads the text once, and its list is
+        # stripped whole
+        (PATH40.replace("\n20 21\n", "\n# c\n20 21\n"), (0, 38), (3, 1, 0, 2, 0)),
+        # a tab in the last line: each slice is read once, the last
+        # refuses, then the line reader reads the text once
+        (PATH40[:-3] + "\t39\n", (0, 38), (5, 1, 0, 2, 0)),
+        # canonical with n - 1 edges but no tree: read again (header and
+        # one slice) by parse_edge_ends, with no line reader and no
+        # second strip; the oracle names the fault
+        ("4 3\n0 1\n1 2\n0 2\n", (4, None), (4, 0, 1, 1, 1)),
+        # a header with m != n - 1: no strip at all
+        ("4 2\n0 1\n2 3\n", (4, None), (3, 0, 1, 0, 1)),
+    ],
+    ids=["comment", "tab-last-line", "triangle-and-vertex", "two-edges"],
+)
+def test_compute_tree_route_reads_each_text_at_most_twice(capsys, monkeypatch, text, want, reads):
+    """Counts, per request, canonical slice conversions (header
+    included), line-reader runs, parse_edge_ends calls, strips and Graph
+    builds."""
+    import io
+
+    import distindex.cli
+    import distindex.graphs
+    import distindex.tree_linear
+
+    counts = dict.fromkeys(("slices", "lines", "ends", "strips", "graphs"), 0)
+
+    def counting(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+
+    graphs, cli = distindex.graphs, distindex.cli
+    monkeypatch.setattr(graphs, "_SLICE", 64)
+    monkeypatch.setattr(graphs, "_canonical_ints", counting("slices", graphs._canonical_ints))
+    monkeypatch.setattr(graphs, "_parse_lines", counting("lines", graphs._parse_lines))
+    monkeypatch.setattr(cli, "parse_edge_ends", counting("ends", cli.parse_edge_ends))
+    rooted = distindex.tree_linear.RootedTree
+    monkeypatch.setattr(rooted, "build", staticmethod(counting("strips", rooted.build)))
+    monkeypatch.setattr(cli, "from_edge_list", counting("graphs", cli.from_edge_list))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "compute", "--stdin", "--index", "wk", "--k", "2", "--no-timing")
+    assert (code, document(out)["wk"] if out else None) == want
+    assert tuple(counts.values()) == reads
 
 
 @pytest.mark.parametrize("index", [["wk", "--k", "2"], ["poly"], ["twk", "--k", "1"]])

@@ -188,7 +188,7 @@ def test_strip_route_matches_oracle_documents(workdir):
             want = cli_bytes(path, *argv, "--method", "oracle")
             assert got.replace(f'"method":"{route}"', '"method":"oracle"') == want, (n, argv)
 
-        t = RootedTree.build(n, [x for e in edges for x in e])
+        t = RootedTree.build(n, [[x for e in edges for x in e]])
         depth = [0] * n
         for v in reversed(t.order[:-1]):  # parents before children
             depth[v] = depth[t.parent[v]] + 1

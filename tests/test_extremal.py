@@ -10,7 +10,6 @@ from distindex import (
     caterpillar_positions,
     caterpillar_twk,
     even_group_bound,
-    even_group_peak,
     gen_tree,
     max_degree_count,
     max_tw3,
@@ -20,7 +19,7 @@ from distindex import (
     wiener_polynomial,
     wk,
 )
-from helpers import is_tree
+from helpers import even_group_peak, is_tree
 
 
 def test_spec_path_star():

@@ -28,25 +28,27 @@ from distindex import (
     wiener_polynomial,
     wiener_polynomial_linear,
     wk_linear,
-    wk3_from_zagreb,
     zagreb_m1,
     zagreb_m2,
 )
-from helpers import path_graph, rooted_at, star_graph
+from helpers import path_graph, rooted_at, star_graph, wk3_from_zagreb
 
 
 def test_rooted_tree_build():
     # leaves are stripped first in, first out, each XOR naming its parent
-    t = RootedTree.build(4, [0, 1, 1, 2, 2, 3])
+    t = RootedTree.build(4, [[0, 1, 1, 2, 2, 3]])
     assert list(t.order) == [0, 3, 1, 2]
     assert list(t.parent) == [1, 2, 2, 2]
     assert t.root == 2
     star = RootedTree.of(star_graph(6))
     assert list(star.order) == [1, 2, 3, 4, 5, 0]
     assert list(star.parent) == [0] * 6
+    assert RootedTree.build(1, [[]]) == RootedTree(parent=[0], order=[0])
     assert RootedTree.build(1, []) == RootedTree(parent=[0], order=[0])
-    assert RootedTree.build(2, [1, 0]).order == [0, 1]
-    assert (t.leaves, star.leaves, RootedTree.build(2, [1, 0]).leaves) == (2, 5, 1)
+    assert RootedTree.build(2, [[1, 0]]).order == [0, 1]
+    assert (t.leaves, star.leaves, RootedTree.build(2, [[1, 0]]).leaves) == (2, 5, 1)
+    # the same tree in chunks of whole pairs, one of them empty
+    assert RootedTree.build(4, [[0, 1], [], [1, 2, 2, 3]]) == t
 
 
 def test_rooted_tree_leaf_prefix():
@@ -74,23 +76,26 @@ def test_rooted_tree_rejects_disconnected_with_tree_edge_count():
 
 
 @pytest.mark.parametrize(
-    "n, ends",
+    "n, chunks",
     [
-        (3, [0, 1, 1, -1]),  # a negative end, which would index from the back
-        (3, [0, 1, 1, 3]),
-        (3, [0, 0, 1, 2]),  # a loop
-        (3, [0, 1, 0, 1]),  # a repeat
-        (4, [0, 1, 1, 2, 0, 2]),  # a triangle and an isolated vertex
-        (5, [0, 1, 2, 3, 3, 4, 4, 2]),  # an edge and a triangle
-        (6, [0, 1, 2, 3, 3, 4, 4, 5, 5, 2]),  # an edge and a 4-cycle
-        (4, [0, 1, 1, 2]),  # too few edges
-        (2, [0, 1, 0, 1]),  # too many
-        (MAX_GRAPH_ORDER + 1, []),
+        (3, [[0, 1, 1, -1]]),  # a negative end, which would index from the back
+        (3, [[0, 1], [1, -1]]),  # the same in a later chunk
+        (3, [[0, 1, 1, 3]]),
+        (3, [[0, 0, 1, 2]]),  # a loop
+        (3, [[0, 1, 0, 1]]),  # a repeat
+        (4, [[0, 1, 1, 2, 0, 2]]),  # a triangle and an isolated vertex
+        (5, [[0, 1, 2, 3, 3, 4, 4, 2]]),  # an edge and a triangle
+        (6, [[0, 1, 2, 3, 3, 4, 4, 5, 5, 2]]),  # an edge and a 4-cycle
+        (4, [[0, 1, 1, 2]]),  # too few edges
+        (2, [[0, 1, 0, 1]]),  # too many
+        (2, [[0, 1], [0, 5]]),  # too many, and out of range past the count
+        (1, [[0, 0]]),
+        (MAX_GRAPH_ORDER + 1, [[]]),
     ],
 )
-def test_strip_rejects_every_non_tree(n, ends):
+def test_strip_rejects_every_non_tree(n, chunks):
     with pytest.raises(NotATreeError):
-        RootedTree.build(n, ends)
+        RootedTree.build(n, chunks)
 
 
 def graph_is_tree(n, ends):
@@ -103,20 +108,27 @@ def graph_is_tree(n, ends):
 
 def test_strip_certifies_exactly_the_trees():
     # n - 1 random pairs over -1..n, so loops, repeats, cycles and
-    # out-of-range ends all occur; the strip must accept just the trees
+    # out-of-range ends all occur; the strip must accept just the trees,
+    # and give the same tree whether the ends come as one chunk or cut
+    # into chunks of whole pairs at random
     rng = random.Random(53)
     accepted = 0
     for _ in range(4000):
         n = rng.randint(1, 7)
         ends = [rng.randint(-1, n) if rng.random() < 0.05 else rng.randrange(n)
                 for _ in range(2 * (n - 1))]
+        cuts = sorted(rng.randrange(0, len(ends) + 1, 2) for _ in range(rng.randint(0, 3)))
+        chunks = [ends[a:b] for a, b in zip([0] + cuts, cuts + [len(ends)])]
         want = graph_is_tree(n, ends)
         try:
-            t = RootedTree.build(n, ends)
+            t = RootedTree.build(n, [ends])
         except NotATreeError:
             assert not want, (n, ends)
+            with pytest.raises(NotATreeError):
+                RootedTree.build(n, chunks)
             continue
         assert want, (n, ends)
+        assert RootedTree.build(n, chunks) == t
         accepted += 1
         g = from_edge_list(n, zip(ends[::2], ends[1::2]))
         assert sorted(t.order) == list(range(n))
