@@ -29,15 +29,14 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .extremal import TreeSpec, caterpillar_twk, gen_tree
-from . import graphs
 from .graphs import (
-    NotCanonical,
-    canonical_slices,
     cycle_graph,
     dump_edge_list,
     edge_pairs,
+    edge_slices,
     from_edge_list,
     hypercube_graph,
+    join_slices,
     parse_edge_ends,
 )
 from .indices import (
@@ -152,30 +151,21 @@ def _read_tree(text: str) -> tuple[int, RootedTree | None, list[int] | None]:
     """n and the rooted tree of an edge-list text, or n, None and the
     flat endpoint list when the text is no tree.
 
-    A canonical text whose header has m = n - 1 is stripped slice by
-    slice, so its flat list is never held.  A text refused for its form
-    goes straight to the line-at-a-time reader, whose list is stripped
-    whole.  A canonical text that is no tree is read again by
-    parse_edge_ends, with no second strip.  So every error is the one
-    parse_edge_ends and from_edge_list raise, in the same order."""
-    head = canonical_slices(text)
-    if head is not None:
-        n, m, slices = head
-        try:
-            if m == n - 1:
-                return n, RootedTree.build(n, slices), None
-        except NotATreeError:
-            pass
-        except NotCanonical:
-            head = None
-    # outside the handlers, so the strip's tables are freed first
-    if head is not None:
-        return n, None, parse_edge_ends(text)[1]
-    n, ends = graphs._parse_lines(text)
+    A header with m = n - 1 has its slices stripped one at a time, so
+    the flat list is never held.  A text the strip refuses is read again
+    by parse_edge_ends, so that a format error in a later slice still
+    comes before the graph error; any other text has its slices joined.
+    So every error is the one parse_edge_ends and from_edge_list raise,
+    in the same order."""
+    n, m, slices = edge_slices(text)
+    if m != n - 1:
+        return n, None, join_slices(m, slices)
     try:
-        return n, RootedTree.build(n, [ends]), None
+        return n, RootedTree.build(n, slices), None
     except NotATreeError:
-        return n, None, ends
+        pass
+    # outside the handler, so the strip's tables are freed first
+    return n, None, parse_edge_ends(text)[1]
 
 
 def _cmd_compute(args) -> dict:

@@ -15,33 +15,37 @@ on when the call began.  The switch is process-wide: a thread that
 flips it while another thread builds may see its change undone.
 
 Ingest drops each input once it has read it, so a large file is not
-held in several forms at once.  canonical_slices reads the canonical
-form that format_edge_list, gen and the bench inputs write: every line,
-the header included, is two ASCII tokens over 0-9, '+' and '-' joined
-by one space and ended by '\n'.  It reads the header at once and the
-body lazily, by slices of _SLICE characters run on to the next newline,
-and checks and converts each slice with bytes.translate, a comparison
-and one json.loads, so no Python code runs per line.  It is the one
-slice loop: parse_edge_ends joins the slices into one list allocated at
-its final size, 2m, and a tree request (cli) hands them one at a time
-to tree_linear.RootedTree.build, which frees each once counted, so the
-flat list is never held and no Graph is built.  A header whose m
-exceeds a quarter of the text's length (an edge line has at least 4
-characters) is refused before anything is allocated.  Any text the
-slices refuse (comments, blank lines, CR or other line breaks, tabs,
-non-ASCII, tokens such as '+2' or '07' that int() reads and JSON does
-not, a wrong edge count, a missing final newline) is read again by the
-line-at-a-time reader, which gives the same result or names the error.
-That reader converts the edge lines _CHUNK at a time and deletes each
-chunk's lines before the next.  Both check the format only.
+held in several forms at once.  edge_slices is the one reader.  It reads
+the header at once and the body lazily, by slices of _SLICE characters
+run on to the next newline.  A canonical slice, the form that
+format_edge_list, gen and the bench inputs write (every line two ASCII
+tokens over 0-9, '+' and '-' joined by one space and ended by '\n'), is
+checked and converted with bytes.translate, a comparison and one
+json.loads, so no Python code runs per line.  Any other slice (comments,
+blank lines, CR or other line breaks, tabs, non-ASCII, tokens such as
+'+2' or '07' that int() reads and JSON does not, no final newline) is
+read in place by the line rule: each line stripped, blank and '#' lines
+skipped, and two tokens read by int().  The loop then goes on with the
+next slice, so no text is read again from its first line.  A header that
+is not canonical is the first row the line rule finds.  Errors keep the
+order of a line-by-line read: the header's, the edge count's, then the
+first bad edge line's.  So at the first bad line, or once the lines run
+past m, the rows of the rest of the text are counted and a wrong count
+is named first; the earlier slices held no bad line.  A header whose m
+exceeds a quarter of the text's length (a header and m edge lines take
+more) gets that count error before anything is allocated.  Only the
+format is checked.  parse_edge_ends joins the slices into one list
+allocated at its final size, 2m, and a tree request (cli) hands them one
+at a time to tree_linear.RootedTree.build, which frees each once
+counted, so the flat list is never held and no Graph is built.
 parse_edge_list goes on to from_edge_list, which pops each neighbour
 list as its tuple is built, so the lists are freed one by one while the
-tuples grow.  On a 2*10^5-vertex path parse_edge_ends takes 51 ms and
-peaks at 14.9 MiB of traced memory, against 115 ms and 17.4 MiB line by
-line; compute --index wk --k 5 on it, a tree request, peaks at
-13.2 MiB with the file's text, the strip and the kernel, and
-parse_edge_list peaks at 32.4 MiB against 22.9 MiB for the finished
-Graph (Python 3.11).
+tuples grow.  On a 2*10^5-vertex path parse_edge_ends takes 45 ms and
+peaks at 14.9 MiB of traced memory, 71-75 ms with a tab in the last
+line and 108-117 ms with CRLF line ends.  compute --index wk --k 5 on
+it, a tree request, peaks at 13.4 MiB with the file's text, the strip
+and the kernel, with a comment line or without, and parse_edge_list
+peaks at 32.0 MiB against 22.9 MiB for the finished Graph (Python 3.11).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateEdgeError,
@@ -70,13 +74,9 @@ UNREACHABLE = -1
 #: before any adjacency list is allocated.
 MAX_GRAPH_ORDER = 1 << 21
 
-#: Characters of canonical edge lines checked and converted per batch
-#: by parse_edge_ends; a slice runs on to the next newline.
+#: Characters of edge lines checked and converted per batch by
+#: edge_slices; a slice runs on to the next newline.
 _SLICE = 1 << 18
-
-#: Edge lines checked and converted per batch by the line-at-a-time
-#: reader that parse_edge_ends falls back on.
-_CHUNK = 1 << 14
 
 #: The characters of canonical tokens, and the table that turns the
 #: separators of canonical lines into JSON commas.
@@ -203,121 +203,142 @@ def parse_edge_ends(text: str) -> tuple[int, list[int]]:
     Returns n and the edges' endpoints as one flat list, u then v for
     each line in order; only the format is checked, not the graph.
     """
-    parsed = _parse_canonical(text)
-    return _parse_lines(text) if parsed is None else parsed
+    n, m, slices = edge_slices(text)
+    return n, join_slices(m, slices)
 
 
-class NotCanonical(Exception):
-    """Raised by the slices of canonical_slices once the text proves not
-    canonical; the line-at-a-time reader must read it."""
-
-
-def canonical_slices(text: str) -> tuple[int, int, Iterator[list[int]]] | None:
-    """The header n, m of a canonical text and the ends of its edge
-    lines, one slice at a time; None when the header is not canonical or
-    does not hold (n < 1, m < 0, or more edge lines than the text has
-    room for), so that the line-at-a-time reader names the error.
-
-    Each slice is read as it is asked for.  The iterator raises
-    NotCanonical at the first slice that is not canonical or would take
-    the ends past 2m, and after the last when they fall short of 2m."""
-    if not text.endswith("\n"):
-        return None
-    stop = text.index("\n") + 1
-    head = _canonical_ints(text[:stop])
-    if head is None or head[0] < 1 or head[1] < 0:
-        return None
-    n, m = head
-    if 4 * m > len(text):  # a canonical edge line has at least 4 characters
-        return None
-    return n, m, _slices(text, stop, 2 * m)
-
-
-def _slices(text: str, stop: int, want: int) -> Iterator[list[int]]:
-    """The canonical_slices iterator over text[stop:], which must hold
-    exactly want ends."""
-    size = len(text)
-    while stop < size:
-        start = stop
-        stop = text.find("\n", start + _SLICE - 1) + 1 or size
-        part = _canonical_ints(text[start:stop])
-        if part is None or len(part) > want:
-            raise NotCanonical
-        want -= len(part)
-        yield part
-        del part  # the consumer is done with it: freed before the next is read
-    if want:
-        raise NotCanonical
-
-
-def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
-    """parse_edge_ends of a canonical text, its slices joined into one
-    list; None when canonical_slices refuses the text."""
-    head = canonical_slices(text)
-    if head is None:
-        return None
-    n, m, slices = head
+def join_slices(m: int, slices: Iterable[list[int]]) -> list[int]:
+    """The 2m ends of edge_slices' slices as one list."""
     ends = [0] * (2 * m)  # filled in place, so it holds no spare slots
     filled = 0
-    try:
-        for part in slices:
-            ends[filled:filled + len(part)] = part
-            filled += len(part)
-    except NotCanonical:
-        return None
-    return n, ends
+    for part in slices:
+        ends[filled:filled + len(part)] = part
+        filled += len(part)
+    return ends
+
+
+def edge_slices(text: str) -> tuple[int, int, Iterator[list[int]]]:
+    """The header n, m of an edge-list text and the ends of its edge
+    lines, one slice at a time.
+
+    Raises the header's format error at once, and the count's before
+    anything is allocated when m edge lines cannot fit in the text.
+    Each slice is read as it is asked for.  The iterator raises the
+    count's error, or else the first bad edge line's, at the first slice
+    that holds a bad line or takes the ends past 2m, and the count's
+    after the last slice when the ends fall short."""
+    stop = text.find("\n") + 1
+    head = _canonical_ints(text[:stop])
+    if head is None:
+        row, stop = _first_row(text)
+        tokens = row.split()
+        if len(tokens) != 2:
+            raise EdgeListFormatError(f"header must be 'n m', got {row!r}")
+        try:
+            head = [int(tokens[0]), int(tokens[1])]
+        except ValueError as exc:
+            raise EdgeListFormatError(f"non-integer header {row!r}") from exc
+    n, m = head
+    if n < 1:
+        raise EdgeListFormatError(f"vertex count must be >= 1, got {n}")
+    if m < 0:
+        raise EdgeListFormatError("negative edge count")
+    if 4 * m > len(text):  # a header and m edge lines take over 4m characters
+        _check_count(m, _count_rows(text, stop))
+    return n, m, _slices(text, stop, m)
+
+
+def _slices(text: str, body: int, m: int) -> Iterator[list[int]]:
+    """The edge_slices iterator over text[body:], which must hold
+    exactly m edge lines."""
+    seen = 0  # edge lines read
+    for start, stop in _spans(text, body):
+        lines = text[start:stop]
+        part = _canonical_ints(lines)
+        if part is None:
+            try:
+                part = _line_ints(lines)
+            except EdgeListFormatError:
+                # a wrong count comes first; earlier slices held no bad line
+                _check_count(m, seen + _count_rows(text, start))
+                raise
+        del lines
+        seen += len(part) // 2
+        if seen > m:
+            _check_count(m, seen + _count_rows(text, stop))
+        yield part
+        del part  # the consumer is done with it: freed before the next is read
+    _check_count(m, seen)
+
+
+def _spans(text: str, start: int) -> Iterator[tuple[int, int]]:
+    """The bounds of the slices of text[start:]: _SLICE characters, run
+    on to the next newline, so no line is cut."""
+    size = len(text)
+    while start < size:
+        stop = text.find("\n", start + _SLICE - 1) + 1 or size
+        yield start, stop
+        start = stop
 
 
 def _canonical_ints(lines: str) -> list[int] | None:
     """The tokens of lines that are each two tokens joined by one space
-    and ended by '\n', as ints; None for any other text.  A token is
+    and ended by '\n', as ints; None for any other text, the empty one
+    and one whose last line has no '\n' included.  A token is
     what JSON reads as an integer: an optional '-', then digits without
     a leading zero.  JSON also refuses the empty token that a leading or
     trailing space leaves."""
     try:
         raw = lines.encode("ascii")
         rest = raw.translate(None, _TOKEN_CHARS)
-        if rest != b" \n" * (len(rest) // 2):
+        if not raw.endswith(b"\n") or rest != b" \n" * (len(rest) // 2):
             return None
         return json.loads(b"[" + raw.translate(_TO_COMMAS)[:-1] + b"]")
     except ValueError:  # not ASCII, or a token JSON refuses
         return None
 
 
-def _parse_lines(text: str) -> tuple[int, list[int]]:
-    """parse_edge_ends one line at a time: reads any text the canonical
-    reader refuses, and raises the format error."""
-    rows = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
-    if not rows:
-        raise EdgeListFormatError("empty input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise EdgeListFormatError(f"header must be 'n m', got {rows[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise EdgeListFormatError(f"non-integer header {rows[0]!r}") from exc
-    if n < 1:
-        raise EdgeListFormatError(f"vertex count must be >= 1, got {n}")
-    if m < 0:
-        raise EdgeListFormatError("negative edge count")
-    del rows[0]  # the header
-    if len(rows) != m:
-        raise EdgeListFormatError(f"expected {m} edge lines, found {len(rows)}")
-    # Every chunk is converted before any graph check, so a format error
-    # anywhere still comes before any graph error.  Earlier chunks have
-    # passed, so a chunk's first bad line is the file's.
+def _rows(lines: str) -> list[str]:
+    """The rows of a text by the line rule: its lines stripped, without
+    the blank ones and those starting with '#'."""
+    return [ln for ln in map(str.strip, lines.splitlines()) if ln and ln[0] != "#"]
+
+
+def _line_ints(lines: str) -> list[int]:
+    """The ends of a text's rows, each two tokens that int() reads;
+    raises the format error of the first row that is not."""
     ends: list[int] = []
-    while rows:
-        chunk = rows[:_CHUNK]
-        del rows[:_CHUNK]  # nothing reads these line strings again
-        if not all(len(ln.split()) == 2 for ln in chunk):
-            _raise_first_bad_line(chunk)
+    for row in _rows(lines):
         try:
-            ends += map(int, " ".join(chunk).split())
+            u, v = row.split()
+            ends += (int(u), int(v))
         except ValueError:
-            _raise_first_bad_line(chunk)
-    return n, ends
+            if len(row.split()) != 2:
+                raise EdgeListFormatError(f"edge line must be 'u v', got {row!r}") from None
+            raise EdgeListFormatError(f"non-integer edge line {row!r}") from None
+    return ends
+
+
+def _first_row(text: str) -> tuple[str, int]:
+    """The first row of a text, its header, and the offset just past
+    its line; raises on a text with no row."""
+    for pos, stop in _spans(text, 0):
+        for line in text[pos:stop].splitlines(keepends=True):
+            pos += len(line)
+            row = line.strip()  # line breaks are whitespace too
+            if row and row[0] != "#":
+                return row, pos
+    raise EdgeListFormatError("empty input")
+
+
+def _count_rows(text: str, start: int) -> int:
+    """The number of rows in text[start:], counted a slice at a time."""
+    return sum(len(_rows(text[a:b])) for a, b in _spans(text, start))
+
+
+def _check_count(m: int, found: int) -> None:
+    if found != m:
+        raise EdgeListFormatError(f"expected {m} edge lines, found {found}")
 
 
 def edge_pairs(ends: list[int]) -> Iterator[tuple[int, int]]:
@@ -331,20 +352,6 @@ def parse_edge_list(text: str) -> Graph:
     from_edge_list)."""
     n, ends = parse_edge_ends(text)
     return from_edge_list(n, edge_pairs(ends))
-
-
-def _raise_first_bad_line(lines: list[str]) -> NoReturn:
-    """Raise the format error of the first edge line that is not two
-    integers; called once a chunk's shape check or int() has failed."""
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise EdgeListFormatError(f"edge line must be 'u v', got {ln!r}")
-        try:
-            int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise EdgeListFormatError(f"non-integer edge line {ln!r}") from exc
-    raise AssertionError("no bad edge line found")
 
 
 def format_edge_list(g: Graph) -> str:

@@ -3,8 +3,8 @@ distance sums, from one children-first pass over a parent array.
 
 RootedTree.build certifies and roots a tree straight from the edge
 ends, with no Graph and no adjacency lists.  It takes them in chunks of
-whole pairs: the slices of graphs.canonical_slices one at a time, each
-freed once its ends are counted, or one flat list such as
+whole pairs: the slices of graphs.edge_slices one at a time, each freed
+once its ends are counted, or one flat list such as
 graphs.parse_edge_ends returns.  Each chunk's count and range are
 checked before it is indexed.  It keeps two ints per vertex, its degree
 and the XOR of its neighbours, and strips leaves first in, first out,
@@ -97,11 +97,12 @@ class RootedTree:
         of the chunks' ends (u then v; each chunk holds whole pairs) by
         leaf stripping; the root is a centre.  A flat list, as
         graphs.parse_edge_ends returns it, is one chunk; the slices of
-        graphs.canonical_slices are read one at a time, each dropped once
-        counted.  Raises NotATreeError unless the pairs are exactly the
-        edges of a tree, that is also on a loop, a repeat, an end outside
-        0..n-1 or an order above MAX_GRAPH_ORDER, which from_edge_list
-        names more precisely."""
+        graphs.edge_slices, the one edge-list reader, are read one at a
+        time, each dropped once counted, and a format error they raise
+        passes through.  Raises NotATreeError unless the pairs are
+        exactly the edges of a tree, that is also on a loop, a repeat, an
+        end outside 0..n-1 or an order above MAX_GRAPH_ORDER, which
+        from_edge_list names more precisely."""
         if not 1 <= n <= MAX_GRAPH_ORDER:
             raise NotATreeError("input graph is not a tree")
         deg = [0] * n

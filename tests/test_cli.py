@@ -238,26 +238,25 @@ PATH40 = format_edge_list(path_graph(40))
 @pytest.mark.parametrize(
     "text, want, reads",
     [
-        # a comment line in the second slice: the sliced strip stops
-        # there, the line reader reads the text once, and its list is
-        # stripped whole
-        (PATH40.replace("\n20 21\n", "\n# c\n20 21\n"), (0, 38), (3, 1, 0, 2, 0)),
-        # a tab in the last line: each slice is read once, the last
-        # refuses, then the line reader reads the text once
-        (PATH40[:-3] + "\t39\n", (0, 38), (5, 1, 0, 2, 0)),
-        # canonical with n - 1 edges but no tree: read again (header and
-        # one slice) by parse_edge_ends, with no line reader and no
-        # second strip; the oracle names the fault
+        # a comment line in the second slice: the line rule reads that
+        # slice in place, and the strip goes on to the end
+        (PATH40.replace("\n20 21\n", "\n# c\n20 21\n"), (0, 38), (5, 1, 0, 1, 0)),
+        # a tab in the last line: each slice is read once, and the line
+        # rule reads the last one after the canonical check refuses it
+        (PATH40[:-3] + "\t39\n", (0, 38), (5, 1, 0, 1, 0)),
+        # n - 1 edges but no tree: read again (header and one slice) by
+        # parse_edge_ends, with no second strip; the oracle names the
+        # fault
         ("4 3\n0 1\n1 2\n0 2\n", (4, None), (4, 0, 1, 1, 1)),
-        # a header with m != n - 1: no strip at all
-        ("4 2\n0 1\n2 3\n", (4, None), (3, 0, 1, 0, 1)),
+        # a header with m != n - 1: no strip, and the slices are joined
+        ("4 2\n0 1\n2 3\n", (4, None), (2, 0, 0, 0, 1)),
     ],
     ids=["comment", "tab-last-line", "triangle-and-vertex", "two-edges"],
 )
 def test_compute_tree_route_reads_each_text_at_most_twice(capsys, monkeypatch, text, want, reads):
     """Counts, per request, canonical slice conversions (header
-    included), line-reader runs, parse_edge_ends calls, strips and Graph
-    builds."""
+    included), line-rule slice conversions, parse_edge_ends calls,
+    strips and Graph builds."""
     import io
 
     import distindex.cli
@@ -275,7 +274,7 @@ def test_compute_tree_route_reads_each_text_at_most_twice(capsys, monkeypatch, t
     graphs, cli = distindex.graphs, distindex.cli
     monkeypatch.setattr(graphs, "_SLICE", 64)
     monkeypatch.setattr(graphs, "_canonical_ints", counting("slices", graphs._canonical_ints))
-    monkeypatch.setattr(graphs, "_parse_lines", counting("lines", graphs._parse_lines))
+    monkeypatch.setattr(graphs, "_line_ints", counting("lines", graphs._line_ints))
     monkeypatch.setattr(cli, "parse_edge_ends", counting("ends", cli.parse_edge_ends))
     rooted = distindex.tree_linear.RootedTree
     monkeypatch.setattr(rooted, "build", staticmethod(counting("strips", rooted.build)))
@@ -284,6 +283,42 @@ def test_compute_tree_route_reads_each_text_at_most_twice(capsys, monkeypatch, t
     code, out, err = run_cli(capsys, "compute", "--stdin", "--index", "wk", "--k", "2", "--no-timing")
     assert (code, document(out)["wk"] if out else None) == want
     assert tuple(counts.values()) == reads
+
+
+def test_compute_refused_tree_reads_each_slice_at_most_twice(capsys, monkeypatch):
+    """An end out of range in the first slice and a tab in the last: the
+    strip stops at the bad end, parse_edge_ends reads the text once
+    more, the line rule takes the last slice in place, and no line pass
+    runs over the whole text."""
+    import collections
+    import io
+
+    import distindex.graphs
+
+    graphs = distindex.graphs
+    text = PATH40.replace("\n1 2\n", "\n1 -1\n")[:-3] + "\t39\n"
+    reads = collections.Counter()
+
+    def counting(fn):
+        def call(lines):
+            reads[lines] += 1
+            return fn(lines)
+        return call
+
+    monkeypatch.setattr(graphs, "_SLICE", 64)
+    monkeypatch.setattr(graphs, "_canonical_ints", counting(graphs._canonical_ints))
+    line_ints = counting(graphs._line_ints)
+    monkeypatch.setattr(graphs, "_line_ints", line_ints)
+    for name in ("_first_row", "_count_rows"):
+        monkeypatch.setattr(graphs, name, lambda *args: pytest.fail("line pass over the text"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    got = run_cli(capsys, "compute", "--stdin", "--index", "wk", "--k", "2", "--no-timing")
+    assert got == (2, "", "error: edge (1, -1) outside 0..39\n")
+    assert max(reads.values()) == 2
+    assert "".join(reads) == text  # header and slices, each counted once
+    # the header and first slice by the strip and by the re-read, the
+    # next two once, the last by both converters
+    assert sum(reads.values()) == 8
 
 
 @pytest.mark.parametrize("index", [["wk", "--k", "2"], ["poly"], ["twk", "--k", "1"]])

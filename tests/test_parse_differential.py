@@ -2,10 +2,10 @@
 parse_edge_list and from_edge_list must give the same result, or raise
 the same exception type with the same message, as the line-at-a-time
 references in tests/helpers.py, on generated texts, on canonical texts
-with one fault that only the line-at-a-time reader takes, and on large
-files with faults deep inside and at the canonical reader's slice
-boundaries.  The CLI's tree route, which strips a canonical text slice
-by slice, must answer as reading the whole text first does."""
+with one fault that sends a slice to the line rule, and on large files
+with faults deep inside and at the slice boundaries.  The CLI's tree
+route, which strips a text slice by slice, must answer as reading the
+whole text first does."""
 
 import io
 import sys
@@ -27,7 +27,7 @@ from distindex import (
     parse_edge_ends,
     parse_edge_list,
 )
-from distindex.graphs import _CHUNK, _SLICE
+from distindex.graphs import _SLICE
 from helpers import (
     reference_from_edge_list,
     reference_parse_edge_ends,
@@ -134,7 +134,7 @@ def canonical_texts(draw):
 @st.composite
 def faulted_texts(draw):
     """A canonical text with one fault; returns the text and whether the
-    canonical reader must refuse it."""
+    line rule must read a line of it."""
     lines = draw(canonical_texts())
     return draw(one_fault(lines, draw(st.integers(0, len(lines) - 1))))
 
@@ -142,7 +142,8 @@ def faulted_texts(draw):
 @st.composite
 def one_fault(draw, lines, i):
     """The canonical lines (header first, without "\n") with one fault in
-    line i, as a text, and whether the canonical reader must refuse it."""
+    line i, as a text, and whether the line rule must read a line of it:
+    every fault but a wrong count or a -0 makes its slice not canonical."""
     lines = list(lines)
     a, b = lines[i].split(" ")
     kind = draw(st.sampled_from(("break", "separator", "token", "final", "count", "insert")))
@@ -170,8 +171,8 @@ def one_fault(draw, lines, i):
         first = draw(st.booleans())
         lines[i] = f"{token} {b}" if first else f"{a} {token}"
         if token == NEGATIVE_ZERO:
-            # read as 0 by both: refused only where 0 breaks the header
-            return "\n".join(lines) + ending, i == 0 and (first or b != "0")
+            # read as 0 by JSON and int() alike
+            return "\n".join(lines) + ending, False
     elif kind == "final":
         ending = ""
     elif kind == "count":
@@ -179,14 +180,17 @@ def one_fault(draw, lines, i):
         lines[0] = f"{n} {int(m) + draw(st.sampled_from((-1, 1)))}"
     else:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("# c", "#", "", " "))))
-    return "\n".join(lines) + ending, True
+    return "\n".join(lines) + ending, kind != "count"
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(canonical_texts())
 def test_canonical_text_skips_line_reader(lines):
     text = "\n".join(lines) + "\n"
-    with mock.patch.object(graphs, "_parse_lines", side_effect=AssertionError("line reader ran")):
+    ran = AssertionError("line rule ran")
+    with mock.patch.object(graphs, "_first_row", side_effect=ran), \
+            mock.patch.object(graphs, "_line_ints", side_effect=ran), \
+            mock.patch.object(graphs, "_count_rows", side_effect=ran):
         got = outcome(parse_edge_ends, text)
     assert got == outcome(reference_parse_edge_ends, text)
 
@@ -199,11 +203,24 @@ def test_canonical_text_skips_line_reader(lines):
 @example(("2 1\n0 1", True))
 def test_one_fault_matches_reference(case):
     text, refused = case
-    with mock.patch.object(graphs, "_parse_lines", wraps=graphs._parse_lines) as lines_read:
+    with mock.patch.object(graphs, "_first_row", wraps=graphs._first_row) as header_read, \
+            mock.patch.object(graphs, "_line_ints", wraps=graphs._line_ints) as lines_read:
         got = outcome(parse_edge_ends, text)
     assert got == outcome(reference_parse_edge_ends, text)
-    assert lines_read.called == refused
+    assert (header_read.called or lines_read.called) == refused
     assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.integers(1, 12), st.one_of(edge_list_texts(), faulted_texts().map(lambda case: case[0])))
+@example(1, "1 1\n#\n0")  # a last slice with no '\n' is no canonical slice
+@example(4, "3 2\n12 3\n45")
+def test_parse_in_small_slices_matches_reference(width, text):
+    # slices of a few characters, so that headers, comments, faults and
+    # the line rule's slices fall on every side of a slice boundary
+    with mock.patch.object(graphs, "_SLICE", width):
+        got = outcome(parse_edge_list, text)
+    assert got == outcome(reference_parse_edge_list, text)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -337,13 +354,15 @@ def same_length(line, kind):
         # way round
         {SLICE_A - 1: same_length(SLICE_A - 1, "loop"), SLICE_A: same_length(SLICE_A, "x")},
         {SLICE_A - 1: same_length(SLICE_A - 1, "x"), SLICE_A: same_length(SLICE_A, "loop")},
-        # a tab the line reader takes at a slice boundary, then a loop
-        # slices later: all is read again, and the loop is named
+        # a tab at a slice boundary, which the line rule takes in place,
+        # then a loop slices later: the loop is named
         {SLICE_A: same_length(SLICE_A, "tab"), SLICE_B: same_length(SLICE_B, "loop")},
-        # the line reader's own chunks: a graph fault at the end of one,
-        # a format fault at the start of the next (edge line j is file
-        # line j + 1, so chunk c starts at file line c * _CHUNK + 2)
-        {8 * _CHUNK + 1: "7 7", 8 * _CHUNK + 2: "x y"},
+        # a tab that sends the end of one slice to the line rule, then a
+        # bad line at the start of the next
+        {SLICE_A - 1: same_length(SLICE_A - 1, "tab"), SLICE_A: same_length(SLICE_A, "x")},
+        # a graph fault and, on the next line, a format fault, both
+        # inside one slice that the line rule reads
+        {131_073: "7 7", 131_074: "x y"},
     ],
     ids=lambda faults: " + ".join(f"{line}:{text}" for line, text in faults.items()),
 )
@@ -359,12 +378,12 @@ def test_first_fault_reported_at_scale(faults):
 
 def test_overstated_edge_count_reaches_line_reader_unallocated():
     # canonical lines, but a header m that four characters a line cannot
-    # reach: the flat list is never allocated, and the line reader names
-    # the count
+    # reach: the flat list is never allocated, and the line rule counts
+    # the rows to name the count
     text = "3 1000000\n0 1\n1 2\n"
     tracemalloc.start()
     try:
-        with mock.patch.object(graphs, "_parse_lines", wraps=graphs._parse_lines) as lines_read:
+        with mock.patch.object(graphs, "_count_rows", wraps=graphs._count_rows) as lines_read:
             got = outcome(parse_edge_ends, text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -384,9 +403,9 @@ def test_canonical_ends_hold_no_spare_slots():
 def test_parse_peak_with_chunked_conversion_and_lists_freed():
     # The canonical text is converted a slice at a time, and each
     # neighbour list is freed once its tuple exists.  On Python 3.11
-    # tracemalloc read a 32.4 MiB peak (32.1 MiB with the line reader's
-    # chunks), 44.8 MiB with chunking alone, and 52.4 MiB with one batch
-    # and every list kept.
+    # tracemalloc read a 32.0 MiB peak (32.1 MiB with a tab in the last
+    # line, whose slice the line rule reads), 44.8 MiB with chunking
+    # alone, and 52.4 MiB with one batch and every list kept.
     text = "\n".join(PATH_LINES) + "\n"
     tracemalloc.start()
     try:
@@ -398,13 +417,10 @@ def test_parse_peak_with_chunked_conversion_and_lists_freed():
     assert peak < 40 * 2**20
 
 
-def test_tree_request_peak_holds_no_flat_list(tmp_path):
-    # The tree route strips the canonical text slice by slice and frees
-    # each slice's ints once counted, so the 2*(n - 1) ends are never
-    # held at once.  On Python 3.11 tracemalloc read 13.2 MiB, against
-    # 24.4 MiB when the whole flat list was parsed before the strip.
+def traced_wk5_peak(tmp_path, text):
+    """The traced peak of compute --index wk --k 5 on text, in bytes."""
     path = tmp_path / "path.txt"
-    path.write_text("\n".join(PATH_LINES) + "\n")
+    path.write_text(text)
     out = io.StringIO()
     tracemalloc.start()
     try:
@@ -417,4 +433,45 @@ def test_tree_request_peak_holds_no_flat_list(tmp_path):
     assert out.getvalue() == (
         '{"index":"wk","k":5,"m":199999,"method":"linear","n":200000,"wk":199995}\n'
     )
-    assert peak < 18 * 2**20
+    return peak
+
+
+def test_tree_request_peak_holds_no_flat_list(tmp_path):
+    # The tree route strips the text slice by slice and frees each
+    # slice's ints once counted, so the 2*(n - 1) ends are never held at
+    # once.  On Python 3.11 tracemalloc read 13.2 MiB, against 24.4 MiB
+    # when the whole flat list was parsed before the strip.
+    assert traced_wk5_peak(tmp_path, "\n".join(PATH_LINES) + "\n") < 18 * 2**20
+
+
+def first_lines(calls):
+    """The first line of each text a converter was called on."""
+    return [call.args[0].partition("\n")[0] for call in calls.call_args_list]
+
+
+def test_late_line_rule_slice_is_read_in_place():
+    # a tab in the last line: every slice before it is converted once as
+    # canonical, and the line rule reads the last slice only, with no
+    # second pass from the first line
+    text = "\n".join(PATH_LINES[:-1] + [PATH_LINES[-1].replace(" ", "\t")]) + "\n"
+    with mock.patch.object(graphs, "_canonical_ints", wraps=graphs._canonical_ints) as canonical, \
+            mock.patch.object(graphs, "_line_ints", wraps=graphs._line_ints) as lines_read, \
+            mock.patch.object(graphs, "_count_rows", wraps=graphs._count_rows) as counted:
+        n, ends = parse_edge_ends(text)
+    assert (n, ends) == reference_parse_edge_ends(text)
+    firsts = [PATH_LINES[0]] + [PATH_LINES[line - 1] for line in slice_first_lines(text)]
+    assert first_lines(canonical) == firsts
+    assert first_lines(lines_read) == firsts[-1:]
+    assert not counted.called
+
+
+def test_tree_request_peak_with_a_comment_line(tmp_path):
+    # the slice holding the comment goes through the line rule in place,
+    # so the request holds what a canonical text's does; on Python 3.11
+    # tracemalloc read 27.0 MiB against 13.4 MiB when the comment sent
+    # the whole text to a second, line-by-line read
+    lines = list(PATH_LINES)
+    lines.insert(100_000, "# comment")  # file line 100 001
+    canonical = traced_wk5_peak(tmp_path, "\n".join(PATH_LINES) + "\n")
+    commented = traced_wk5_peak(tmp_path, "\n".join(lines) + "\n")
+    assert commented < 1.1 * canonical
