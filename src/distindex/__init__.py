@@ -103,7 +103,6 @@ from .treegen import (
     prufer_to_tree,
     random_tree,
     rooted_level_sequences,
-    tree_centers,
 )
 from .verify import (
     DEFAULT_SEED,
@@ -145,7 +144,7 @@ __all__ = [
     "HexSystem", "gen_coronene", "edge_direction", "orientation_groups",
     "horizontal_cut_profile", "coronene_tw3",
     # enumeration and sampling
-    "MAX_ORDER", "rooted_level_sequences", "tree_centers", "canonical_form",
+    "MAX_ORDER", "rooted_level_sequences", "canonical_form",
     "free_level_sequences", "level_sequence_edges", "level_sequence_parents",
     "all_free_trees",
     "free_tree_count", "prufer_to_tree", "random_tree",

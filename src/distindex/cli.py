@@ -195,6 +195,8 @@ def _cmd_compute(args) -> dict:
         raise ValueError("--method linear applies to --index wk or poly")
     if method == "cut" and index != "twk":
         raise ValueError("--method cut applies to --index twk")
+    if method == "linear" and tree is None:
+        raise NotATreeError("input graph is not a tree")
 
     partition = None
     if method == "auto":
@@ -215,9 +217,9 @@ def _cmd_compute(args) -> dict:
     if index == "wiener":
         payload["wiener"] = wiener(g)
     elif index == "wk":
-        payload["wk"] = wk_linear(tree or g, k) if method == "linear" else wk(g, k)
+        payload["wk"] = wk_linear(tree, k) if method == "linear" else wk(g, k)
     elif index == "poly":
-        poly = wiener_polynomial_linear(tree or g) if method == "linear" else wiener_polynomial(g)
+        poly = wiener_polynomial_linear(tree) if method == "linear" else wiener_polynomial(g)
         payload["poly"] = list(poly.coeffs)
     elif index == "twk":
         if method != "cut":

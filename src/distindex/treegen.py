@@ -24,16 +24,25 @@ subtree, and when that entry sat above level 3 it resets the suffix to
 a path as high as the new first subtree, so the rest is high enough
 again.  The walk starts at the path rooted at its centre and ends at the
 star.  No graph is built and nothing is stored for a skipped sequence.
+
+A tree's canonical form is its parenthesis string (Aho, Hopcroft and
+Ullman 1974) rooted at a centre, the smaller one when there are two.
+_form builds it from a centre-rooted parent array in one children-first
+pass: the free-tree walk's parent arrays as they are, and a Graph's
+through RootedTree.of, whose leaf strip certifies the tree and roots it
+at a centre.  Nothing recurses.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import NotATreeError, OrderTooLargeError
+from .errors import OrderTooLargeError
 from .graphs import Graph, from_edge_list
+from .tree_linear import RootedTree
 
 #: Orders above this make exhaustive enumeration unreasonably large.
 MAX_ORDER = 16
@@ -98,62 +107,49 @@ def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
     return sorted(zip(parent[1:], range(1, len(seq))))
 
 
-def tree_centers(g: Graph) -> list[int]:
-    """The one or two middle vertices of a tree, by leaf stripping.
+def _form(parent: Sequence[int], order: Sequence[int]) -> str:
+    """Canonical form of the tree (parent, order) describes, rooted at a
+    centre (every vertex before its parent, the root last): the smaller
+    parenthesis string over its one or two centres.
 
-    The stripping also certifies the tree.  A graph with n >= 1 vertices
-    and n - 1 edges that is not a tree is disconnected and so has a
-    cycle; the cycle's vertices never become leaves, and neither does an
-    isolated vertex, so some round finds no leaves while more than two
-    vertices remain.
-    """
-    n = g.n
-    if n < 1 or g.m != n - 1:
-        raise NotATreeError("centers are defined for trees")
-    if n <= 2:
-        return list(range(n))
-    deg = g.degrees()
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        if not layer:
-            raise NotATreeError("centers are defined for trees")
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for u in g.adj[v]:
-                if deg[u] > 1:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
-
-
-def _rooted_string(adj: tuple[tuple[int, ...], ...], root: int) -> str:
-    """Parenthesis string of the tree hung from root: each vertex wraps
-    its children's strings, sorted, in one pair of parentheses.  Built
-    bottom-up over a BFS order, so depth costs no recursion."""
-    parent = [-1] * len(adj)
-    order = [root]
-    for v in order:
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    subs: list[list[str]] = [[] for _ in adj]
-    for v in reversed(order[1:]):
-        subs[parent[v]].append("(" + "".join(sorted(subs[v])) + ")")
-        subs[v] = []
-    return "(" + "".join(sorted(subs[root])) + ")"
+    One children-first pass sorts each vertex's child strings, wraps
+    them in one pair of parentheses and keeps its subtree height.  The
+    tree has a second centre exactly when one child of the root, and
+    only one, is one level lower than the root; rooted there, the old
+    root is one more child, built from the root's other children."""
+    n = len(order)
+    root = order[-1]
+    subs: list[list[str]] = [[] for _ in range(n)]
+    height = [0] * n
+    for v in islice(order, n - 1):
+        p = parent[v]
+        kids = subs[v]
+        kids.sort()
+        subs[p].append("(" + "".join(kids) + ")")
+        if p != root:
+            subs[v] = []  # freed: only the root's children are read again
+        if height[p] <= height[v]:
+            height[p] = height[v] + 1
+    own = subs[root]
+    own.sort()
+    form = "(" + "".join(own) + ")"
+    low = height[root] - 1
+    second = [v for v in islice(order, n - 1) if parent[v] == root and height[v] == low]
+    if len(second) != 1:
+        return form
+    kids = subs[second[0]]
+    own.remove("(" + "".join(kids) + ")")
+    kids.append("(" + "".join(own) + ")")
+    kids.sort()
+    return min(form, "(" + "".join(kids) + ")")
 
 
 def canonical_form(g: Graph) -> str:
     """Labeling-independent string identity of a tree: the smaller
-    center-rooted parenthesis encoding."""
-    centers = tree_centers(g)
-    return min(_rooted_string(g.adj, c) for c in centers)
+    centre-rooted parenthesis encoding.  Raises NotATreeError unless g
+    is a tree."""
+    t = RootedTree.of(g)
+    return _form(t.parent, t.order)
 
 
 def _split(seq: list[int]) -> int:

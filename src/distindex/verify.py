@@ -7,19 +7,21 @@ callers can drill into failures.  A run that checks nothing does not
 pass.  Randomized suites take an explicit
 seed and are fully reproducible.
 
-The extremal claims build no graph per tree: every number they compare
-comes from one pass of the one kernel it needs over the parent array of
-the tree's centre-rooted level sequence (level_sequence_parents, read
-in reversed preorder; tree_polynomial for W_k and W, tree_twk for TW_3
-and the degree-k count).  Those kernels are the tree route of compute,
-which the linear-vs-oracle and cut-vs-oracle suites tie to the
-oracle.  Canonical forms are computed only for the
-final tied trees and the witnesses.
+The extremal claims build no graph per tree.  One scan, _scan, runs
+the one kernel a claim needs over the parent array of every tree's
+centre-rooted level sequence (level_sequence_parents, read in reversed
+preorder; tree_polynomial for W_k and W, tree_twk for TW_3 and the
+degree-k count), and each claim is a max, a min, a count or a filter
+over the values.  Those kernels are the tree route of compute, which
+the linear-vs-oracle and cut-vs-oracle suites tie to the oracle.  The
+tied trees are named from the same parent arrays (treegen._form), with
+no graph; only the witnesses are built as graphs.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from .benzenoid import coronene_tw3, gen_coronene, horizontal_cut_profile
 from .errors import InfeasibleSpecError
@@ -28,18 +30,17 @@ from .extremal import (
     caterpillar_twk,
     gen_tree,
     max_degree_count,
-    max_tw3,
     max_wk_even,
     max_wk_odd,
 )
-from .graphs import Graph, cycle_graph, from_edge_list, hypercube_graph
+from .graphs import Graph, cycle_graph, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
 from .tree_linear import RootedTree, tree_polynomial, tree_twk, wk_linear
 from .treegen import (
+    _form,
     canonical_form,
     free_level_sequences,
-    level_sequence_edges,
     level_sequence_parents,
     random_tree,
 )
@@ -48,9 +49,20 @@ from .treegen import (
 DEFAULT_SEED = 1729
 
 
-def _forms(seqs: list[list[int]]) -> list[str]:
-    """Canonical forms of the trees some level sequences encode."""
-    return [canonical_form(from_edge_list(len(seq), level_sequence_edges(seq))) for seq in seqs]
+def _scan(n: int, kernel: Callable[[list[int], range], int]) -> tuple[list[int], list[list[int]]]:
+    """kernel(parent, order) of every free tree on n vertices, on the
+    parent array of its centre-rooted level sequence in reversed
+    preorder: the values, and the sequences they came from."""
+    order = range(n - 1, -1, -1)
+    seqs = list(free_level_sequences(n))
+    return [kernel(level_sequence_parents(seq), order) for seq in seqs], seqs
+
+
+def _forms(values: list[int], seqs: list[list[int]], value: int) -> list[str]:
+    """Canonical forms of the scanned trees whose value is value, named
+    from their parent arrays, in walk order."""
+    order = range(len(seqs[0]) - 1, -1, -1)
+    return [_form(level_sequence_parents(s), order) for s, v in zip(seqs, values) if v == value]
 
 
 def verify_max_wk(n: int, k: int) -> dict:
@@ -63,15 +75,8 @@ def verify_max_wk(n: int, k: int) -> dict:
         predicted, spec = max_wk_odd(n, k)
     else:
         predicted, spec = max_wk_even(n, k)
-    observed = -1
-    count = 0
-    order = range(n - 1, -1, -1)
-    for seq in free_level_sequences(n):
-        value = tree_polynomial(level_sequence_parents(seq), order, k).coefficient(k)
-        if value > observed:
-            observed, count = value, 1
-        elif value == observed:
-            count += 1
+    values, _ = _scan(n, lambda parent, order: tree_polynomial(parent, order, k).coefficient(k))
+    observed = max(values)
     witness_value = wiener_polynomial(gen_tree(spec)).coefficient(k)
     return {
         "claim": "max-wk",
@@ -80,7 +85,7 @@ def verify_max_wk(n: int, k: int) -> dict:
         "parity": "odd" if k % 2 else "even",
         "predicted": predicted,
         "observed": observed,
-        "maximizer_count": count,
+        "maximizer_count": values.count(observed),
         "witness": spec.describe(),
         "witness_value": witness_value,
         "pass": observed == predicted == witness_value,
@@ -99,16 +104,9 @@ def verify_max_tw3(n: int) -> dict:
     p = max(n // 2 - 1, 0)
     spec = TreeSpec.caterpillar(n, 3, p)
     predicted = caterpillar_twk(n, 3, p)
-    observed = -1
-    tied: list[list[int]] = []
-    order = range(n - 1, -1, -1)
-    for seq in free_level_sequences(n):
-        value = tree_twk(level_sequence_parents(seq), order, 3)[0]
-        if value > observed:
-            observed, tied = value, [seq]
-        elif value == observed:
-            tied.append(seq)
-    maximizers = _forms(tied)
+    values, seqs = _scan(n, lambda parent, order: tree_twk(parent, order, 3)[0])
+    observed = max(values)
+    maximizers = _forms(values, seqs, observed)
     witness_tree = gen_tree(spec)
     witness_value = twk(witness_tree, 3)
     witness_is_max = canonical_form(witness_tree) in maximizers
@@ -135,10 +133,7 @@ def verify_degree_count(n: int, k: int) -> dict:
     """Scan all trees on n vertices for the largest number of degree-k
     vertices and compare with floor((n-2)/(k-1))."""
     predicted = max_degree_count(n, k)
-    order = range(n - 1, -1, -1)
-    observed = max(
-        tree_twk(level_sequence_parents(seq), order, k)[1] for seq in free_level_sequences(n)
-    )
+    observed = max(_scan(n, lambda parent, order: tree_twk(parent, order, k)[1])[0])
     return {
         "claim": "degree-count",
         "n": n,
@@ -154,21 +149,9 @@ def verify_wiener_bounds(n: int) -> dict:
     (n-1)^2 (star, uniquely) to binomial(n+1, 3) (path, uniquely)."""
     lo_pred = (n - 1) * (n - 1)
     hi_pred = (n + 1) * n * (n - 1) // 6
-    lo = hi = None
-    lo_seqs: list[list[int]] = []
-    hi_seqs: list[list[int]] = []
-    order = range(n - 1, -1, -1)
-    for seq in free_level_sequences(n):
-        w = tree_polynomial(level_sequence_parents(seq), order).wiener()
-        if lo is None or w < lo:
-            lo, lo_seqs = w, [seq]
-        elif w == lo:
-            lo_seqs.append(seq)
-        if hi is None or w > hi:
-            hi, hi_seqs = w, [seq]
-        elif w == hi:
-            hi_seqs.append(seq)
-    lo_forms, hi_forms = _forms(lo_seqs), _forms(hi_seqs)
+    values, seqs = _scan(n, lambda parent, order: tree_polynomial(parent, order).wiener())
+    lo, hi = min(values), max(values)
+    lo_forms, hi_forms = _forms(values, seqs, lo), _forms(values, seqs, hi)
     star_form = canonical_form(gen_tree(TreeSpec.star(n)))
     path_form = canonical_form(gen_tree(TreeSpec.path(n)))
     return {

@@ -233,27 +233,41 @@ def test_compute_auto_tree_certified_once(tmp_path, capsys, monkeypatch, index):
 #: A 40-vertex path in canonical form: a header and four slices of 64
 #: characters, which open at edge lines 1, 15, 26 and 37.
 PATH40 = format_edge_list(path_graph(40))
+#: n - 1 edges but no tree: a triangle and an isolated vertex.
+TRIANGLE = "4 3\n0 1\n1 2\n0 2\n"
+WK2 = ("wk", "--k", "2")
+LINEAR = ("--method", "linear")
+NOT_A_TREE = "error: input graph is not a tree\n"
 
 
 @pytest.mark.parametrize(
-    "text, want, reads",
+    "text, args, want, reads",
     [
         # a comment line in the second slice: the line rule reads that
         # slice in place, and the strip goes on to the end
-        (PATH40.replace("\n20 21\n", "\n# c\n20 21\n"), (0, 38), (5, 1, 0, 1, 0)),
+        (PATH40.replace("\n20 21\n", "\n# c\n20 21\n"), WK2, (0, 38), (5, 1, 0, 1, 0)),
         # a tab in the last line: each slice is read once, and the line
         # rule reads the last one after the canonical check refuses it
-        (PATH40[:-3] + "\t39\n", (0, 38), (5, 1, 0, 1, 0)),
+        (PATH40[:-3] + "\t39\n", WK2, (0, 38), (5, 1, 0, 1, 0)),
         # n - 1 edges but no tree: read again (header and one slice) by
         # parse_edge_ends, with no second strip; the oracle names the
         # fault
-        ("4 3\n0 1\n1 2\n0 2\n", (4, None), (4, 0, 1, 1, 1)),
+        (TRIANGLE, WK2, (4, "error: graph is not connected\n"), (4, 0, 1, 1, 1)),
+        # the same text with --method linear: the strip's refusal is the
+        # error, and no kernel strips the Graph again
+        (TRIANGLE, WK2 + LINEAR, (3, NOT_A_TREE), (4, 0, 1, 1, 1)),
+        (TRIANGLE, ("poly",) + LINEAR, (3, NOT_A_TREE), (4, 0, 1, 1, 1)),
         # a header with m != n - 1: no strip, and the slices are joined
-        ("4 2\n0 1\n2 3\n", (4, None), (2, 0, 0, 0, 1)),
+        ("4 2\n0 1\n2 3\n", WK2, (4, "error: graph is not connected\n"), (2, 0, 0, 0, 1)),
     ],
-    ids=["comment", "tab-last-line", "triangle-and-vertex", "two-edges"],
+    ids=[
+        "comment", "tab-last-line", "triangle-and-vertex", "triangle-linear-wk",
+        "triangle-linear-poly", "two-edges",
+    ],
 )
-def test_compute_tree_route_reads_each_text_at_most_twice(capsys, monkeypatch, text, want, reads):
+def test_compute_tree_route_reads_each_text_at_most_twice(
+    capsys, monkeypatch, text, args, want, reads
+):
     """Counts, per request, canonical slice conversions (header
     included), line-rule slice conversions, parse_edge_ends calls,
     strips and Graph builds."""
@@ -280,8 +294,8 @@ def test_compute_tree_route_reads_each_text_at_most_twice(capsys, monkeypatch, t
     monkeypatch.setattr(rooted, "build", staticmethod(counting("strips", rooted.build)))
     monkeypatch.setattr(cli, "from_edge_list", counting("graphs", cli.from_edge_list))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run_cli(capsys, "compute", "--stdin", "--index", "wk", "--k", "2", "--no-timing")
-    assert (code, document(out)["wk"] if out else None) == want
+    code, out, err = run_cli(capsys, "compute", "--stdin", "--index", *args, "--no-timing")
+    assert (code, document(out)[args[0]] if out else err) == want
     assert tuple(counts.values()) == reads
 
 

@@ -7,6 +7,7 @@ from distindex import (
     MAX_ORDER,
     NotATreeError,
     OrderTooLargeError,
+    RootedTree,
     all_free_trees,
     canonical_form,
     cycle_graph,
@@ -17,9 +18,7 @@ from distindex import (
     prufer_to_tree,
     random_tree,
     rooted_level_sequences,
-    tree_centers,
 )
-from distindex.treegen import _rooted_string
 from helpers import is_tree, path_graph, reference_free_trees, relabel, star_graph
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
@@ -112,10 +111,25 @@ def test_enumeration_matches_dedup_reference():
         assert set(forms) == {canonical_form(t) for t in reference_free_trees(n)}
 
 
+def nx_centers(t) -> list[int]:
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph(t.edges())
+    g.add_nodes_from(range(t.n))
+    return nx.center(g)
+
+
+def recursive_rooted_string(adj, root: int) -> str:
+    def label(v: int, parent: int) -> str:
+        subs = sorted(label(u, v) for u in adj[v] if u != parent)
+        return "(" + "".join(subs) + ")"
+
+    return label(root, -1)
+
+
 def test_enumeration_roots_every_tree_at_a_centre():
     for n in range(1, 13):
         for t in all_free_trees(n):
-            assert 0 in tree_centers(t)
+            assert 0 in nx_centers(t)
 
 
 def test_enumeration_matches_networkx_nonisomorphic():
@@ -156,15 +170,14 @@ def test_prufer_dedup_cross_count():
 
 
 def test_tree_centers():
-    assert tree_centers(path_graph(5)) == [2]
-    assert tree_centers(path_graph(6)) == [2, 3]
-    assert tree_centers(star_graph(7)) == [0]
-    assert tree_centers(path_graph(1)) == [0]
-    assert tree_centers(path_graph(2)) == [0, 1]
-    with pytest.raises(NotATreeError):
-        tree_centers(cycle_graph(4))
-    with pytest.raises(NotATreeError):  # two paths strip down to two "centers"
-        tree_centers(from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    # the strip roots at a centre, and the canonical form is the smaller
+    # string over the one or two centres networkx finds
+    trees = [path_graph(n) for n in range(1, 9)] + [star_graph(7)]
+    trees += [t for n in range(1, 13) for t in all_free_trees(n)]
+    for t in trees:
+        centers = nx_centers(t)
+        assert RootedTree.of(t).root in centers
+        assert canonical_form(t) == min(recursive_rooted_string(t.adj, c) for c in centers)
 
 
 def test_non_tree_with_tree_edge_count_is_refused():
@@ -173,17 +186,17 @@ def test_non_tree_with_tree_edge_count_is_refused():
     def hung(signum, frame):
         raise AssertionError("leaf stripping did not stop")
 
+    cycles = [
+        from_edge_list(4, [(0, 1), (0, 2), (1, 2)]),
+        from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    ]
+    assert all(g.m == g.n - 1 for g in cycles)
+    two_paths = from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])  # one edge short of a tree
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(5)
     try:
-        for g in (
-            from_edge_list(4, [(0, 1), (0, 2), (1, 2)]),
-            from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-        ):
-            assert g.m == g.n - 1
-            with pytest.raises(NotATreeError):
-                tree_centers(g)
-            with pytest.raises(NotATreeError):
+        for g in cycles + [two_paths]:
+            with pytest.raises(NotATreeError, match="input graph is not a tree"):
                 canonical_form(g)
     finally:
         signal.alarm(0)
@@ -205,21 +218,10 @@ def test_canonical_form_separates():
         canonical_form(cycle_graph(4))
 
 
-def recursive_rooted_string(adj, root: int) -> str:
-    def label(v: int, parent: int) -> str:
-        subs = sorted(label(u, v) for u in adj[v] if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return label(root, -1)
-
-
 def test_rooted_string_matches_recursive_reference():
     for n in range(1, 11):
         for t in all_free_trees(n):
-            for root in range(n):
-                assert _rooted_string(t.adj, root) == recursive_rooted_string(t.adj, root)
-            centers = tree_centers(t)
-            want = min(recursive_rooted_string(t.adj, c) for c in centers)
+            want = min(recursive_rooted_string(t.adj, c) for c in nx_centers(t))
             assert canonical_form(t) == want
 
 
