@@ -82,7 +82,6 @@ from .partial_cube import (
     is_partial_cube,
     theta_classes,
     twk_cut,
-    twk_cut_tree,
 )
 from .tree_linear import (
     RootedTree,
@@ -135,7 +134,7 @@ __all__ = [
     "tree_polynomial", "tree_twk", "tree_zagreb",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
-    "is_partial_cube", "halfspace_degree_counts", "twk_cut", "twk_cut_tree",
+    "is_partial_cube", "halfspace_degree_counts", "twk_cut",
     # extremal families
     "TreeSpec", "gen_tree", "caterpillar_positions", "max_wk_odd",
     "even_group_bound", "max_wk_even", "max_degree_count",

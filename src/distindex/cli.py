@@ -36,7 +36,6 @@ from .graphs import (
     edge_slices,
     from_edge_list,
     hypercube_graph,
-    join_slices,
     parse_edge_ends,
 )
 from .indices import (
@@ -49,8 +48,8 @@ from .indices import (
     twk_star,
     zagreb,
 )
-from .partial_cube import is_partial_cube, twk_cut, twk_cut_tree
-from .tree_linear import RootedTree, tree_zagreb, wiener_polynomial_linear, wk_linear
+from .partial_cube import is_partial_cube, twk_cut
+from .tree_linear import RootedTree, tree_twk, tree_zagreb, wiener_polynomial_linear, wk_linear
 from .treegen import free_level_sequences, free_tree_count, level_sequence_edges
 from .verify import (
     DEFAULT_SEED,
@@ -147,25 +146,30 @@ def _need(value, flag: str):
     return value
 
 
-def _read_tree(text: str) -> tuple[int, RootedTree | None, list[int] | None]:
-    """n and the rooted tree of an edge-list text, or n, None and the
-    flat endpoint list when the text is no tree.
+#: The indices with a tree kernel, each with the method it reports on a
+#: tree.  A tree is a partial cube whose classes are its single edges,
+#: so its TW_k is the cut route's sum with no verification.
+_TREE_METHOD = {"wk": "linear", "poly": "linear", "twk": "cut", "zagreb": "oracle"}
 
-    A header with m = n - 1 has its slices stripped one at a time, so
-    the flat list is never held.  A text the strip refuses is read again
-    by parse_edge_ends, so that a format error in a later slice still
-    comes before the graph error; any other text has its slices joined.
-    So every error is the one parse_edge_ends and from_edge_list raise,
-    in the same order."""
+
+def _read_tree(text: str) -> RootedTree | None:
+    """The rooted tree of an edge-list text, or None when its header has
+    m != n - 1 or the leaf strip refuses it.
+
+    The slices are stripped one at a time, so the flat list is never
+    held.  A format error they raise passes through.  On None the caller
+    reads the text again with parse_edge_ends, once the strip's tables
+    and the slice iterator have gone with this frame, so that a format
+    error in a later slice still comes before the graph error: every
+    error is the one parse_edge_ends and from_edge_list raise, in the
+    same order."""
     n, m, slices = edge_slices(text)
     if m != n - 1:
-        return n, None, join_slices(m, slices)
+        return None
     try:
-        return n, RootedTree.build(n, slices), None
+        return RootedTree.build(n, slices)
     except NotATreeError:
-        pass
-    # outside the handler, so the strip's tables are freed first
-    return n, None, parse_edge_ends(text)[1]
+        return None
 
 
 def _cmd_compute(args) -> dict:
@@ -173,19 +177,20 @@ def _cmd_compute(args) -> dict:
     text = sys.stdin.read() if args.stdin else Path(args.input).read_text()
     index, k, method = args.index, args.k, args.method
 
-    tree = g = None
     # A tree needs no Graph: the strip certifies and roots it.  Anything
     # else is built, so a bad input raises the error it always has, and
-    # before any flag is checked.  A tree is a partial cube whose classes
-    # are its single edges, so the cut route needs no verification on one.
-    if (method == "auto" and index in ("wk", "poly", "twk", "zagreb")) or method in ("linear", "cut"):
-        n, tree, ends = _read_tree(text)
+    # before any flag is checked.
+    tree = g = None
+    if index in _TREE_METHOD and method != "oracle":
+        tree = _read_tree(text)
+    if tree is not None:
+        n = len(tree.order)
+        del text  # freed before the kernel allocates
     else:
         n, ends = parse_edge_ends(text)
-    del text  # freed before the Graph build or the kernel allocates
-    if tree is None:
+        del text  # freed before the Graph build allocates
         g = from_edge_list(n, edge_pairs(ends))
-    del ends
+        del ends
 
     if index in ("wk", "wk-star", "twk-star") and (k is None or k < 1):
         raise ValueError(f"--index {index} needs --k >= 1")
@@ -195,21 +200,20 @@ def _cmd_compute(args) -> dict:
         raise ValueError("--method linear applies to --index wk or poly")
     if method == "cut" and index != "twk":
         raise ValueError("--method cut applies to --index twk")
+    if index in ("wiener", "poly", "zagreb") and k is not None and k < 0:
+        raise ValueError(f"--index {index} needs --k >= 0")
     if method == "linear" and tree is None:
         raise NotATreeError("input graph is not a tree")
 
     partition = None
-    if method == "auto":
-        if index in ("wk", "poly"):
-            method = "oracle" if tree is None else "linear"
-        elif index == "twk" and tree is not None:
-            method = "cut"
-        elif index == "twk":
-            verdict = is_partial_cube(g)
-            method = "cut" if verdict.accepted else "oracle"
-            partition = verdict.partition
-        else:
-            method = "oracle"
+    if tree is not None:
+        method = _TREE_METHOD[index]
+    elif method == "auto" and index == "twk":
+        verdict = is_partial_cube(g)
+        method = "cut" if verdict.accepted else "oracle"
+        partition = verdict.partition
+    elif method == "auto":
+        method = "oracle"
 
     payload: dict = {"n": n, "m": n - 1 if g is None else g.m, "index": index, "method": method}
     if k is not None:
@@ -217,20 +221,20 @@ def _cmd_compute(args) -> dict:
     if index == "wiener":
         payload["wiener"] = wiener(g)
     elif index == "wk":
-        payload["wk"] = wk_linear(tree, k) if method == "linear" else wk(g, k)
+        payload["wk"] = wk(g, k) if tree is None else wk_linear(tree, k)
     elif index == "poly":
-        poly = wiener_polynomial_linear(tree) if method == "linear" else wiener_polynomial(g)
+        poly = wiener_polynomial(g) if tree is None else wiener_polynomial_linear(tree)
         payload["poly"] = list(poly.coeffs)
     elif index == "twk":
-        if method != "cut":
-            payload["twk"] = twk(g, k)
-        elif tree is not None:
-            payload["twk"] = twk_cut_tree(tree, k)
-        else:
+        if tree is not None:
+            payload["twk"] = tree_twk(tree.parent, tree.order, k)[0]
+        elif method == "cut":
             payload["twk"] = twk_cut(g, k, partition)
+        else:
+            payload["twk"] = twk(g, k)
     elif index == "zagreb":
         payload["m1"], payload["m2"] = (
-            tree_zagreb(tree) if g is None else zagreb(g.degrees(), g.edges())
+            zagreb(g.degrees(), g.edges()) if tree is None else tree_zagreb(tree)
         )
     elif index == "wk-star":
         payload["wk_star"] = wk_star(g, k)

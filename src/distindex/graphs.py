@@ -204,17 +204,12 @@ def parse_edge_ends(text: str) -> tuple[int, list[int]]:
     each line in order; only the format is checked, not the graph.
     """
     n, m, slices = edge_slices(text)
-    return n, join_slices(m, slices)
-
-
-def join_slices(m: int, slices: Iterable[list[int]]) -> list[int]:
-    """The 2m ends of edge_slices' slices as one list."""
     ends = [0] * (2 * m)  # filled in place, so it holds no spare slots
     filled = 0
     for part in slices:
         ends[filled:filled + len(part)] = part
         filled += len(part)
-    return ends
+    return n, ends
 
 
 def edge_slices(text: str) -> tuple[int, int, Iterator[list[int]]]:

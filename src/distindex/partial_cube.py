@@ -40,7 +40,6 @@ from .errors import (
 )
 from .graphs import UNREACHABLE, Graph, bfs_distances
 from .indices import _sweep
-from .tree_linear import RootedTree, tree_twk
 
 
 @dataclass(frozen=True)
@@ -254,11 +253,3 @@ def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:
         partition = verdict.partition
     return sum(c0 * c1 for c0, c1 in halfspace_degree_counts(g, partition, k))
 
-
-def twk_cut_tree(t: RootedTree, k: int) -> int:
-    """twk_cut on a tree, which needs no verification: every edge is a
-    class of its own, so the sum comes from one pass over the tree's
-    parent array (tree_twk)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return tree_twk(t.parent, t.order, k)[0]

@@ -23,7 +23,9 @@ treegen.level_sequence_parents, with the reversed preorder as order.
 Two kernels read (parent, order), each in one pass over the non-root
 vertices of order.  Both assume that (parent, order) is a rooted tree:
 every vertex comes before its parent and the root, last, is its own
-parent.  They do not check it.
+parent.  They do not check it.  wk_linear and wiener_polynomial_linear
+run tree_polynomial on a RootedTree and take nothing else: a Graph is
+rooted first by RootedTree.of.
 
 tree_polynomial keeps for every vertex v a row a[v] where a[v][i]
 counts the vertices of v's subtree exactly i levels below v.  A row is
@@ -227,13 +229,9 @@ def tree_twk(parent: Sequence[int], order: Sequence[int], k: int) -> tuple[int, 
     return total * c_sum - c_squares, total
 
 
-def wk_linear(t: RootedTree | Graph, k: int) -> int:
-    """Number of unordered vertex pairs at distance exactly k in a tree.
-
-    Accepts a Graph (rooted by RootedTree.of) or a prebuilt RootedTree.
-    """
-    if isinstance(t, Graph):
-        t = RootedTree.of(t)
+def wk_linear(t: RootedTree, k: int) -> int:
+    """Number of unordered vertex pairs at distance exactly k in a tree
+    (RootedTree.of roots a Graph)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= len(t.order):  # no tree path is that long; also bounds the row width
@@ -241,13 +239,9 @@ def wk_linear(t: RootedTree | Graph, k: int) -> int:
     return tree_polynomial(t.parent, t.order, k, t.leaves).coefficient(k)
 
 
-def wiener_polynomial_linear(t: RootedTree | Graph) -> WienerPolynomial:
-    """Pair counts of a tree by distance, up to its diameter.
-
-    Accepts a Graph (rooted by RootedTree.of) or a prebuilt RootedTree.
-    """
-    if isinstance(t, Graph):
-        t = RootedTree.of(t)
+def wiener_polynomial_linear(t: RootedTree) -> WienerPolynomial:
+    """Pair counts of a tree by distance, up to its diameter
+    (RootedTree.of roots a Graph)."""
     return tree_polynomial(t.parent, t.order, leaves=t.leaves)
 
 

@@ -257,8 +257,9 @@ NOT_A_TREE = "error: input graph is not a tree\n"
         # error, and no kernel strips the Graph again
         (TRIANGLE, WK2 + LINEAR, (3, NOT_A_TREE), (4, 0, 1, 1, 1)),
         (TRIANGLE, ("poly",) + LINEAR, (3, NOT_A_TREE), (4, 0, 1, 1, 1)),
-        # a header with m != n - 1: no strip, and the slices are joined
-        ("4 2\n0 1\n2 3\n", WK2, (4, "error: graph is not connected\n"), (2, 0, 0, 0, 1)),
+        # a header with m != n - 1: no strip; parse_edge_ends reads the
+        # header again and joins the slices
+        ("4 2\n0 1\n2 3\n", WK2, (4, "error: graph is not connected\n"), (3, 0, 1, 0, 1)),
     ],
     ids=[
         "comment", "tab-last-line", "triangle-and-vertex", "triangle-linear-wk",
@@ -583,6 +584,91 @@ def test_compute_invalid_method_combo(tmp_path, capsys):
         capsys, "compute", "--input", path, "--index", "wiener", "--method", "cut"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["2 1\n0 1\n", TRIANGLE, "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"])
+@pytest.mark.parametrize("index", ["wiener", "poly", "zagreb"])
+def test_compute_negative_k_refused(capsys, monkeypatch, text, index):
+    """A document's k is never negative: the flag is refused (exit 2),
+    after input errors and the other flag checks."""
+    import io
+
+    def compute(text, *args):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return run_cli(capsys, "compute", "--stdin", "--index", *args, "--no-timing")
+
+    want = (2, "", f"error: --index {index} needs --k >= 0\n")
+    assert compute(text, index, "--k", "-1") == want
+    assert compute(text, index, "--k", "-1", "--method", "oracle") == want
+    assert compute(text, index, "--k", "-1", "--method", "cut")[2] == (
+        "error: --method cut applies to --index twk\n"
+    )
+    assert compute("3 2\n0 1\n1 -1\n", index, "--k", "-1") == (
+        2, "", "error: edge (1, -1) outside 0..2\n"
+    )
+    code, out, _ = compute("2 1\n0 1\n", index, "--k", "0")
+    assert code == 0 and document(out)["k"] == 0
+    # all keeps its own check, after the sweep
+    assert compute("2 1\n0 1\n", "all", "--k", "-1")[2] == "error: k must be >= 1\n"
+
+
+#: Exit code and method, or exit code and error line, of compute under
+#: --method auto, oracle, linear and cut, per input and index.
+ORACLE = (0, "oracle")
+CUT_ONLY = (2, "error: --method cut applies to --index twk")
+LINEAR_ONLY = (2, "error: --method linear applies to --index wk or poly")
+SPLIT = (4, "error: graph is not connected")
+ROUTES = {
+    "tree": ("5 4\n0 1\n1 2\n1 3\n3 4\n", {
+        "wk": ((0, "linear"), ORACLE, (0, "linear"), CUT_ONLY),
+        "twk": ((0, "cut"), ORACLE, LINEAR_ONLY, (0, "cut")),
+        "zagreb": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+        "wiener": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+    }),
+    "triangle-and-vertex": (TRIANGLE, {
+        "wk": (SPLIT, SPLIT, (3, NOT_A_TREE.strip()), CUT_ONLY),
+        "twk": (SPLIT, SPLIT, LINEAR_ONLY, (4, "error: edge classes need a connected graph")),
+        "zagreb": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+        "wiener": (SPLIT, SPLIT, LINEAR_ONLY, CUT_ONLY),
+    }),
+    "two-edges": ("4 2\n0 1\n2 3\n", {
+        "wk": (SPLIT, SPLIT, (3, NOT_A_TREE.strip()), CUT_ONLY),
+        "twk": (SPLIT, SPLIT, LINEAR_ONLY, (4, "error: edge classes need a connected graph")),
+        "zagreb": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+        "wiener": (SPLIT, SPLIT, LINEAR_ONLY, CUT_ONLY),
+    }),
+    "c6": ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n", {
+        "wk": (ORACLE, ORACLE, (3, NOT_A_TREE.strip()), CUT_ONLY),
+        "twk": ((0, "cut"), ORACLE, LINEAR_ONLY, (0, "cut")),
+        "zagreb": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+        "wiener": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+    }),
+    "k23": ("5 6\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n", {
+        "wk": (ORACLE, ORACLE, (3, NOT_A_TREE.strip()), CUT_ONLY),
+        "twk": (ORACLE, ORACLE, LINEAR_ONLY, (3, (
+            "error: class_removal_not_two_components: "
+            "edges (0, 2) and (1, 3) are related but cut the graph differently"
+        ))),
+        "zagreb": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+        "wiener": (ORACLE, ORACLE, LINEAR_ONLY, CUT_ONLY),
+    }),
+}
+ROUTE_ARGS = {"wk": ("wk", "--k", "2"), "twk": ("twk", "--k", "1"), "zagreb": ("zagreb",), "wiener": ("wiener",)}
+
+
+@pytest.mark.parametrize("index", list(ROUTE_ARGS))
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_compute_route_matrix(capsys, monkeypatch, name, index):
+    import io
+
+    text, rows = ROUTES[name]
+    for method, want in zip(("auto", "oracle", "linear", "cut"), rows[index]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(
+            capsys, "compute", "--stdin", "--index", *ROUTE_ARGS[index],
+            "--method", method, "--no-timing",
+        )
+        assert (code, document(out)["method"] if code == 0 else err.strip()) == want, method
 
 
 def test_compute_pretty_output(tmp_path, capsys):

@@ -29,9 +29,9 @@ from distindex import (
     index_report,
     prufer_to_tree,
     random_tree,
+    tree_twk,
     twk,
     twk_cut,
-    twk_cut_tree,
     twk_star,
     wiener,
     wiener_polynomial,
@@ -237,13 +237,13 @@ def test_oracle_pair_counts_agree_in_blocks(g, other, sweep_bits):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(rooted_trees())
-def test_twk_cut_tree_agrees(gt):
+def test_tree_twk_agrees(gt):
     g, t = gt
     for k in sorted(set(g.degrees())):
         want = twk(g, k)
-        assert twk_cut_tree(t, k) == want
+        assert tree_twk(t.parent, t.order, k) == (want, g.degrees().count(k))
         assert twk_cut(g, k) == want
-    assert twk_cut_tree(t, max(g.degrees()) + 1) == 0
+    assert tree_twk(t.parent, t.order, max(g.degrees()) + 1) == (0, 0)
 
 
 def networkx_pair_sum(g, keep) -> int:

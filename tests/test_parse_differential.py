@@ -234,9 +234,9 @@ def whole_text_read(text):
     parse the whole text, then strip its flat list."""
     n, ends = parse_edge_ends(text)
     try:
-        return n, RootedTree.build(n, [ends]), None
+        return RootedTree.build(n, [ends])
     except NotATreeError:
-        return n, None, ends
+        return None
 
 
 def compute(text, *argv):

@@ -72,7 +72,7 @@ def test_rooted_tree_rejects_disconnected_with_tree_edge_count():
     with pytest.raises(NotATreeError):
         RootedTree.of(g)
     with pytest.raises(NotATreeError):
-        wk_linear(g, 1)
+        wk_linear(RootedTree.of(g), 1)
 
 
 @pytest.mark.parametrize(
@@ -141,10 +141,10 @@ def test_strip_certifies_exactly_the_trees():
 
 
 def test_wiener_polynomial_linear_small():
-    assert wiener_polynomial_linear(path_graph(1)).coeffs == (0,)
-    assert wiener_polynomial_linear(path_graph(2)).coeffs == (0, 1)
-    assert wiener_polynomial_linear(path_graph(4)).coeffs == (0, 3, 2, 1)
-    assert wiener_polynomial_linear(star_graph(5)).coeffs == (0, 4, 6)
+    assert wiener_polynomial_linear(RootedTree.of(path_graph(1))).coeffs == (0,)
+    assert wiener_polynomial_linear(RootedTree.of(path_graph(2))).coeffs == (0, 1)
+    assert wiener_polynomial_linear(RootedTree.of(path_graph(4))).coeffs == (0, 3, 2, 1)
+    assert wiener_polynomial_linear(RootedTree.of(star_graph(5))).coeffs == (0, 4, 6)
 
 
 def test_wiener_polynomial_linear_matches_oracle():
@@ -156,16 +156,16 @@ def test_wiener_polynomial_linear_matches_oracle():
 
 
 def test_wk_linear_small():
-    assert wk_linear(path_graph(5), 3) == 2
-    assert wk_linear(star_graph(6), 2) == 10
-    assert wk_linear(path_graph(2), 1) == 1
-    assert wk_linear(path_graph(5), 9) == 0
-    assert wk_linear(path_graph(5), 10**12) == 0
+    assert wk_linear(RootedTree.of(path_graph(5)), 3) == 2
+    assert wk_linear(RootedTree.of(star_graph(6)), 2) == 10
+    assert wk_linear(RootedTree.of(path_graph(2)), 1) == 1
+    assert wk_linear(RootedTree.of(path_graph(5)), 9) == 0
+    assert wk_linear(RootedTree.of(path_graph(5)), 10**12) == 0
 
 
 def test_wk_linear_k_validation():
     with pytest.raises(ValueError):
-        wk_linear(path_graph(4), 0)
+        wk_linear(RootedTree.of(path_graph(4)), 0)
 
 
 def test_wk_linear_matches_oracle():
@@ -174,7 +174,7 @@ def test_wk_linear_matches_oracle():
         g = random_tree(rng.randint(2, 80), rng)
         poly = wiener_polynomial(g)
         for k in range(1, 8):
-            assert wk_linear(g, k) == poly.coefficient(k)
+            assert wk_linear(RootedTree.of(g), k) == poly.coefficient(k)
 
 
 def test_wk_linear_root_independent():
@@ -206,8 +206,8 @@ def test_wk_linear_degree_identities():
     rng = random.Random(29)
     for _ in range(15):
         g = random_tree(rng.randint(2, 60), rng)
-        assert wk_linear(g, 1) == g.m
-        assert wk_linear(g, 2) == zagreb_m1(g) // 2 - g.m
+        assert wk_linear(RootedTree.of(g), 1) == g.m
+        assert wk_linear(RootedTree.of(g), 2) == zagreb_m1(g) // 2 - g.m
 
 
 def test_wk3_from_zagreb():
@@ -225,14 +225,14 @@ def test_wk3_from_zagreb_matches_other_routes():
         g = random_tree(rng.randint(2, 70), rng)
         want = wiener_polynomial(g).coefficient(3)
         assert wk3_from_zagreb(g) == want
-        assert wk_linear(g, 3) == want
+        assert wk_linear(RootedTree.of(g), 3) == want
 
 
 def test_deep_path_no_recursion_limit():
     # explicit stacks must survive a path far deeper than the default
     # interpreter recursion limit
     g = path_graph(50_000)
-    assert wk_linear(g, 5) == 50_000 - 5
+    assert wk_linear(RootedTree.of(g), 5) == 50_000 - 5
 
 
 def check_kernels(g, parent, order):
