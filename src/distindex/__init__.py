@@ -38,7 +38,6 @@ from .extremal import (
     TreeSpec,
     caterpillar_positions,
     caterpillar_twk,
-    even_group_bound,
     gen_tree,
     max_degree_count,
     max_tw3,
@@ -137,7 +136,7 @@ __all__ = [
     "is_partial_cube", "halfspace_degree_counts", "twk_cut",
     # extremal families
     "TreeSpec", "gen_tree", "caterpillar_positions", "max_wk_odd",
-    "even_group_bound", "max_wk_even", "max_degree_count",
+    "max_wk_even", "max_degree_count",
     "caterpillar_twk", "max_tw3",
     # benzenoids
     "HexSystem", "gen_coronene", "edge_direction", "orientation_groups",

@@ -14,7 +14,7 @@ the actual classes and cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, check_order, from_edge_list
 from .partial_cube import ThetaPartition
@@ -23,8 +23,7 @@ from .partial_cube import ThetaPartition
 _CORNERS = ((1, 1), (0, 2), (-1, 1), (-1, -1), (0, -2), (1, -1))
 
 
-@dataclass(frozen=True)
-class HexSystem:
+class HexSystem(NamedTuple):
     """A benzenoid graph together with its lattice embedding."""
 
     k: int

@@ -10,15 +10,13 @@ vertices, then pendant groups in spine/arm order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InfeasibleSpecError
 from .graphs import Graph, check_order, from_edge_list
 
 
-@dataclass(frozen=True)
-class TreeSpec:
+class TreeSpec(NamedTuple):
     """Parametrized description of one tree from the named families."""
 
     kind: str
@@ -170,17 +168,6 @@ def max_wk_odd(n: int, k: int) -> tuple[int, TreeSpec]:
         raise InfeasibleSpecError(f"need n >= k+1 to realize distance {k}")
     q = n - k + 1
     return (q // 2) * ((q + 1) // 2), TreeSpec.double_broom(k, q // 2, q - q // 2)
-
-
-def even_group_bound(n: int, k: int, p: int) -> Fraction:
-    """Value of the relaxed even-k objective at real-valued balance:
-    (1/2) (n - 1 - pk/2 + p)^2 (1 - 1/p)."""
-    if k < 4 or k % 2:
-        raise InfeasibleSpecError("even-case bound needs even k >= 4")
-    if not 2 <= p <= 2 * (n - 1) / k:
-        raise ValueError(f"p={p} outside 2..2(n-1)/k")
-    q = Fraction(n - 1 - p * k // 2 + p)
-    return Fraction(1, 2) * q * q * (1 - Fraction(1, p))
 
 
 def _balanced_parts(q: int, p: int) -> tuple[int, ...]:

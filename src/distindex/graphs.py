@@ -53,10 +53,9 @@ from __future__ import annotations
 import gc
 import json
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateEdgeError,
@@ -88,8 +87,7 @@ _TO_COMMAS = bytes.maketrans(b" \n", b",,")
 MAX_HYPERCUBE_DIM = 20
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable undirected simple graph on vertices 0..n-1."""
 
     n: int

@@ -22,10 +22,9 @@ them that this costs less.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_, xor
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DisconnectedError
 from .graphs import UNREACHABLE, Graph, bfs_distances
@@ -172,8 +171,7 @@ def wk(g: Graph, k: int) -> int:
     return wiener_polynomial(g).coefficient(k)
 
 
-@dataclass(frozen=True)
-class WienerPolynomial:
+class WienerPolynomial(NamedTuple):
     """Pair counts by distance; coeffs[k] pairs lie at distance k."""
 
     coeffs: tuple[int, ...]
@@ -237,8 +235,7 @@ def twk_star(g: Graph, k: int) -> int:
     return _restricted_sum(g, [v for v in range(g.n) if g.degree(v) <= k])
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """One-shot summary of every index this package computes."""
 
     n: int

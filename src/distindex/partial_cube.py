@@ -30,7 +30,7 @@ on that side), so side sizes and degree-restricted counts are popcounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ClassRemovalError,
@@ -42,8 +42,7 @@ from .graphs import UNREACHABLE, Graph, bfs_distances
 from .indices import _sweep
 
 
-@dataclass(frozen=True)
-class ThetaPartition:
+class ThetaPartition(NamedTuple):
     """Edge classes with the two vertex sides each class separates.
 
     Classes are ordered by their lexicographically first edge.  Each
@@ -142,8 +141,7 @@ def theta_classes(g: Graph) -> ThetaPartition:
     return _partition(g)[0]
 
 
-@dataclass(frozen=True)
-class CubeCoordinates:
+class CubeCoordinates(NamedTuple):
     """Binary hypercube coordinates, one bit per edge class."""
 
     length: int
@@ -160,8 +158,7 @@ class CubeCoordinates:
         return (self.masks[u] ^ self.masks[v]).bit_count()
 
 
-@dataclass(frozen=True)
-class CubeVerdict:
+class CubeVerdict(NamedTuple):
     """Outcome of partial-cube verification.
 
     reason is None on acceptance, otherwise one of "disconnected",

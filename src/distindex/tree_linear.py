@@ -71,16 +71,15 @@ interpreter stack.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .errors import NotATreeError
 from .graphs import MAX_GRAPH_ORDER, Graph, edge_pairs
 from .indices import WienerPolynomial, zagreb
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(NamedTuple):
     """A tree as a parent array and a children-first vertex order:
     every vertex comes before its parent, and the root comes last and is
     its own parent."""

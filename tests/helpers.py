@@ -4,6 +4,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from distindex import (
@@ -387,9 +388,20 @@ def wk3_from_zagreb(g: Graph) -> int:
     return m2 - m1 + g.m
 
 
+def even_group_bound(n: int, k: int, p: int) -> Fraction:
+    """Value of the relaxed even-k objective at real-valued balance:
+    (1/2) (n - 1 - pk/2 + p)^2 (1 - 1/p)."""
+    if k < 4 or k % 2:
+        raise InfeasibleSpecError("even-case bound needs even k >= 4")
+    if not 2 <= p <= 2 * (n - 1) / k:
+        raise ValueError(f"p={p} outside 2..2(n-1)/k")
+    q = Fraction(n - 1 - p * k // 2 + p)
+    return Fraction(1, 2) * q * q * (1 - Fraction(1, p))
+
+
 def even_group_peak(n: int, k: int) -> float:
     """Real maximizer of the relaxed even-k objective
-    (extremal.even_group_bound): 1/4 + sqrt((16n + k - 18) / (k - 2)) / 4."""
+    (even_group_bound): 1/4 + sqrt((16n + k - 18) / (k - 2)) / 4."""
     if k < 4 or k % 2:
         raise InfeasibleSpecError("even-case peak needs even k >= 4")
     return 0.25 + math.sqrt((16 * n + k - 18) / (k - 2)) / 4

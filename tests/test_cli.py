@@ -608,8 +608,40 @@ def test_compute_negative_k_refused(capsys, monkeypatch, text, index):
     )
     code, out, _ = compute("2 1\n0 1\n", index, "--k", "0")
     assert code == 0 and document(out)["k"] == 0
-    # all keeps its own check, after the sweep
+    # all has its own message, checked with the other flags
     assert compute("2 1\n0 1\n", "all", "--k", "-1")[2] == "error: k must be >= 1\n"
+
+
+@pytest.mark.parametrize("text", ["2 1\n0 1\n", TRIANGLE])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_compute_all_small_k_refused_before_the_sweep(capsys, monkeypatch, text, k):
+    """--index all with --k below 1 is refused with the other flag
+    checks (exit 2), before the distance sweep, so a disconnected input
+    gets the flag error too; an input error still comes first."""
+    import io
+
+    import distindex.indices
+
+    calls = []
+    sweep = distindex.indices._sweep
+
+    def counting(*args):
+        calls.append(args[0].n)
+        return sweep(*args)
+
+    monkeypatch.setattr(distindex.indices, "_sweep", counting)
+
+    def compute(text, k):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return run_cli(capsys, "compute", "--stdin", "--index", "all", "--k", k, "--no-timing")
+
+    assert compute(text, k) == (2, "", "error: k must be >= 1\n")
+    assert compute("3 2\n0 1\n1 -1\n", k) == (2, "", "error: edge (1, -1) outside 0..2\n")
+    assert calls == []
+    # the counter sees the sweep once k is valid (exit 4 on the triangle
+    # plus a vertex, which the sweep finds disconnected)
+    assert compute(text, "1")[0] == (0 if text != TRIANGLE else 4)
+    assert len(calls) == 1
 
 
 #: Exit code and method, or exit code and error line, of compute under

@@ -16,7 +16,6 @@ and networkx for every degree present, and every partition's side
 bitmasks must split the vertices along each class.
 """
 
-import dataclasses
 import random
 import re
 
@@ -198,7 +197,7 @@ def assert_matches_reference(g, verdict) -> None:
     want = reference_is_partial_cube(g)
     if want.reason == "class_removal_not_two_components":
         assert_witness(g, verdict.detail)
-        verdict = dataclasses.replace(verdict, detail=want.detail)
+        verdict = verdict._replace(detail=want.detail)
     assert verdict == want
 
 

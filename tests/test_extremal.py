@@ -9,7 +9,6 @@ from distindex import (
     TreeSpec,
     caterpillar_positions,
     caterpillar_twk,
-    even_group_bound,
     gen_tree,
     max_degree_count,
     max_tw3,
@@ -19,7 +18,7 @@ from distindex import (
     wiener_polynomial,
     wk,
 )
-from helpers import even_group_peak, is_tree
+from helpers import even_group_bound, even_group_peak, is_tree
 
 
 def test_spec_path_star():
