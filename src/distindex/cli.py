@@ -202,8 +202,6 @@ def _cmd_compute(args) -> dict:
         raise ValueError("--method cut applies to --index twk")
     if index in ("wiener", "poly", "zagreb") and k is not None and k < 0:
         raise ValueError(f"--index {index} needs --k >= 0")
-    if index == "all" and k is not None and k < 1:
-        raise ValueError("k must be >= 1")  # index_report's message, before its sweep
     if method == "linear" and tree is None:
         raise NotATreeError("input graph is not a tree")
 

@@ -272,6 +272,8 @@ def index_report(g: Graph, star_k: int | None = None) -> IndexReport:
 
     The sources are ordered by degree, so each degree class, and the
     vertices of degree at most star_k, are one span of them."""
+    if star_k is not None and star_k < 1:
+        raise ValueError("k must be >= 1")
     deg = g.degrees()
     order = sorted(range(g.n), key=deg.__getitem__)
     ranked = [deg[v] for v in order]
@@ -281,10 +283,6 @@ def index_report(g: Graph, star_k: int | None = None) -> IndexReport:
         spans.append((0, bisect_right(ranked, star_k)))
     edges = g.edges()
     doubled, sums = _sweep(g, edges, order, spans)
-    # checked after the sweep, so a disconnected graph is reported as
-    # such whatever star_k is
-    if star_k is not None and star_k < 1:
-        raise ValueError("k must be >= 1")
     poly = WienerPolynomial(tuple(c // 2 for c in doubled))
     m1, m2 = zagreb(deg, edges)
     return IndexReport(

@@ -608,16 +608,16 @@ def test_compute_negative_k_refused(capsys, monkeypatch, text, index):
     )
     code, out, _ = compute("2 1\n0 1\n", index, "--k", "0")
     assert code == 0 and document(out)["k"] == 0
-    # all has its own message, checked with the other flags
+    # all has index_report's message, checked before its sweep
     assert compute("2 1\n0 1\n", "all", "--k", "-1")[2] == "error: k must be >= 1\n"
 
 
 @pytest.mark.parametrize("text", ["2 1\n0 1\n", TRIANGLE])
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_compute_all_small_k_refused_before_the_sweep(capsys, monkeypatch, text, k):
-    """--index all with --k below 1 is refused with the other flag
-    checks (exit 2), before the distance sweep, so a disconnected input
-    gets the flag error too; an input error still comes first."""
+    """--index all with --k below 1 is refused by index_report before
+    its distance sweep (exit 2), so a disconnected input gets that error
+    too; an input error still comes first."""
     import io
 
     import distindex.indices
