@@ -70,8 +70,6 @@ from .indices import (
     wk,
     wk_star,
     zagreb,
-    zagreb_m1,
-    zagreb_m2,
 )
 from .partial_cube import (
     CubeCoordinates,
@@ -126,7 +124,7 @@ __all__ = [
     "cycle_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM", "MAX_GRAPH_ORDER",
     # indices
     "wiener", "wk", "WienerPolynomial", "wiener_polynomial", "twk",
-    "zagreb", "zagreb_m1", "zagreb_m2", "wk_star", "twk_star", "IndexReport",
+    "zagreb", "wk_star", "twk_star", "IndexReport",
     "index_report",
     # tree route
     "RootedTree", "wk_linear", "wiener_polynomial_linear",

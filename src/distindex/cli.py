@@ -3,7 +3,8 @@ claim verifiers, enumerate trees.  All structured output is JSON on
 stdout; --pretty switches to aligned key/value lines.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 method
-precondition failure, 4 disconnected input.
+precondition failure, 4 disconnected input; errors.py gives each error
+type its code.
 """
 
 from __future__ import annotations
@@ -16,18 +17,7 @@ import time
 from pathlib import Path
 
 from .benzenoid import coronene_tw3, gen_coronene
-from .errors import (
-    DisconnectedError,
-    DuplicateEdgeError,
-    EdgeListFormatError,
-    InfeasibleSpecError,
-    LoopEdgeError,
-    NotATreeError,
-    NotBipartiteError,
-    NotPartialCubeError,
-    OrderTooLargeError,
-    VertexOutOfRangeError,
-)
+from .errors import GraphError, NotATreeError
 from .extremal import TreeSpec, caterpillar_twk, gen_tree
 from .graphs import (
     cycle_graph,
@@ -148,7 +138,8 @@ def _need(value, flag: str):
 
 #: The indices with a tree kernel, each with the method it reports on a
 #: tree.  A tree is a partial cube whose classes are its single edges,
-#: so its TW_k is the cut route's sum with no verification.
+#: so its TW_k is the cut route's sum with no verification.  --method
+#: linear and --method cut apply only to the indices listed with them.
 _TREE_METHOD = {"wk": "linear", "poly": "linear", "twk": "cut", "zagreb": "oracle"}
 
 
@@ -196,10 +187,9 @@ def _cmd_compute(args) -> dict:
         raise ValueError(f"--index {index} needs --k >= 1")
     if index == "twk" and (k is None or k < 0):
         raise ValueError("--index twk needs --k >= 0")
-    if method == "linear" and index not in ("wk", "poly"):
-        raise ValueError("--method linear applies to --index wk or poly")
-    if method == "cut" and index != "twk":
-        raise ValueError("--method cut applies to --index twk")
+    if method in ("linear", "cut") and _TREE_METHOD.get(index) != method:
+        served = " or ".join(i for i, m in _TREE_METHOD.items() if m == method)
+        raise ValueError(f"--method {method} applies to --index {served}")
     if index in ("wiener", "poly", "zagreb") and k is not None and k < 0:
         raise ValueError(f"--index {index} needs --k >= 0")
     if method == "linear" and tree is None:
@@ -351,24 +341,9 @@ def main(argv=None) -> int:
     }
     try:
         payload = handlers[args.command](args)
-    except (
-        EdgeListFormatError,
-        LoopEdgeError,
-        DuplicateEdgeError,
-        VertexOutOfRangeError,
-        InfeasibleSpecError,
-        OrderTooLargeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotATreeError, NotPartialCubeError, NotBipartiteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DisconnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 2)
     _emit(payload, args.pretty)
     if args.command == "verify" and not payload.get("pass", False):
         return 1

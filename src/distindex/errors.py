@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with the exit code
+the command line returns for it (a subclass inherits its parent's)."""
 
 
 class GraphError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class LoopEdgeError(GraphError):
@@ -24,17 +27,25 @@ class EdgeListFormatError(GraphError):
 class DisconnectedError(GraphError):
     """The operation requires a connected graph."""
 
+    exit_code = 4
+
 
 class NotATreeError(GraphError):
     """The operation requires a tree."""
+
+    exit_code = 3
 
 
 class NotBipartiteError(GraphError):
     """The operation requires a bipartite graph."""
 
+    exit_code = 3
+
 
 class NotPartialCubeError(GraphError):
     """The graph failed partial-cube verification."""
+
+    exit_code = 3
 
 
 class ClassRemovalError(NotPartialCubeError):

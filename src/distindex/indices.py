@@ -210,16 +210,6 @@ def zagreb(deg: Sequence[int], edges: Iterable[tuple[int, int]]) -> tuple[int, i
     return sum(d * d for d in deg), sum(deg[u] * deg[v] for u, v in edges)
 
 
-def zagreb_m1(g: Graph) -> int:
-    """Sum of squared degrees."""
-    return zagreb(g.degrees(), ())[0]
-
-
-def zagreb_m2(g: Graph) -> int:
-    """Sum of degree products over the edges."""
-    return zagreb(g.degrees(), g.edges())[1]
-
-
 def wk_star(g: Graph, k: int) -> int:
     """Number of unordered pairs at distance at most k (and at least 1)."""
     if k < 1:

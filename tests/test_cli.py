@@ -20,8 +20,7 @@ from distindex import (
     hypercube_graph,
     parse_edge_list,
     random_tree,
-    zagreb_m1,
-    zagreb_m2,
+    zagreb,
 )
 from distindex.cli import build_parser, main
 from helpers import path_graph
@@ -445,7 +444,7 @@ def test_compute_zagreb_tree_route_matches_graph(tmp_path, capsys, monkeypatch, 
         g = None
     else:
         doc = document(want[1])
-        assert (doc["m1"], doc["m2"]) == (zagreb_m1(g), zagreb_m2(g))
+        assert (doc["m1"], doc["m2"]) == zagreb(g.degrees(), g.edges())
     built = []
     build = distindex.cli.from_edge_list
 
@@ -569,6 +568,49 @@ def test_compute_empty_vertex_set_exit_code(tmp_path, capsys):
 def test_compute_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "compute", "--input", "/no/such/file", "--index", "wiener")
     assert code == 2
+
+
+#: README's exit code for every error type that reaches main.
+README_EXIT_CODES = {
+    "GraphError": 2,
+    "LoopEdgeError": 2,
+    "DuplicateEdgeError": 2,
+    "VertexOutOfRangeError": 2,
+    "EdgeListFormatError": 2,
+    "InfeasibleSpecError": 2,
+    "OrderTooLargeError": 2,
+    "ValueError": 2,
+    "OSError": 2,
+    "NotATreeError": 3,
+    "NotBipartiteError": 3,
+    "NotPartialCubeError": 3,
+    "ClassRemovalError": 3,
+    "DisconnectedError": 4,
+}
+
+
+def _error_types():
+    """GraphError, every subclass of it at any depth, ValueError and OSError."""
+    found = [GraphError]
+    for cls in found:  # breadth first: the list grows as it is read
+        found.extend(cls.__subclasses__())
+    return found + [ValueError, OSError]
+
+
+@pytest.mark.parametrize("error", _error_types(), ids=lambda cls: cls.__name__)
+def test_error_types_carry_readme_exit_codes(capsys, monkeypatch, error):
+    """main catches one base class and returns the code the type
+    carries; a new GraphError subclass must be given its code here."""
+    assert error.__name__ in README_EXIT_CODES
+    want = README_EXIT_CODES[error.__name__]
+    if issubclass(error, GraphError):
+        assert error.exit_code == want
+
+    def raising(args):
+        raise error(f"{error.__name__} raised")
+
+    monkeypatch.setattr("distindex.cli._cmd_verify", raising)
+    assert run_cli(capsys, "verify", "--claim", "eq1") == (want, "", f"error: {error.__name__} raised\n")
 
 
 def test_compute_wk_requires_k(tmp_path, capsys):
