@@ -303,6 +303,9 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    for value, flag in ((args.trials, "--trials"), (args.n, "--n")):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0")
     claim = args.claim
     if claim in ("max-wk", "max-tw3", "degree-count", "wiener-bounds"):
         return verify_extremal(_need(args.n, "--n"), claim, args.k)

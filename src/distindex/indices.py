@@ -6,7 +6,9 @@ from scratch on each call.
 
 It also holds the package's one ball sweep, `_sweep`: each vertex keeps
 the set of sources within radius r as an integer bitset, and one round
-of ORs over the edges takes every ball from radius r to r + 1.  The
+takes every ball from radius r to r + 1.  From radius 1 on a ball is the
+union of its neighbours' balls, so a round copies one neighbour's ball
+and ORs in the others, 2m - n ORs over the adjacency lists.  The
 growth of the balls gives the pair counts by distance (W_k, the Wiener
 index, the Wiener polynomial and the cumulative W_k*), and the pairs of
 one degree class not yet reached give that class's distance sum (TW_k,
@@ -37,26 +39,29 @@ _SWEEP_BITS = 1 << 26
 
 def _sweep(
     g: Graph,
-    edges: list[tuple[int, int]],
     sources: Sequence[int],
     spans: Sequence[tuple[int, int]],
     parities: list[int] | None = None,
 ) -> tuple[list[int], list[int]]:
-    """Ball sweep from `sources` over `edges`, which are g.edges(),
-    passed in so that a caller holding them builds them once.  Returns
-    the doubled pair counts by distance (entry r counts the ordered
-    pairs at distance r, up to the diameter; filled only when `sources`
-    holds every vertex) and, for each span (lo, hi) of `sources`, the
-    distance sum over the ordered pairs of sources[lo:hi].
+    """Ball sweep from `sources` over g.adj.  Returns the doubled pair
+    counts by distance (entry r counts the ordered pairs at distance r,
+    up to the diameter; filled only when `sources` holds every vertex)
+    and, for each span (lo, hi) of `sources`, the distance sum over the
+    ordered pairs of sources[lo:hi].
 
     For a block of sources, ball[w] holds bit s when source s lies within
-    radius r of w.  B_{r+1}(w) is B_r(w) OR-ed with the balls of w's
-    neighbours, so one round costs one OR per edge end, and the growth
-    of the summed ball sizes in round r counts the ordered pairs at
-    distance r.  A pair at distance d is still unreached before each of
-    the rounds 0..d-1, so before every round each span member v adds the
-    span's sources of the block missing from ball[v]; a span is done
-    once no member misses any.  A sweep from every vertex runs each
+    radius r of w.  B_1(w) is B_0(w) OR-ed with the balls of w's
+    neighbours.  From radius 1 on, B_{r+1}(w) is the union of B_r(y) over
+    w's neighbours y alone: w lies in B_1(y), and any other source within
+    r + 1 of w lies within r of the next vertex on a shortest path from w.
+    So each round copies the ball of w's first neighbour (w's own ball when
+    w is isolated) and ORs in the rest, 2m - n ORs a round (about half the
+    edge ends on a tree; the first round also ORs in w's own ball), and
+    the growth of the summed ball sizes in round r counts the ordered
+    pairs at distance r.  A pair at distance d is still unreached before
+    each of the rounds 0..d-1, so before every round each span member v
+    adds the span's sources of the block missing from ball[v]; a span is
+    done once no member misses any.  A sweep from every vertex runs each
     block until every ball holds the whole block, and a round in which
     no ball grows before that means the graph is disconnected; a sweep
     from fewer sources stops once every span is done, and needs a
@@ -76,12 +81,20 @@ def _sweep(
 
     A block runs as many rounds as its sources' largest eccentricity
     over n-bit balls, so on a long path the sweep is slower than one BFS
-    per vertex (2000-vertex path: about 1.4 s against 0.8 s); the CLI's
-    `auto` sends W_k and the polynomial of a tree to the tree route.
+    per vertex; the CLI's `auto` sends W_k and the polynomial of a tree
+    to the tree route.
     """
     n = g.n
     every = len(sources) == n
     block = max(1, _SWEEP_BITS // max(n, 1))
+    adj = g.adj
+    lead = [nbrs[0] if nbrs else x for x, nbrs in enumerate(adj)]
+    # the other arcs x <- y (x takes y's ball) as flat ends, two arcs to a
+    # step; an odd count repeats its last arc, since OR is idempotent
+    ends = [v for x, nbrs in enumerate(adj) for y in nbrs[1:] for v in (x, y)]
+    if len(ends) & 2:
+        ends += ends[-2:]
+    steps = list(zip(*[iter(ends)] * 4))
     members = [sources[lo:hi] for lo, hi in spans]
     doubled = [0]
     sums = [0] * len(spans)
@@ -115,16 +128,18 @@ def _sweep(
             live = still
             if reached == n * size if every else not live:
                 break
-            grown = balls[:]
-            for x, y in edges:
+            grown = list(map(balls.__getitem__, lead))
+            if not r:
+                grown = list(map(or_, grown, balls))
+            for x, y, u, v in steps:
                 grown[x] |= balls[y]
-                grown[y] |= balls[x]
+                grown[u] |= balls[v]
             balls = grown
+            r += 1
             if every:
                 now = sum(map(int.bit_count, balls))
                 if now == reached:
                     raise DisconnectedError("graph is not connected")
-                r += 1
                 if r == len(doubled):
                     doubled.append(0)
                 doubled[r] += now - reached
@@ -140,8 +155,8 @@ def _restricted_sum(g: Graph, members: list[int]) -> int:
     """Distance sum over the unordered pairs of `members`.
 
     One BFS from vertex 0 checks connectivity and gives its eccentricity.
-    A sweep from the members costs about eccentricity x 2m (one OR per
-    edge end per round), one BFS per member about |members| x (n + m);
+    A sweep from the members costs at most eccentricity x 2m (2m - n ORs
+    per round, taken as 2m), one BFS per member about |members| x (n + m);
     the cheaper runs, and the BFS from vertex 0 is reused.
     """
     if g.n < 2:
@@ -150,7 +165,7 @@ def _restricted_sum(g: Graph, members: list[int]) -> int:
     if UNREACHABLE in row0:
         raise DisconnectedError("graph is not connected")
     if len(members) * (g.n + g.m) > max(row0) * 2 * g.m:
-        _, (doubled,) = _sweep(g, g.edges(), members, [(0, len(members))])
+        _, (doubled,) = _sweep(g, members, [(0, len(members))])
         return doubled // 2
     total = 0
     for i, u in enumerate(members[:-1]):
@@ -192,7 +207,7 @@ class WienerPolynomial(NamedTuple):
 def wiener_polynomial(g: Graph) -> WienerPolynomial:
     """Distance distribution of the unordered pairs, as coefficients up
     to the diameter.  coeffs[0] is always 0."""
-    doubled, _ = _sweep(g, g.edges(), range(g.n), ())
+    doubled, _ = _sweep(g, range(g.n), ())
     return WienerPolynomial(tuple(c // 2 for c in doubled))
 
 
@@ -271,10 +286,9 @@ def index_report(g: Graph, star_k: int | None = None) -> IndexReport:
     spans = [(bisect_left(ranked, k), bisect_right(ranked, k)) for k in present]
     if star_k is not None:
         spans.append((0, bisect_right(ranked, star_k)))
-    edges = g.edges()
-    doubled, sums = _sweep(g, edges, order, spans)
+    doubled, sums = _sweep(g, order, spans)
     poly = WienerPolynomial(tuple(c // 2 for c in doubled))
-    m1, m2 = zagreb(deg, edges)
+    m1, m2 = zagreb(deg, g.edges())
     return IndexReport(
         n=g.n,
         m=g.m,

@@ -12,12 +12,13 @@ isometrically into a hypercube.
 
 The verifier is exact, builds no distance matrix and compares no pair
 of edges.  It runs the oracle's ball sweep (`indices._sweep`) from every
-vertex, which also XORs each vertex's odd-radius balls into a parity
-P_v = B_1(v) ^ B_3(v) ^ ....  In a bipartite graph bit w of P_x ^ P_y
-is the parity of min(d(w, x), d(w, y)) for every edge xy: that is the
-edge's cut label, which with w's colour tells which end w is closer to,
-so every edge gets one side of its cut from one XOR, and the sweep's
-pair counts give the Wiener index.  Edges with equal cuts form one
+vertex; after the first round each ball is the union of its neighbours'
+balls, 2m - n ORs a round.  The sweep also XORs each vertex's
+odd-radius balls into a parity P_v = B_1(v) ^ B_3(v) ^ ....  In a
+bipartite graph bit w of P_x ^ P_y is the parity of min(d(w, x), d(w, y))
+for every edge xy: that is the edge's cut label, which with w's colour
+tells which end w is closer to, so every edge gets one side of its cut
+from one XOR, and the sweep's pair counts give the Wiener index.  Edges with equal cuts form one
 group.  A connected bipartite graph is a partial cube exactly when the
 relation is transitive (Winkler 1984), that is when no edge crosses the
 cut of a group other than its own; the groups are then the classes.
@@ -87,7 +88,7 @@ def _partition(g: Graph) -> tuple[ThetaPartition, list[int], int]:
     # parity[x] ^ parity[y], edge xy's label, is the parity of
     # min(d(w, x), d(w, y))
     parity = [0] * n
-    doubled, _ = _sweep(g, edges, range(n), (), parity)
+    doubled, _ = _sweep(g, range(n), (), parity)
     wiener = sum(r * c for r, c in enumerate(doubled)) // 2
     # w is closer to x exactly when min(d(w, x), d(w, y)) has the parity
     # of d(w, x), that is of colour(w) + colour(x); so a label XOR the

@@ -868,6 +868,19 @@ def test_verify_without_evidence_exits_one(capsys, argv):
     assert payload["mismatch_count"] == 0 and not payload["pass"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--claim", "cut-vs-oracle", "--trials", "-3"), "--trials"),
+        (("--claim", "linear-vs-oracle", "--trials", "-3"), "--trials"),
+        (("--claim", "eq1", "--n", "-5"), "--n"),
+    ],
+)
+def test_verify_refuses_negative_counts(capsys, argv, flag):
+    """A negative --trials or --n is refused before any claim runs."""
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {flag} must be >= 0\n")
+
+
 def test_verify_coronene_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "coronene", "--k", "2")
     assert code == 0

@@ -273,9 +273,9 @@ def check_restricted_sums(g, patch):
     sweeps = []
     sweep = distindex.indices._sweep
 
-    def counting(g, edges, sources, spans):
+    def counting(g, sources, spans):
         sweeps.append(len(sources))
-        return sweep(g, edges, sources, spans)
+        return sweep(g, sources, spans)
 
     patch.setattr(distindex.indices, "_sweep", counting)
     top = max(g.degrees())
@@ -287,7 +287,7 @@ def check_restricted_sums(g, patch):
         sweeps.clear()
         assert twk(g, k) == want
         assert sweeps == ([len(members)] if g.n > 1 and sweep_chosen(g, members) else [])
-        _, (doubled,) = sweep(g, g.edges(), members, [(0, len(members))])
+        _, (doubled,) = sweep(g, members, [(0, len(members))])
         assert doubled == 2 * want
         if members:
             by_degree[k] = want

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import distindex.indices
 from distindex import (
     DisconnectedError,
     all_free_trees,
@@ -21,7 +22,18 @@ from distindex import (
     wk_star,
     zagreb,
 )
-from helpers import complete_graph, path_graph, random_connected_graph, star_graph
+from distindex.graphs import Graph, bfs_distances
+from distindex.indices import _sweep
+from helpers import (
+    complete_graph,
+    is_bipartite,
+    path_graph,
+    random_connected_graph,
+    reference_twk,
+    reference_twk_star,
+    reference_wiener_polynomial,
+    star_graph,
+)
 
 
 def test_wiener_small():
@@ -216,9 +228,9 @@ def count_work(monkeypatch):
         searches.append(source)
         return search(g, source)
 
-    def counting_sweep(g, edges, sources, spans):
+    def counting_sweep(g, sources, spans):
         sweeps.append(len(sources))
-        return sweep(g, edges, sources, spans)
+        return sweep(g, sources, spans)
 
     monkeypatch.setattr(distindex.graphs, "bfs_distances", counting_search)
     monkeypatch.setattr(distindex.indices, "bfs_distances", counting_search)
@@ -296,3 +308,103 @@ def test_index_report_internally_consistent():
         assert sum(rep.poly) == math.comb(g.n, 2)
         for k, value in rep.twk_by_degree:
             assert value == twk(g, k)
+
+
+#: Graphs at the edges of the sweep's round rule (a round copies each
+#: vertex's first neighbour's ball and ORs in its other arcs, two per
+#: step): an odd count of those other arcs (P3: one; K_{1,3} with a leaf
+#: extended: three), leaves next to a degree-3 vertex (the extended
+#: K_{1,3}, and a triangle with a pendant vertex), one vertex, and an
+#: even count (K_{1,3}, C6, K_{2,3}).
+ROUND_RULE_GRAPHS = {
+    "p3": path_graph(3),
+    "k13-extended": from_edge_list(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+    "triangle-pendant": from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "k1": from_edge_list(1, []),
+    "k13": star_graph(4),
+    "c6": cycle_graph(6),
+    "k23": from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+}
+
+
+@pytest.mark.parametrize("sweep_bits", [distindex.indices._SWEEP_BITS, 1, 7])
+@pytest.mark.parametrize("name", sorted(ROUND_RULE_GRAPHS))
+def test_sweep_round_rule_against_bfs(monkeypatch, name, sweep_bits):
+    """The sweep from every vertex (with parities), index_report's degree
+    spans and a restricted sweep per degree class agree with one BFS per
+    vertex, with all sources in one block or a budget of 7 bits (7 // n
+    sources a block, at least one) or 1 bit (one source a block)."""
+    monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+    g = ROUND_RULE_GRAPHS[name]
+    rows = [bfs_distances(g, v) for v in range(g.n)]
+    poly = reference_wiener_polynomial(g)
+
+    parities = [0] * g.n
+    doubled, sums = _sweep(g, range(g.n), (), parities)
+    assert doubled == [2 * c for c in poly.coeffs] and sums == []
+    if is_bipartite(g):
+        for x, y in g.edges():
+            want = sum((min(rows[x][w], rows[y][w]) & 1) << w for w in range(g.n))
+            assert parities[x] ^ parities[y] == want
+
+    rep = index_report(g, star_k=2)
+    assert rep.poly == poly.coeffs
+    assert dict(rep.twk_by_degree) == {k: reference_twk(g, k) for k in set(g.degrees())}
+    assert rep.twk_star == reference_twk_star(g, 2)
+
+    for k in set(g.degrees()):
+        members = [v for v in range(g.n) if g.degree(v) == k]
+        _, (doubled,) = _sweep(g, members, [(0, len(members))])
+        assert doubled == 2 * reference_twk(g, k)
+
+
+@pytest.mark.parametrize("sweep_bits", [distindex.indices._SWEEP_BITS, 1, 7])
+@pytest.mark.parametrize(
+    "edges, n", [([(0, 1)], 3), ([(1, 2)], 3), ([(0, 1), (1, 2), (2, 3)], 5), ([], 2)]
+)
+def test_isolated_vertex_disconnects_every_sweep_mode(monkeypatch, edges, n, sweep_bits):
+    """An isolated vertex keeps its own ball, which no round grows: the
+    sweep from every vertex, with or without parities, and each index
+    built on the sweep raise DisconnectedError."""
+    monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+    g = from_edge_list(n, edges)
+    with pytest.raises(DisconnectedError):
+        _sweep(g, range(n), ())
+    with pytest.raises(DisconnectedError):
+        _sweep(g, range(n), (), [0] * n)
+    with pytest.raises(DisconnectedError):
+        index_report(g, star_k=1)
+    with pytest.raises(DisconnectedError):
+        wiener_polynomial(g)
+    with pytest.raises(DisconnectedError):
+        twk(g, 0)
+    with pytest.raises(DisconnectedError):
+        twk_star(g, 1)
+
+
+def test_distance_indices_build_no_edge_list(monkeypatch):
+    """The sweep reads the adjacency lists, so neither the full sweep
+    nor the restricted one (coronene k = 3, TW_3 and TW_3*: the sweep
+    branch; the 2 x 30 grid's corners: the BFS branch) calls
+    Graph.edges."""
+    calls = []
+    edges = Graph.edges
+
+    def counting(g):
+        calls.append(g.n)
+        return edges(g)
+
+    coronene = gen_coronene(3).graph
+    grid = from_edge_list(
+        60,
+        [(j, j + 1) for j in range(29)]
+        + [(j + 30, j + 31) for j in range(29)]
+        + [(j, j + 30) for j in range(30)],
+    )
+    monkeypatch.setattr(Graph, "edges", counting)
+    assert wiener_polynomial(coronene).wiener() == wiener(coronene)
+    assert twk(coronene, 3) == coronene_tw3(3)
+    assert twk_star(coronene, 3) == wiener(coronene)
+    assert twk(grid, 2) == 2 * (29 + 1 + 30)
+    assert twk_star(grid, 2) == reference_twk_star(grid, 2)
+    assert calls == []

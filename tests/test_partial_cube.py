@@ -249,7 +249,7 @@ def test_sweep_parities_give_min_distance_parity_labels(monkeypatch, sweep_bits)
     graphs += [K23, *_trees_with_even_chords(random.Random(15), 12)]
     for g in graphs:
         parities = [0] * g.n
-        _sweep(g, g.edges(), range(g.n), (), parities)
+        _sweep(g, range(g.n), (), parities)
         rows = [bfs_distances(g, v) for v in range(g.n)]
         for x, y in g.edges():
             want = sum((min(rows[x][w], rows[y][w]) & 1) << w for w in range(g.n))
