@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .benzenoid import coronene_tw3, gen_coronene
 from .errors import GraphError, NotATreeError
-from .extremal import TreeSpec, caterpillar_twk, gen_tree
+from .extremal import TreeSpec, gen_tree
 from .graphs import (
     cycle_graph,
     dump_edge_list,
@@ -42,6 +42,9 @@ from .partial_cube import is_partial_cube, twk_cut
 from .tree_linear import RootedTree, tree_twk, tree_zagreb, wiener_polynomial_linear, wk_linear
 from .treegen import free_level_sequences, free_tree_count, level_sequence_edges
 from .verify import (
+    DEFAULT_CUT_TRIALS,
+    DEFAULT_EQ1_N,
+    DEFAULT_LINEAR_TRIALS,
     DEFAULT_SEED,
     verify_coronene,
     verify_cut_vs_oracle,
@@ -237,19 +240,33 @@ def _cmd_compute(args) -> dict:
     return payload
 
 
+#: The families gen builds from a TreeSpec: the constructor and the
+#: flags it reads, in argument order.  The payload's params are those
+#: flags and predicted is TreeSpec.predicted().
+_TREE_FAMILIES = {
+    "path": (TreeSpec.path, ("n",)),
+    "star": (TreeSpec.star, ("n",)),
+    "double-broom": (TreeSpec.double_broom, ("k", "a1", "a2")),
+    "starlike-broom": (TreeSpec.starlike_broom, ("k", "parts")),
+    "caterpillar": (TreeSpec.caterpillar, ("n", "kdeg", "p")),
+}
+
+
 def _cmd_gen(args) -> dict:
     family = args.family
     predicted: dict = {}
-    if family == "path":
-        n = _need(args.n, "--n")
-        graph = gen_tree(TreeSpec.path(n))
-        params = {"n": n}
-        predicted = {"wiener": (n + 1) * n * (n - 1) // 6}
-    elif family == "star":
-        n = _need(args.n, "--n")
-        graph = gen_tree(TreeSpec.star(n))
-        params = {"n": n}
-        predicted = {"wiener": (n - 1) * (n - 1)}
+    if family in _TREE_FAMILIES:
+        build, flags = _TREE_FAMILIES[family]
+        params = {flag: _need(getattr(args, flag), f"--{flag}") for flag in flags}
+        if "parts" in params:
+            raw = params["parts"]
+            try:
+                params["parts"] = [int(x) for x in raw.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"--parts must be comma-separated integers, got {raw!r}") from exc
+        spec = build(*params.values())
+        graph = gen_tree(spec)
+        predicted = spec.predicted()
     elif family == "cycle":
         n = _need(args.n, "--n")
         graph = cycle_graph(n)
@@ -258,31 +275,6 @@ def _cmd_gen(args) -> dict:
         d = _need(args.d, "--d")
         graph = hypercube_graph(d)
         params = {"d": d}
-    elif family == "double-broom":
-        k = _need(args.k, "--k")
-        a1 = _need(args.a1, "--a1")
-        a2 = _need(args.a2, "--a2")
-        graph = gen_tree(TreeSpec.double_broom(k, a1, a2))
-        params = {"k": k, "a1": a1, "a2": a2}
-        predicted = {"wk": a1 * a2, "k": k}
-    elif family == "starlike-broom":
-        k = _need(args.k, "--k")
-        raw = _need(args.parts, "--parts")
-        try:
-            parts = tuple(int(x) for x in raw.split(","))
-        except ValueError as exc:
-            raise ValueError(f"--parts must be comma-separated integers, got {raw!r}") from exc
-        graph = gen_tree(TreeSpec.starlike_broom(k, parts))
-        params = {"k": k, "parts": list(parts)}
-        q = sum(parts)
-        predicted = {"wk": (q * q - sum(a * a for a in parts)) // 2, "k": k}
-    elif family == "caterpillar":
-        n = _need(args.n, "--n")
-        kdeg = _need(args.kdeg, "--kdeg")
-        p = _need(args.p, "--p")
-        graph = gen_tree(TreeSpec.caterpillar(n, kdeg, p))
-        params = {"n": n, "kdeg": kdeg, "p": p}
-        predicted = {"twk": caterpillar_twk(n, kdeg, p), "k": kdeg}
     else:
         k = _need(args.k, "--k")
         graph = gen_coronene(k).graph
@@ -310,13 +302,13 @@ def _cmd_verify(args) -> dict:
     if claim in ("max-wk", "max-tw3", "degree-count", "wiener-bounds"):
         return verify_extremal(_need(args.n, "--n"), claim, args.k)
     if claim == "eq1":
-        return verify_eq1(args.n if args.n is not None else 60)
+        return verify_eq1(args.n if args.n is not None else DEFAULT_EQ1_N)
     if claim == "coronene":
         return verify_coronene(_need(args.k, "--k"))
     if claim == "cut-vs-oracle":
-        trials = args.trials if args.trials is not None else 200
+        trials = args.trials if args.trials is not None else DEFAULT_CUT_TRIALS
         return verify_cut_vs_oracle(trials=trials, seed=args.seed)
-    trials = args.trials if args.trials is not None else 1000
+    trials = args.trials if args.trials is not None else DEFAULT_LINEAR_TRIALS
     return verify_linear_vs_oracle(trials=trials, seed=args.seed)
 
 

@@ -82,6 +82,22 @@ class TreeSpec(NamedTuple):
             raise InfeasibleSpecError(f"p={p} exceeds the {s} interior spine slots")
         return cls(kind="caterpillar", n=n, k=k, p=p)
 
+    def predicted(self) -> dict:
+        """The closed-form index value of the tree, keyed as gen prints
+        it: W of a path or a star, W_k of a double or starlike broom (its
+        pendant pairs across groups), TW_k of a caterpillar."""
+        if self.kind == "path":
+            return {"wiener": (self.n + 1) * self.n * (self.n - 1) // 6}
+        if self.kind == "star":
+            return {"wiener": (self.n - 1) * (self.n - 1)}
+        if self.kind in ("double_broom", "starlike_broom"):
+            groups = (self.a1, self.a2) if self.kind == "double_broom" else self.parts
+            q = sum(groups)
+            return {"wk": (q * q - sum(a * a for a in groups)) // 2, "k": self.k}
+        if self.kind == "caterpillar":
+            return {"twk": caterpillar_twk(self.n, self.k, self.p), "k": self.k}
+        raise InfeasibleSpecError(f"unknown tree kind {self.kind!r}")
+
     def describe(self) -> dict:
         out = {"kind": self.kind, "n": self.n}
         if self.kind == "double_broom":
@@ -167,7 +183,8 @@ def max_wk_odd(n: int, k: int) -> tuple[int, TreeSpec]:
     if n < k + 1:
         raise InfeasibleSpecError(f"need n >= k+1 to realize distance {k}")
     q = n - k + 1
-    return (q // 2) * ((q + 1) // 2), TreeSpec.double_broom(k, q // 2, q - q // 2)
+    spec = TreeSpec.double_broom(k, q // 2, q - q // 2)
+    return spec.predicted()["wk"], spec
 
 
 def _balanced_parts(q: int, p: int) -> tuple[int, ...]:
@@ -187,23 +204,15 @@ def max_wk_even(n: int, k: int) -> tuple[int, TreeSpec]:
     if n < k + 1:
         raise InfeasibleSpecError(f"need n >= k+1 to realize distance {k}")
     arm = k // 2 - 1
-    best = -1
-    best_spec = None
-    p = 2
-    while True:
-        q = n - 1 - p * arm
-        if q < p:
-            break
-        parts = _balanced_parts(q, p)
-        value = (q * q - sum(a * a for a in parts)) // 2
-        if value > best:
-            best = value
-            if p == 2:
-                best_spec = TreeSpec.double_broom(k, parts[0], parts[1])
-            else:
-                best_spec = TreeSpec.starlike_broom(k, parts)
-        p += 1
-    return best, best_spec
+    specs = []
+    # p arms take p * arm vertices besides the centre and need a pendant each
+    for p in range(2, (n - 1) // (arm + 1) + 1):
+        parts = _balanced_parts(n - 1 - p * arm, p)
+        specs.append(
+            TreeSpec.double_broom(k, *parts) if p == 2 else TreeSpec.starlike_broom(k, parts)
+        )
+    best = max(specs, key=lambda spec: spec.predicted()["wk"])  # the first of a tie
+    return best.predicted()["wk"], best
 
 
 def max_degree_count(n: int, k: int) -> int:
@@ -249,6 +258,5 @@ def max_tw3(n: int) -> tuple[int, TreeSpec]:
     three trees of that order attain 0 (see verify.verify_max_tw3)."""
     if n <= 4:
         raise InfeasibleSpecError("needs n > 4")
-    p = n // 2 - 1
-    spec = TreeSpec.caterpillar(n, 3, p)
-    return caterpillar_twk(n, 3, p), spec
+    spec = TreeSpec.caterpillar(n, 3, n // 2 - 1)
+    return spec.predicted()["twk"], spec

@@ -64,8 +64,9 @@ def _sweep(
     done once no member misses any.  A sweep from every vertex runs each
     block until every ball holds the whole block, and a round in which
     no ball grows before that means the graph is disconnected; a sweep
-    from fewer sources stops once every span is done, and needs a
-    connected graph.
+    from fewer sources stops once every span is done, and a span still
+    live at round n, past every distance of a connected graph, means the
+    graph is disconnected.
 
     `parities`, when given, needs `sources` to hold every vertex and
     holds one 0 per vertex.  Each block XORs the balls of every odd
@@ -128,6 +129,8 @@ def _sweep(
             live = still
             if reached == n * size if every else not live:
                 break
+            if r == n:
+                raise DisconnectedError("graph is not connected")
             grown = list(map(balls.__getitem__, lead))
             if not r:
                 grown = list(map(or_, grown, balls))

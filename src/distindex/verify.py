@@ -27,7 +27,6 @@ from .benzenoid import coronene_tw3, gen_coronene, horizontal_cut_profile
 from .errors import InfeasibleSpecError
 from .extremal import (
     TreeSpec,
-    caterpillar_twk,
     gen_tree,
     max_degree_count,
     max_wk_even,
@@ -47,6 +46,11 @@ from .treegen import (
 
 #: Seed used by every randomized suite unless the caller overrides it.
 DEFAULT_SEED = 1729
+#: Largest order verify_eq1 checks, and the trial counts of the
+#: cut-vs-oracle and linear-vs-oracle suites, unless the caller overrides them.
+DEFAULT_EQ1_N = 60
+DEFAULT_CUT_TRIALS = 200
+DEFAULT_LINEAR_TRIALS = 1000
 
 
 def _scan(n: int, kernel: Callable[[list[int], range], int]) -> tuple[list[int], list[list[int]]]:
@@ -103,7 +107,7 @@ def verify_max_tw3(n: int) -> dict:
     n = 5 has "pass": false on purpose."""
     p = max(n // 2 - 1, 0)
     spec = TreeSpec.caterpillar(n, 3, p)
-    predicted = caterpillar_twk(n, 3, p)
+    predicted = spec.predicted()["twk"]
     values, seqs = _scan(n, lambda parent, order: tree_twk(parent, order, 3)[0])
     observed = max(values)
     maximizers = _forms(values, seqs, observed)
@@ -147,13 +151,13 @@ def verify_degree_count(n: int, k: int) -> dict:
 def verify_wiener_bounds(n: int) -> dict:
     """Scan all trees on n vertices: the distance sum must range from
     (n-1)^2 (star, uniquely) to binomial(n+1, 3) (path, uniquely)."""
-    lo_pred = (n - 1) * (n - 1)
-    hi_pred = (n + 1) * n * (n - 1) // 6
     values, seqs = _scan(n, lambda parent, order: tree_polynomial(parent, order).wiener())
+    star, path = TreeSpec.star(n), TreeSpec.path(n)
+    lo_pred, hi_pred = star.predicted()["wiener"], path.predicted()["wiener"]
     lo, hi = min(values), max(values)
     lo_forms, hi_forms = _forms(values, seqs, lo), _forms(values, seqs, hi)
-    star_form = canonical_form(gen_tree(TreeSpec.star(n)))
-    path_form = canonical_form(gen_tree(TreeSpec.path(n)))
+    star_form = canonical_form(gen_tree(star))
+    path_form = canonical_form(gen_tree(path))
     return {
         "claim": "wiener-bounds",
         "n": n,
@@ -189,7 +193,7 @@ def verify_extremal(n: int, claim: str, k: int | None = None) -> dict:
     raise ValueError(f"unknown claim {claim!r}")
 
 
-def verify_eq1(max_n: int = 60) -> dict:
+def verify_eq1(max_n: int = DEFAULT_EQ1_N) -> dict:
     """Compare the caterpillar closed form against the oracle on every
     feasible (n, k, p) with n up to max_n."""
     cases = 0
@@ -198,7 +202,7 @@ def verify_eq1(max_n: int = 60) -> dict:
         for k in range(3, n):
             for p in range((n - 2) // (k - 1) + 1):
                 spec = TreeSpec.caterpillar(n, k, p)
-                formula = caterpillar_twk(n, k, p)
+                formula = spec.predicted()["twk"]
                 oracle = twk(gen_tree(spec), k)
                 cases += 1
                 if formula != oracle:
@@ -246,7 +250,7 @@ def verify_coronene(k: int) -> dict:
 
 
 def verify_linear_vs_oracle(
-    trials: int = 1000,
+    trials: int = DEFAULT_LINEAR_TRIALS,
     seed: int = DEFAULT_SEED,
     n_lo: int = 2,
     n_hi: int = 200,
@@ -281,7 +285,7 @@ def verify_linear_vs_oracle(
 
 
 def verify_cut_vs_oracle(
-    trials: int = 200, seed: int = DEFAULT_SEED, include_families: bool = True
+    trials: int = DEFAULT_CUT_TRIALS, seed: int = DEFAULT_SEED, include_families: bool = True
 ) -> dict:
     """Random trees plus the classic partial-cube families: the cut
     route must match the oracle for every degree present, all read from

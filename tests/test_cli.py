@@ -881,6 +881,27 @@ def test_verify_refuses_negative_counts(capsys, argv, flag):
     assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {flag} must be >= 0\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("wiener-bounds", "--n", "0"), "supported orders are 1..16, got 0"),
+        (("max-tw3", "--n", "0"), "n=0 too small for p=0 groups of degree 3"),
+        (("max-tw3", "--n", "1"), "n=1 too small for p=0 groups of degree 3"),
+        (("max-wk", "--n", "2", "--k", "4"), "need n >= k+1 to realize distance 4"),
+        (("degree-count", "--n", "0", "--k", "3"), "needs n >= 2"),
+        (("max-wk", "--n", "17", "--k", "3"), "supported orders are 1..16, got 17"),
+        (("max-tw3", "--n", "17"), "supported orders are 1..16, got 17"),
+        (("degree-count", "--n", "17", "--k", "3"), "supported orders are 1..16, got 17"),
+        (("wiener-bounds", "--n", "17"), "supported orders are 1..16, got 17"),
+    ],
+)
+def test_verify_extremal_refusals(capsys, argv, err):
+    """An extremal claim outside its orders exits 2 with the first error
+    its checks meet, and prints no document: the scan's order check
+    comes before the star and path forms of wiener-bounds are read."""
+    assert run_cli(capsys, "verify", "--claim", *argv) == (2, "", f"error: {err}\n")
+
+
 def test_verify_coronene_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "coronene", "--k", "2")
     assert code == 0

@@ -15,6 +15,7 @@ from distindex import (
     max_wk_even,
     max_wk_odd,
     twk,
+    wiener,
     wiener_polynomial,
     wk,
 )
@@ -284,3 +285,31 @@ def test_max_tw3_peak_dominates_other_p():
         best, _ = max_tw3(n)
         for p in range((n - 2) // 2 + 1):
             assert caterpillar_twk(n, 3, p) <= best
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_predicted_wiener_of_path_and_star(n):
+    for spec in (TreeSpec.path(n), TreeSpec.star(n)):
+        assert spec.predicted() == {"wiener": wiener(gen_tree(spec))}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TreeSpec.double_broom(k, a1, a2) for k in range(3, 8) for a1, a2 in ((1, 1), (2, 3), (4, 1))]
+    + [
+        TreeSpec.starlike_broom(k, parts)
+        for k in (4, 6, 8)
+        for parts in ((1, 2), (3, 1, 2), (1, 4, 2, 1), (5, 1, 1, 1, 2))
+    ],
+    ids=lambda spec: str(spec.describe()),
+)
+def test_predicted_wk_of_brooms(spec):
+    assert spec.predicted() == {"wk": wk(gen_tree(spec), spec.k), "k": spec.k}
+
+
+@pytest.mark.parametrize(
+    "n, k, p", [(2, 3, 0), (5, 3, 1), (8, 3, 3), (12, 3, 5), (14, 4, 4), (20, 4, 5), (17, 5, 3)]
+)
+def test_predicted_twk_of_caterpillars(n, k, p):
+    spec = TreeSpec.caterpillar(n, k, p)
+    assert spec.predicted() == {"twk": twk(gen_tree(spec), k), "k": k}

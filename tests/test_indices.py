@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -380,6 +382,51 @@ def test_isolated_vertex_disconnects_every_sweep_mode(monkeypatch, edges, n, swe
         twk(g, 0)
     with pytest.raises(DisconnectedError):
         twk_star(g, 1)
+
+
+_RESTRICTED_DISCONNECTED = """
+import distindex.indices
+from distindex import DisconnectedError, from_edge_list
+from distindex.indices import _sweep
+
+for bits in (distindex.indices._SWEEP_BITS, 1):
+    distindex.indices._SWEEP_BITS = bits
+    for n, edges, sources in (
+        (3, [(0, 1)], [0, 2]),
+        (3, [(0, 1)], [2, 0]),
+        (2, [], [0, 1]),
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5)], [0, 5, 1]),
+    ):
+        try:
+            _sweep(from_edge_list(n, edges), sources, [(0, len(sources))])
+        except DisconnectedError as exc:
+            print(exc)
+        else:
+            print("no error")
+"""
+
+
+def test_restricted_sweep_ends_on_a_disconnected_graph():
+    """A sweep from fewer sources than vertices raises DisconnectedError
+    once a span is still live at round n, past every distance of a
+    connected graph, rather than running on.  It runs in a child so that
+    a sweep that never ends fails the test by timeout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESTRICTED_DISCONNECTED],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "graph is not connected\n" * 8
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_restricted_sweep_reaches_distance_n_minus_one(n):
+    """The ends of a path sit at distance n - 1, the largest a connected
+    graph has, and the restricted sweep counts them without raising."""
+    _, (doubled,) = _sweep(path_graph(n), [0, n - 1], [(0, 2)])
+    assert doubled == 2 * (n - 1)
 
 
 def test_distance_indices_build_no_edge_list(monkeypatch):
