@@ -56,7 +56,6 @@ from .graphs import (
     from_edge_list,
     hypercube_graph,
     parse_edge_ends,
-    parse_edge_list,
     two_coloring,
 )
 from .indices import (
@@ -90,7 +89,6 @@ from .tree_linear import (
 )
 from .treegen import (
     MAX_ORDER,
-    all_free_trees,
     canonical_form,
     free_level_sequences,
     free_tree_count,
@@ -98,7 +96,6 @@ from .treegen import (
     level_sequence_parents,
     prufer_to_tree,
     random_tree,
-    rooted_level_sequences,
 )
 from .verify import (
     DEFAULT_SEED,
@@ -106,7 +103,6 @@ from .verify import (
     verify_cut_vs_oracle,
     verify_degree_count,
     verify_eq1,
-    verify_extremal,
     verify_linear_vs_oracle,
     verify_max_tw3,
     verify_max_wk,
@@ -119,7 +115,7 @@ __all__ = [
     "__version__",
     # graphs
     "Graph", "UNREACHABLE", "from_edge_list", "bfs_distances",
-    "two_coloring", "parse_edge_ends", "parse_edge_list", "format_edge_list",
+    "two_coloring", "parse_edge_ends", "format_edge_list",
     "dump_edge_list",
     "cycle_graph", "hypercube_graph", "MAX_HYPERCUBE_DIM", "MAX_GRAPH_ORDER",
     # indices
@@ -140,13 +136,12 @@ __all__ = [
     "HexSystem", "gen_coronene", "edge_direction", "orientation_groups",
     "horizontal_cut_profile", "coronene_tw3",
     # enumeration and sampling
-    "MAX_ORDER", "rooted_level_sequences", "canonical_form",
+    "MAX_ORDER", "canonical_form",
     "free_level_sequences", "level_sequence_edges", "level_sequence_parents",
-    "all_free_trees",
     "free_tree_count", "prufer_to_tree", "random_tree",
     # verifiers
     "DEFAULT_SEED", "verify_max_wk", "verify_max_tw3", "verify_degree_count",
-    "verify_wiener_bounds", "verify_extremal", "verify_eq1", "verify_coronene",
+    "verify_wiener_bounds", "verify_eq1", "verify_coronene",
     "verify_linear_vs_oracle", "verify_cut_vs_oracle",
     # errors
     "GraphError", "LoopEdgeError", "DuplicateEdgeError",

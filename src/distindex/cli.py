@@ -48,9 +48,12 @@ from .verify import (
     DEFAULT_SEED,
     verify_coronene,
     verify_cut_vs_oracle,
+    verify_degree_count,
     verify_eq1,
-    verify_extremal,
     verify_linear_vs_oracle,
+    verify_max_tw3,
+    verify_max_wk,
+    verify_wiener_bounds,
 )
 
 
@@ -139,11 +142,18 @@ def _need(value, flag: str):
     return value
 
 
-#: The indices with a tree kernel, each with the method it reports on a
-#: tree.  A tree is a partial cube whose classes are its single edges,
-#: so its TW_k is the cut route's sum with no verification.  --method
-#: linear and --method cut apply only to the indices listed with them.
-_TREE_METHOD = {"wk": "linear", "poly": "linear", "twk": "cut", "zagreb": "oracle"}
+#: The indices with a tree kernel: the method each reports on a tree,
+#: and the kernel, which reads the rooted tree and --k and returns the
+#: document's index fields.  A tree is a partial cube whose classes are
+#: its single edges, so its TW_k is the cut route's sum with no
+#: verification.  --method linear and --method cut apply only to the
+#: indices listed with them.
+_TREE_METHOD = {
+    "wk": ("linear", lambda t, k: {"wk": wk_linear(t, k)}),
+    "poly": ("linear", lambda t, k: {"poly": list(wiener_polynomial_linear(t).coeffs)}),
+    "twk": ("cut", lambda t, k: {"twk": tree_twk(t.parent, t.order, k)[0]}),
+    "zagreb": ("oracle", lambda t, k: dict(zip(("m1", "m2"), tree_zagreb(t)))),
+}
 
 
 def _read_tree(text: str) -> RootedTree | None:
@@ -190,9 +200,10 @@ def _cmd_compute(args) -> dict:
         raise ValueError(f"--index {index} needs --k >= 1")
     if index == "twk" and (k is None or k < 0):
         raise ValueError("--index twk needs --k >= 0")
-    if method in ("linear", "cut") and _TREE_METHOD.get(index) != method:
-        served = " or ".join(i for i, m in _TREE_METHOD.items() if m == method)
-        raise ValueError(f"--method {method} applies to --index {served}")
+    if method in ("linear", "cut"):
+        served = [i for i, (m, _) in _TREE_METHOD.items() if m == method]
+        if index not in served:
+            raise ValueError(f"--method {method} applies to --index {' or '.join(served)}")
     if index in ("wiener", "poly", "zagreb") and k is not None and k < 0:
         raise ValueError(f"--index {index} needs --k >= 0")
     if method == "linear" and tree is None:
@@ -200,7 +211,7 @@ def _cmd_compute(args) -> dict:
 
     partition = None
     if tree is not None:
-        method = _TREE_METHOD[index]
+        method, kernel = _TREE_METHOD[index]
     elif method == "auto" and index == "twk":
         verdict = is_partial_cube(g)
         method = "cut" if verdict.accepted else "oracle"
@@ -211,24 +222,18 @@ def _cmd_compute(args) -> dict:
     payload: dict = {"n": n, "m": n - 1 if g is None else g.m, "index": index, "method": method}
     if k is not None:
         payload["k"] = k
-    if index == "wiener":
+    if tree is not None:
+        payload.update(kernel(tree, k))
+    elif index == "wiener":
         payload["wiener"] = wiener(g)
     elif index == "wk":
-        payload["wk"] = wk(g, k) if tree is None else wk_linear(tree, k)
+        payload["wk"] = wk(g, k)
     elif index == "poly":
-        poly = wiener_polynomial(g) if tree is None else wiener_polynomial_linear(tree)
-        payload["poly"] = list(poly.coeffs)
+        payload["poly"] = list(wiener_polynomial(g).coeffs)
     elif index == "twk":
-        if tree is not None:
-            payload["twk"] = tree_twk(tree.parent, tree.order, k)[0]
-        elif method == "cut":
-            payload["twk"] = twk_cut(g, k, partition)
-        else:
-            payload["twk"] = twk(g, k)
+        payload["twk"] = twk_cut(g, k, partition) if method == "cut" else twk(g, k)
     elif index == "zagreb":
-        payload["m1"], payload["m2"] = (
-            zagreb(g.degrees(), g.edges()) if tree is None else tree_zagreb(tree)
-        )
+        payload["m1"], payload["m2"] = zagreb(g.degrees(), g.edges())
     elif index == "wk-star":
         payload["wk_star"] = wk_star(g, k)
     elif index == "twk-star":
@@ -299,8 +304,14 @@ def _cmd_verify(args) -> dict:
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0")
     claim = args.claim
-    if claim in ("max-wk", "max-tw3", "degree-count", "wiener-bounds"):
-        return verify_extremal(_need(args.n, "--n"), claim, args.k)
+    if claim == "max-wk":
+        return verify_max_wk(_need(args.n, "--n"), _need(args.k, "--k"))
+    if claim == "max-tw3":
+        return verify_max_tw3(_need(args.n, "--n"))
+    if claim == "degree-count":
+        return verify_degree_count(_need(args.n, "--n"), _need(args.k, "--k"))
+    if claim == "wiener-bounds":
+        return verify_wiener_bounds(_need(args.n, "--n"))
     if claim == "eq1":
         return verify_eq1(args.n if args.n is not None else DEFAULT_EQ1_N)
     if claim == "coronene":

@@ -251,12 +251,13 @@ def caterpillar_twk(n: int, k: int, p: int) -> int:
 
 def max_tw3(n: int) -> tuple[int, TreeSpec]:
     """Largest distance sum over degree-3 vertex pairs of a tree on n
-    vertices, attained by the caterpillar with p = floor(n/2) - 1.
+    vertices, attained by the caterpillar with p = max(floor(n/2) - 1, 0).
+    n <= 1 leaves no room for the spine's two ends and raises
+    InfeasibleSpecError.
 
-    At n = 5 the value is 0 and the caterpillar is not the unique
-    maximizer: no 5-vertex tree has two vertices of degree 3, so all
-    three trees of that order attain 0 (see verify.verify_max_tw3)."""
-    if n <= 4:
-        raise InfeasibleSpecError("needs n > 4")
-    spec = TreeSpec.caterpillar(n, 3, n // 2 - 1)
+    Up to n = 5 the value is 0: no tree that small has two vertices of
+    degree 3, so every tree of the order attains it, and at n = 4 and 5
+    the caterpillar is not the unique maximizer (see
+    verify.verify_max_tw3)."""
+    spec = TreeSpec.caterpillar(n, 3, max(n // 2 - 1, 0))
     return spec.predicted()["twk"], spec

@@ -37,15 +37,16 @@ more) gets that count error before anything is allocated.  Only the
 format is checked.  parse_edge_ends joins the slices into one list
 allocated at its final size, 2m, and a tree request (cli) hands them one
 at a time to tree_linear.RootedTree.build, which frees each once
-counted, so the flat list is never held and no Graph is built.
-parse_edge_list goes on to from_edge_list, which pops each neighbour
-list as its tuple is built, so the lists are freed one by one while the
-tuples grow.  On a 2*10^5-vertex path parse_edge_ends takes 45 ms and
-peaks at 14.9 MiB of traced memory, 71-75 ms with a tab in the last
-line and 108-117 ms with CRLF line ends.  compute --index wk --k 5 on
-it, a tree request, peaks at 13.4 MiB with the file's text, the strip
-and the kernel, with a comment line or without, and parse_edge_list
-peaks at 32.0 MiB against 22.9 MiB for the finished Graph (Python 3.11).
+counted, so the flat list is never held and no Graph is built.  Any
+other request hands the flat list to from_edge_list, which pops each
+neighbour list as its tuple is built, so the lists are freed one by one
+while the tuples grow.  On a 2*10^5-vertex path parse_edge_ends takes
+45 ms and peaks at 14.9 MiB of traced memory, 71-75 ms with a tab in the
+last line and 108-117 ms with CRLF line ends.  compute --index wk --k 5
+on it, a tree request, peaks at 13.4 MiB with the file's text, the strip
+and the kernel, with a comment line or without, and parse_edge_ends
+then from_edge_list peak at 32.0 MiB against 22.9 MiB for the finished
+Graph (Python 3.11).
 """
 
 from __future__ import annotations
@@ -338,13 +339,6 @@ def edge_pairs(ends: list[int]) -> Iterator[tuple[int, int]]:
     """The (u, v) pairs of a flat endpoint list, in order."""
     it = iter(ends)
     return zip(it, it)
-
-
-def parse_edge_list(text: str) -> Graph:
-    """The validated graph of an edge-list text (parse_edge_ends, then
-    from_edge_list)."""
-    n, ends = parse_edge_ends(text)
-    return from_edge_list(n, edge_pairs(ends))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -46,7 +46,8 @@ is at most n**2 < 2**bits.  The digits of R, of any one square and of a
 truncated square count subsets of the same triples.
 
 W_1..W_top need digits 0..top only, so the rows are truncated to
-top + 1 digits when top is given; the whole polynomial keeps them all,
+top + 1 digits when top is given, with top clamped to n - 1 since no
+pair is farther apart; the whole polynomial keeps them all,
 and rooting at a centre keeps them as short as any root can.  Two kinds
 of vertex cost no big-integer product:
 - a leaf's row is 1, so the first `leaves` vertices of order, which
@@ -160,6 +161,8 @@ def tree_polynomial(
     count, which only a malformed tree gives, raises RuntimeError."""
     n = len(order)
     bits = 2 * n.bit_length()
+    if top is not None:
+        top = min(top, n - 1)  # no pair is farther apart
     keep = -1 if top is None else (1 << ((top + 1) * bits)) - 1  # -1 keeps every digit
     rows = [1] * n  # 1 plus the shifted rows of the children seen so far
     if leaves:  # skipped by the free-tree walk's many small calls, which pass none
@@ -233,7 +236,7 @@ def wk_linear(t: RootedTree, k: int) -> int:
     (RootedTree.of roots a Graph)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k >= len(t.order):  # no tree path is that long; also bounds the row width
+    if k >= len(t.order):  # no tree path is that long; the clamp alone would build every row
         return 0
     return tree_polynomial(t.parent, t.order, k, t.leaves).coefficient(k)
 

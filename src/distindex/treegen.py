@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import OrderTooLargeError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, check_order, from_edge_list
 from .tree_linear import RootedTree
 
 #: Orders above this make exhaustive enumeration unreasonably large.
@@ -72,18 +72,6 @@ def _next_rooted(seq: list[int]) -> list[int] | None:
             return None
         p -= 1
     return _successor(seq, p)
-
-
-def rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """All canonical level sequences of rooted trees on n vertices, in
-    decreasing lexicographic order."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    seq = list(range(1, n + 1))
-    while seq is not None:
-        nxt = _next_rooted(seq)  # built first, so a caller may change what it gets
-        yield seq
-        seq = nxt
 
 
 def level_sequence_parents(seq: Sequence[int]) -> list[int]:
@@ -190,14 +178,6 @@ def _reset_suffix(seq: list[int]) -> list[int]:
     return seq
 
 
-def all_free_trees(n: int) -> Iterator[Graph]:
-    """Every unlabeled tree on n vertices exactly once, for n up to
-    MAX_ORDER, with vertex 0 a centre.  Trees come in decreasing
-    lexicographic order of their centre-rooted level sequences."""
-    for seq in free_level_sequences(n):
-        yield from_edge_list(n, level_sequence_edges(seq))
-
-
 def free_tree_count(n: int) -> int:
     """How many unlabeled trees have n vertices, counted without
     building them."""
@@ -232,6 +212,7 @@ def prufer_to_tree(seq: list[int], n: int) -> Graph:
 
 def random_tree(n: int, rng: random.Random) -> Graph:
     """Uniform random labeled tree on n vertices."""
+    check_order(n)  # before the n - 2 code entries are drawn
     if n < 1:
         raise ValueError("needs n >= 1")
     if n == 1:

@@ -29,6 +29,7 @@ from .extremal import (
     TreeSpec,
     gen_tree,
     max_degree_count,
+    max_tw3,
     max_wk_even,
     max_wk_odd,
 )
@@ -51,6 +52,10 @@ DEFAULT_SEED = 1729
 DEFAULT_EQ1_N = 60
 DEFAULT_CUT_TRIALS = 200
 DEFAULT_LINEAR_TRIALS = 1000
+#: The orders of linear-vs-oracle's random trees, and the largest
+#: distance it compares on each.
+LINEAR_N_RANGE = (2, 200)
+LINEAR_K_MAX = 10
 
 
 def _scan(n: int, kernel: Callable[[list[int], range], int]) -> tuple[list[int], list[list[int]]]:
@@ -105,9 +110,7 @@ def verify_max_tw3(n: int) -> dict:
     one vertex of degree 3, so all three trees of that order have
     TW_3 = 0 and tie.  The claim is checked as stated, so the report for
     n = 5 has "pass": false on purpose."""
-    p = max(n // 2 - 1, 0)
-    spec = TreeSpec.caterpillar(n, 3, p)
-    predicted = spec.predicted()["twk"]
+    predicted, spec = max_tw3(n)
     values, seqs = _scan(n, lambda parent, order: tree_twk(parent, order, 3)[0])
     observed = max(values)
     maximizers = _forms(values, seqs, observed)
@@ -118,7 +121,7 @@ def verify_max_tw3(n: int) -> dict:
     return {
         "claim": "max-tw3",
         "n": n,
-        "p": p,
+        "p": spec.p,
         "predicted": predicted,
         "observed": observed,
         "maximizer_count": len(maximizers),
@@ -174,23 +177,6 @@ def verify_wiener_bounds(n: int) -> dict:
             and hi_forms == [path_form]
         ),
     }
-
-
-def verify_extremal(n: int, claim: str, k: int | None = None) -> dict:
-    """Dispatch one enumeration-backed extremal claim."""
-    if claim == "max-wk":
-        if k is None:
-            raise ValueError("max-wk needs k")
-        return verify_max_wk(n, k)
-    if claim == "max-tw3":
-        return verify_max_tw3(n)
-    if claim == "degree-count":
-        if k is None:
-            raise ValueError("degree-count needs k")
-        return verify_degree_count(n, k)
-    if claim == "wiener-bounds":
-        return verify_wiener_bounds(n)
-    raise ValueError(f"unknown claim {claim!r}")
 
 
 def verify_eq1(max_n: int = DEFAULT_EQ1_N) -> dict:
@@ -249,23 +235,18 @@ def verify_coronene(k: int) -> dict:
     return report
 
 
-def verify_linear_vs_oracle(
-    trials: int = DEFAULT_LINEAR_TRIALS,
-    seed: int = DEFAULT_SEED,
-    n_lo: int = 2,
-    n_hi: int = 200,
-    k_max: int = 10,
-) -> dict:
-    """Random labeled trees: the tree route must match the pair counts
-    of the oracle's distance histogram for every k up to k_max."""
+def verify_linear_vs_oracle(trials: int = DEFAULT_LINEAR_TRIALS, seed: int = DEFAULT_SEED) -> dict:
+    """Random labeled trees with orders in LINEAR_N_RANGE: the tree
+    route must match the pair counts of the oracle's distance histogram
+    for every k up to LINEAR_K_MAX."""
     rng = random.Random(seed)
     mismatches = []
     for trial in range(trials):
-        n = rng.randint(n_lo, n_hi)
+        n = rng.randint(*LINEAR_N_RANGE)
         g = random_tree(n, rng)
         poly = wiener_polynomial(g)
         rt = RootedTree.of(g)
-        for k in range(1, k_max + 1):
+        for k in range(1, LINEAR_K_MAX + 1):
             got = wk_linear(rt, k)
             want = poly.coefficient(k)
             if got != want:
@@ -276,11 +257,11 @@ def verify_linear_vs_oracle(
         "claim": "linear-vs-oracle",
         "trials": trials,
         "seed": seed,
-        "n_range": [n_lo, n_hi],
-        "k_max": k_max,
+        "n_range": list(LINEAR_N_RANGE),
+        "k_max": LINEAR_K_MAX,
         "mismatch_count": len(mismatches),
         "mismatches": mismatches[:10],
-        "pass": trials > 0 and k_max > 0 and not mismatches,
+        "pass": trials > 0 and not mismatches,
     }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import resource
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +28,15 @@ from distindex import (
     WienerPolynomial,
     bfs_distances,
     canonical_form,
+    free_level_sequences,
     from_edge_list,
+    parse_edge_ends,
     tree_zagreb,
     random_tree,
-    rooted_level_sequences,
     two_coloring,
 )
-from distindex.treegen import level_sequence_edges
+from distindex.graphs import edge_pairs
+from distindex.treegen import _next_rooted, level_sequence_edges
 
 
 @dataclass(frozen=True)
@@ -295,6 +298,42 @@ def reference_is_partial_cube(g: Graph) -> CubeVerdict:
                 )
     coords = CubeCoordinates(length=part.class_count, masks=tuple(masks))
     return CubeVerdict(True, None, None, coords, part)
+
+
+def limit_memory() -> None:
+    """A child process's preexec_fn: cap its address space at 1 GiB, so
+    that an input a bound fails to refuse ends in a MemoryError in the
+    child alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def rooted_level_sequences(n: int) -> Iterator[list[int]]:
+    """All canonical level sequences of rooted trees on n vertices, in
+    decreasing lexicographic order: the Beyer-Hedetniemi walk the
+    free-tree walk takes its steps from."""
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    seq = list(range(1, n + 1))
+    while seq is not None:
+        nxt = _next_rooted(seq)  # built first, so a caller may change what it gets
+        yield seq
+        seq = nxt
+
+
+def all_free_trees(n: int) -> Iterator[Graph]:
+    """Every unlabeled tree on n vertices exactly once, for n up to
+    MAX_ORDER, with vertex 0 a centre, in the order of
+    free_level_sequences."""
+    for seq in free_level_sequences(n):
+        yield from_edge_list(n, level_sequence_edges(seq))
+
+
+def parse_edge_list(text: str) -> Graph:
+    """The validated graph of an edge-list text: parse_edge_ends, then
+    from_edge_list, as compute builds every graph it does not strip as a
+    tree."""
+    n, ends = parse_edge_ends(text)
+    return from_edge_list(n, edge_pairs(ends))
 
 
 def reference_free_trees(n: int) -> Iterator[Graph]:

@@ -25,7 +25,6 @@ import pytest
 from distindex import (
     DEFAULT_SEED,
     RootedTree,
-    all_free_trees,
     caterpillar_twk,
     coronene_tw3,
     cycle_graph,
@@ -51,7 +50,7 @@ from distindex import (
     wk_linear,
     zagreb,
 )
-from helpers import all_pairs_distances, path_graph
+from helpers import all_free_trees, all_pairs_distances, path_graph
 
 FREE_TREE_COUNTS_1_TO_12 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 
@@ -70,11 +69,15 @@ def report(capsys, number: int, label: str, ok: bool, detail: str = "",
 
 def test_criterion_1_linear_equals_oracle(capsys):
     t0 = time.perf_counter()
-    rep = verify_linear_vs_oracle(
-        trials=1000, seed=DEFAULT_SEED, n_lo=2, n_hi=200, k_max=10
-    )
+    rep = verify_linear_vs_oracle(trials=1000, seed=DEFAULT_SEED)
     elapsed = time.perf_counter() - t0
-    ok = rep["pass"] and rep["trials"] == 1000 and elapsed < 30.0
+    ok = (
+        rep["pass"]
+        and rep["trials"] == 1000
+        and rep["n_range"] == [2, 200]
+        and rep["k_max"] == 10
+        and elapsed < 30.0
+    )
     report(capsys, 1, "linear algorithm equals oracle on 1000 trees", ok,
            f"mismatches={rep['mismatches']} elapsed={elapsed:.1f}s")
 

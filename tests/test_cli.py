@@ -1,6 +1,5 @@
 import json
 import random
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,19 +10,17 @@ import pytest
 from distindex import (
     GraphError,
     TreeSpec,
-    all_free_trees,
     caterpillar_twk,
     cycle_graph,
     format_edge_list,
     gen_coronene,
     gen_tree,
     hypercube_graph,
-    parse_edge_list,
     random_tree,
     zagreb,
 )
 from distindex.cli import build_parser, main
-from helpers import path_graph
+from helpers import all_free_trees, limit_memory, parse_edge_list, path_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "schema" / "report.json").read_text())
@@ -461,12 +458,6 @@ def test_compute_zagreb_tree_route_matches_graph(tmp_path, capsys, monkeypatch, 
         assert run_cli(capsys, *argv, "--method", method) == (want if g is None else flag_error)
 
 
-def _limit_memory():
-    # Without the vertex-count bound this input allocates billions of
-    # lists; the cap turns that into a MemoryError in the child alone.
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 def test_compute_oversized_header_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "distindex.cli", "compute", "--stdin", "--index", "wiener"],
@@ -474,7 +465,7 @@ def test_compute_oversized_header_exits_two():
         capture_output=True,
         text=True,
         timeout=30,
-        preexec_fn=_limit_memory,
+        preexec_fn=limit_memory,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -498,7 +489,7 @@ def test_gen_oversized_order_exits_two(tmp_path, family, params, order):
         capture_output=True,
         text=True,
         timeout=10,
-        preexec_fn=_limit_memory,
+        preexec_fn=limit_memory,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -893,13 +884,33 @@ def test_verify_refuses_negative_counts(capsys, argv, flag):
         (("max-tw3", "--n", "17"), "supported orders are 1..16, got 17"),
         (("degree-count", "--n", "17", "--k", "3"), "supported orders are 1..16, got 17"),
         (("wiener-bounds", "--n", "17"), "supported orders are 1..16, got 17"),
+        (("max-wk", "--n", "8"), "missing required flag --k"),
+        (("degree-count", "--n", "8"), "missing required flag --k"),
+        (("max-wk", "--k", "3"), "missing required flag --n"),
+        (("wiener-bounds",), "missing required flag --n"),
     ],
 )
 def test_verify_extremal_refusals(capsys, argv, err):
-    """An extremal claim outside its orders exits 2 with the first error
-    its checks meet, and prints no document: the scan's order check
-    comes before the star and path forms of wiener-bounds are read."""
+    """An extremal claim outside its orders, or missing a flag it needs,
+    exits 2 with the first error its checks meet, and prints no
+    document: the scan's order check comes before the star and path
+    forms of wiener-bounds are read."""
     assert run_cli(capsys, "verify", "--claim", *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_max_tw3_small_orders(capsys, n):
+    """max_tw3 serves the orders below 5 too: p = max(n // 2 - 1, 0), no
+    TW_3 above 0, and a two-way tie at n = 4 that the claim allows."""
+    code, out, _ = run_cli(capsys, "verify", "--claim", "max-tw3", "--n", str(n))
+    p, count = (1, 2) if n == 4 else (0, 1)
+    assert code == 0
+    assert out == (
+        f'{{"claim":"max-tw3","maximizer_count":{count},"n":{n},"observed":0,"p":{p},'
+        f'"pass":true,"predicted":0,"unique":{"true" if count == 1 else "false"},'
+        f'"witness":{{"k":3,"kind":"caterpillar","n":{n},"p":{p}}},'
+        f'"witness_is_maximizer":true,"witness_value":0}}\n'
+    )
 
 
 def test_verify_coronene_cli(capsys):

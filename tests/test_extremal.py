@@ -265,8 +265,12 @@ def test_max_tw3_frozen():
     assert spec.describe() == {"kind": "caterpillar", "n": 8, "k": 3, "p": 3}
     assert max_tw3(5)[0] == 0
     assert max_tw3(12)[0] == 20
-    with pytest.raises(InfeasibleSpecError):
-        max_tw3(4)
+    # every order the max-tw3 claim runs at, down to the one-edge path
+    for n, p in ((2, 0), (3, 0), (4, 1)):
+        assert max_tw3(n) == (0, TreeSpec.caterpillar(n, 3, p))
+    for n in (0, 1):
+        with pytest.raises(InfeasibleSpecError, match=f"n={n} too small for p=0 groups"):
+            max_tw3(n)
 
 
 def test_max_tw3_difference_pattern():

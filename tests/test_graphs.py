@@ -18,11 +18,10 @@ from distindex import (
     format_edge_list,
     from_edge_list,
     hypercube_graph,
-    parse_edge_list,
     random_tree,
     two_coloring,
 )
-from helpers import all_pairs_distances, complete_graph, path_graph, star_graph
+from helpers import all_pairs_distances, complete_graph, parse_edge_list, path_graph, star_graph
 
 
 def test_from_edge_list_basic():

@@ -8,7 +8,6 @@ import pytest
 import distindex.indices
 from distindex import (
     DisconnectedError,
-    all_free_trees,
     coronene_tw3,
     gen_coronene,
     cycle_graph,
@@ -27,6 +26,7 @@ from distindex import (
 from distindex.graphs import Graph, bfs_distances
 from distindex.indices import _sweep
 from helpers import (
+    all_free_trees,
     complete_graph,
     is_bipartite,
     path_graph,

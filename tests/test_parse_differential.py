@@ -26,10 +26,10 @@ from distindex import (
     from_edge_list,
     graphs,
     parse_edge_ends,
-    parse_edge_list,
 )
 from distindex.graphs import _SLICE
 from helpers import (
+    parse_edge_list,
     reference_from_edge_list,
     reference_parse_edge_ends,
     reference_parse_edge_list,

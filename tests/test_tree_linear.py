@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -20,7 +21,6 @@ from distindex import (
     level_sequence_edges,
     level_sequence_parents,
     random_tree,
-    rooted_level_sequences,
     tree_polynomial,
     tree_twk,
     tree_zagreb,
@@ -30,7 +30,7 @@ from distindex import (
     wk_linear,
     zagreb,
 )
-from helpers import path_graph, rooted_at, star_graph, wk3_from_zagreb
+from helpers import path_graph, rooted_at, rooted_level_sequences, star_graph, wk3_from_zagreb
 
 
 def test_rooted_tree_build():
@@ -154,12 +154,41 @@ def test_wiener_polynomial_linear_matches_oracle():
         assert wiener_polynomial_linear(t) == wiener_polynomial(g)
 
 
+def test_tree_polynomial_clamps_top_to_the_order():
+    # no pair is farther apart than n - 1, so a larger top builds no
+    # wider rows: unclamped, top = 10**7 peaked at 30.5 MiB here
+    t = RootedTree.of(path_graph(5))
+    want = tree_polynomial(t.parent, t.order, 4, t.leaves).coeffs
+    tracemalloc.start()
+    try:
+        got = tree_polynomial(t.parent, t.order, 10**7, t.leaves).coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == (0, 4, 3, 2, 1)
+    assert peak < 1 << 20
+
+
 def test_wk_linear_small():
     assert wk_linear(RootedTree.of(path_graph(5)), 3) == 2
     assert wk_linear(RootedTree.of(star_graph(6)), 2) == 10
     assert wk_linear(RootedTree.of(path_graph(2)), 1) == 1
     assert wk_linear(RootedTree.of(path_graph(5)), 9) == 0
     assert wk_linear(RootedTree.of(path_graph(5)), 10**12) == 0
+
+
+def test_wk_linear_past_the_order_builds_no_rows():
+    # k >= n reads 0 without the whole polynomial the clamp of top
+    # would leave to build: its row list alone is 8n bytes
+    t = RootedTree.of(path_graph(3000))
+    tracemalloc.start()
+    try:
+        got = [wk_linear(t, k) for k in (3000, 10**12)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [0, 0]
+    assert peak < 1 << 12
 
 
 def test_wk_linear_k_validation():

@@ -1,5 +1,7 @@
 import random
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +10,6 @@ from distindex import (
     NotATreeError,
     OrderTooLargeError,
     RootedTree,
-    all_free_trees,
     canonical_form,
     cycle_graph,
     free_level_sequences,
@@ -17,9 +18,17 @@ from distindex import (
     level_sequence_edges,
     prufer_to_tree,
     random_tree,
-    rooted_level_sequences,
 )
-from helpers import is_tree, path_graph, reference_free_trees, relabel, star_graph
+from helpers import (
+    all_free_trees,
+    is_tree,
+    limit_memory,
+    path_graph,
+    reference_free_trees,
+    relabel,
+    rooted_level_sequences,
+    star_graph,
+)
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 #: OEIS A000055 for n = 1..MAX_ORDER.
@@ -257,6 +266,28 @@ def test_random_tree_reproducible():
     a = random_tree(20, random.Random(99)).edges()
     b = random_tree(20, random.Random(99)).edges()
     assert a == b
+
+
+def test_random_tree_checks_the_order_first():
+    # the order is refused before the n - 2 code entries are drawn; in a
+    # child capped at 1 GiB, drawing them first ends in a MemoryError
+    code = (
+        "import random\n"
+        "from distindex import OrderTooLargeError, random_tree\n"
+        "try:\n"
+        "    random_tree(10**12, random.Random(1))\n"
+        "except OrderTooLargeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "vertex count must be <= 2097152, got 1000000000000\n"
 
 
 def test_random_tree_covers_all_shapes():

@@ -2,19 +2,18 @@ import pytest
 
 from distindex import (
     InfeasibleSpecError,
-    all_free_trees,
     caterpillar_twk,
     twk,
     verify_coronene,
     verify_cut_vs_oracle,
     verify_degree_count,
     verify_eq1,
-    verify_extremal,
     verify_linear_vs_oracle,
     verify_max_tw3,
     verify_max_wk,
     verify_wiener_bounds,
 )
+from helpers import all_free_trees
 
 
 def test_verify_max_wk_odd():
@@ -71,17 +70,6 @@ def test_verify_wiener_bounds():
     assert verify_wiener_bounds(2)["pass"]
 
 
-def test_verify_extremal_dispatch():
-    assert verify_extremal(8, "max-tw3")["claim"] == "max-tw3"
-    assert verify_extremal(8, "max-wk", 3)["claim"] == "max-wk"
-    assert verify_extremal(8, "degree-count", 3)["claim"] == "degree-count"
-    assert verify_extremal(8, "wiener-bounds")["claim"] == "wiener-bounds"
-    with pytest.raises(ValueError):
-        verify_extremal(8, "max-wk")
-    with pytest.raises(ValueError):
-        verify_extremal(8, "nope")
-
-
 def test_verify_eq1_small():
     report = verify_eq1(30)
     assert report["pass"]
@@ -112,10 +100,16 @@ def test_verify_coronene_builds_the_partition_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "claim, k, graphs",
-    [("max-wk", 3, 1), ("max-tw3", None, 1), ("degree-count", 3, 0), ("wiener-bounds", None, 2)],
+    "verifier, args, graphs",
+    [
+        (verify_max_wk, (10, 3), 1),
+        (verify_max_tw3, (10,), 1),
+        (verify_degree_count, (10, 3), 0),
+        (verify_wiener_bounds, (10,), 2),
+    ],
+    ids=["max-wk-3-1", "max-tw3-None-1", "degree-count-3-0", "wiener-bounds-None-2"],
 )
-def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, claim, k, graphs):
+def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, verifier, args, graphs):
     # Of the 106 trees of order 10, graphs are built only for the
     # witnesses: the maximizers (and minimizers) are named from their
     # parent arrays, and the oracle runs on the witness alone
@@ -141,16 +135,16 @@ def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, claim,
     monkeypatch.setattr(distindex.graphs, "Graph", counting_graph)
     monkeypatch.setattr(distindex.indices, "bfs_distances", counting_bfs)
     monkeypatch.setattr(distindex.indices, "_sweep", counting_sweep)
-    assert verify_extremal(10, claim, k)["pass"]
+    assert verifier(*args)["pass"]
     assert len(built) == graphs
     assert len({id(g) for g in swept}) <= 1
 
 
 def test_verify_linear_vs_oracle_seeded():
-    report = verify_linear_vs_oracle(trials=60, seed=7, n_hi=80)
+    report = verify_linear_vs_oracle(trials=60, seed=7)
     assert report["pass"]
     assert report["mismatch_count"] == 0
-    again = verify_linear_vs_oracle(trials=60, seed=7, n_hi=80)
+    again = verify_linear_vs_oracle(trials=60, seed=7)
     assert report == again
 
 
