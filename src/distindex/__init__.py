@@ -83,6 +83,8 @@ from .tree_linear import (
     RootedTree,
     tree_polynomial,
     tree_twk,
+    tree_wiener,
+    tree_wk,
     tree_zagreb,
     wiener_polynomial_linear,
     wk_linear,
@@ -124,7 +126,7 @@ __all__ = [
     "index_report",
     # tree route
     "RootedTree", "wk_linear", "wiener_polynomial_linear",
-    "tree_polynomial", "tree_twk", "tree_zagreb",
+    "tree_polynomial", "tree_wk", "tree_wiener", "tree_twk", "tree_zagreb",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
     "is_partial_cube", "halfspace_degree_counts", "twk_cut",

@@ -218,7 +218,7 @@ def twk(g: Graph, k: int) -> int:
     """Sum of distances over unordered pairs of degree-k vertices."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _restricted_sum(g, [v for v in range(g.n) if g.degree(v) == k])
+    return _restricted_sum(g, [v for v, d in enumerate(g.degrees()) if d == k])
 
 
 def zagreb(deg: Sequence[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -240,7 +240,7 @@ def twk_star(g: Graph, k: int) -> int:
     are both at most k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _restricted_sum(g, [v for v in range(g.n) if g.degree(v) <= k])
+    return _restricted_sum(g, [v for v, d in enumerate(g.degrees()) if d <= k])
 
 
 class IndexReport(NamedTuple):

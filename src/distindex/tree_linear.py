@@ -20,14 +20,14 @@ The input's leaves open the order, and RootedTree.leaves counts them
 The free-tree walk reaches the same form through
 treegen.level_sequence_parents, with the reversed preorder as order.
 
-Two kernels read (parent, order), each in one pass over the non-root
-vertices of order.  Both assume that (parent, order) is a rooted tree:
+The kernels read (parent, order), each in one pass over the non-root
+vertices of order.  They assume that (parent, order) is a rooted tree:
 every vertex comes before its parent and the root, last, is its own
 parent.  They do not check it.  wk_linear and wiener_polynomial_linear
-run tree_polynomial on a RootedTree and take nothing else: a Graph is
-rooted first by RootedTree.of.
+run tree_wk and tree_polynomial on a RootedTree and take nothing else: a
+Graph is rooted first by RootedTree.of.
 
-tree_polynomial keeps for every vertex v a row a[v] where a[v][i]
+The row pass (_rows) keeps for every vertex v a row a[v] where a[v][i]
 counts the vertices of v's subtree exactly i levels below v.  A row is
 one integer whose digit i holds a[v][i], in bits = 2 * n.bit_length()
 bits.  A vertex's row is 1 plus its children's summed rows shifted up
@@ -44,6 +44,10 @@ depth_v(x) + depth_v(y) = i.  Along the ancestors of lca(x, y) that sum
 grows by 2 a level, so each (x, y, i) has at most one such v, and digit i
 is at most n**2 < 2**bits.  The digits of R, of any one square and of a
 truncated square count subsets of the same triples.
+
+The pass has two readers.  tree_polynomial reads every digit up to top
+into a WienerPolynomial; tree_wk reads only digits k and k - 2 for the
+one count W_k, which is what the claim scans over every free tree need.
 
 W_1..W_top need digits 0..top only, so the rows are truncated to
 top + 1 digits when top is given, with top clamped to n - 1 since no
@@ -62,8 +66,11 @@ of vertex cost no big-integer product:
 tree_twk sums c_v * (K - c_v) over the non-root v, where c_v counts the
 degree-k vertices of v's subtree and K those of the tree: every edge of
 a tree is an edge class of its own, and the edge above v separates v's
-subtree from the rest.  tree_zagreb counts the same degrees and hands
-them, with the edges to the parents, to indices.zagreb.
+subtree from the rest.  tree_wiener is the same sum with every vertex
+counted: W is the sum of s_v * (n - s_v) over the subtree sizes s_v,
+in small ints with no row.  tree_zagreb counts the degrees tree_twk
+counts and hands them, with the edges to the parents, to
+indices.zagreb.
 
 Nothing recurses, so paths with millions of vertices do not exhaust the
 interpreter stack.
@@ -151,18 +158,15 @@ class RootedTree(NamedTuple):
         return cls.build(g.n, [list(chain.from_iterable(g.edges()))])
 
 
-def tree_polynomial(
-    parent: Sequence[int], order: Sequence[int], top: int | None = None, leaves: int = 0
-) -> WienerPolynomial:
-    """Pair counts by distance of the tree (parent, order) describes:
-    W_1..W_top when top is given, else up to the diameter, trimmed of
-    trailing zeros.  The first leaves vertices of order must be leaves
-    other than the root (RootedTree.leaves counts them).  An odd doubled
-    count, which only a malformed tree gives, raises RuntimeError."""
+def _rows(
+    parent: Sequence[int], order: Sequence[int], top: int | None, leaves: int
+) -> tuple[int, int, int]:
+    """The row pass of the tree (parent, order) describes, rows
+    truncated to digits 0..top unless top is None: D, the sum of every
+    row squared, R, the root's row squared, and the digit width in
+    bits."""
     n = len(order)
     bits = 2 * n.bit_length()
-    if top is not None:
-        top = min(top, n - 1)  # no pair is farther apart
     keep = -1 if top is None else (1 << ((top + 1) * bits)) - 1  # -1 keeps every digit
     rows = [1] * n  # 1 plus the shifted rows of the children seen so far
     if leaves:  # skipped by the free-tree walk's many small calls, which pass none
@@ -186,25 +190,66 @@ def tree_polynomial(
             rows[parent[v]] += (r << bits) & keep
     r = rows[order[-1]]
     root_square = r * r
-    squares += root_square + chains * full * full
+    return squares + root_square + chains * full * full, root_square, bits
+
+
+def _count(squares: int, root_square: int, bits: int, k: int) -> int:
+    """W_k (k >= 1) from the row pass's D and R: half of
+    D[k] - D[k - 2] + R[k - 2].  An odd doubled count, which only a
+    malformed tree gives, raises RuntimeError."""
     digit = (1 << bits) - 1
+    doubled = squares >> (k * bits) & digit
+    if k > 1:  # digit k - 2 exists
+        low = (k - 2) * bits
+        doubled += (root_square >> low & digit) - (squares >> low & digit)
+    if doubled % 2:
+        raise RuntimeError("doubled pair count must be even")
+    return doubled // 2
 
-    def at(x: int, i: int) -> int:
-        return (x >> (i * bits)) & digit if i >= 0 else 0
 
+def tree_polynomial(
+    parent: Sequence[int], order: Sequence[int], top: int | None = None, leaves: int = 0
+) -> WienerPolynomial:
+    """Pair counts by distance of the tree (parent, order) describes:
+    W_1..W_top when top is given, else up to the diameter, trimmed of
+    trailing zeros.  The first leaves vertices of order must be leaves
+    other than the root (RootedTree.leaves counts them).  An odd doubled
+    count, which only a malformed tree gives, raises RuntimeError."""
+    n = len(order)
+    if top is not None:
+        top = min(top, n - 1)  # no pair is farther apart
+    squares, root_square, bits = _rows(parent, order, top, leaves)
     # two digits past the squares' highest, every count reads 0
     last = (squares.bit_length() - 1) // bits + 2
     if top is not None:
         last = min(top, last)
-    coeffs = [0]
-    for j in range(1, last + 1):
-        doubled = at(squares, j) - at(squares, j - 2) + at(root_square, j - 2)
-        if doubled % 2:
-            raise RuntimeError("doubled pair count must be even")
-        coeffs.append(doubled // 2)
+    coeffs = [0] + [_count(squares, root_square, bits, j) for j in range(1, last + 1)]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return WienerPolynomial(tuple(coeffs))
+
+
+def tree_wk(parent: Sequence[int], order: Sequence[int], k: int, leaves: int = 0) -> int:
+    """W_k (k >= 1) of the tree (parent, order) describes, from the
+    row pass of tree_polynomial truncated at k; 0 with no row built when
+    k >= n.  leaves and the RuntimeError are as in tree_polynomial."""
+    if k >= len(order):  # no pair is that far apart, and rows of k digits could be huge
+        return 0
+    return _count(*_rows(parent, order, k, leaves), k)
+
+
+def tree_wiener(parent: Sequence[int], order: Sequence[int]) -> int:
+    """The Wiener index W of the tree (parent, order) describes: the
+    sum of s_v * (n - s_v) over the non-root v, s_v the size of v's
+    subtree."""
+    n = len(order)
+    sizes = [1] * n
+    total = 0
+    for v in islice(order, n - 1):
+        s = sizes[v]
+        sizes[parent[v]] += s
+        total += s * (n - s)
+    return total
 
 
 def tree_twk(parent: Sequence[int], order: Sequence[int], k: int) -> tuple[int, int]:
@@ -236,9 +281,7 @@ def wk_linear(t: RootedTree, k: int) -> int:
     (RootedTree.of roots a Graph)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k >= len(t.order):  # no tree path is that long; the clamp alone would build every row
-        return 0
-    return tree_polynomial(t.parent, t.order, k, t.leaves).coefficient(k)
+    return tree_wk(t.parent, t.order, k, t.leaves)
 
 
 def wiener_polynomial_linear(t: RootedTree) -> WienerPolynomial:

@@ -10,12 +10,14 @@ seed and are fully reproducible.
 The extremal claims build no graph per tree.  One scan, _scan, runs
 the one kernel a claim needs over the parent array of every tree's
 centre-rooted level sequence (level_sequence_parents, read in reversed
-preorder; tree_polynomial for W_k and W, tree_twk for TW_3 and the
-degree-k count), and each claim is a max, a min, a count or a filter
-over the values.  Those kernels are the tree route of compute, which
-the linear-vs-oracle and cut-vs-oracle suites tie to the oracle.  The
-tied trees are named from the same parent arrays (treegen._form), with
-no graph; only the witnesses are built as graphs.
+preorder; tree_wk for W_k, tree_wiener for W, tree_twk for TW_3 and
+the degree-k count), and each claim is a max, a min, a count or a
+filter over the values.  Each kernel computes only the number its
+claim reads, so no tree gets a whole WienerPolynomial.  tree_wk and
+tree_twk are the tree route of compute, which the linear-vs-oracle and
+cut-vs-oracle suites tie to the oracle.  The tied trees are named from
+the same parent arrays (treegen._form), with no graph; only the
+witnesses are built as graphs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .extremal import (
 from .graphs import Graph, cycle_graph, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
-from .tree_linear import RootedTree, tree_polynomial, tree_twk, wk_linear
+from .tree_linear import RootedTree, tree_twk, tree_wiener, tree_wk, wk_linear
 from .treegen import (
     _form,
     canonical_form,
@@ -84,7 +86,7 @@ def verify_max_wk(n: int, k: int) -> dict:
         predicted, spec = max_wk_odd(n, k)
     else:
         predicted, spec = max_wk_even(n, k)
-    values, _ = _scan(n, lambda parent, order: tree_polynomial(parent, order, k).coefficient(k))
+    values, _ = _scan(n, lambda parent, order: tree_wk(parent, order, k))
     observed = max(values)
     witness_value = wiener_polynomial(gen_tree(spec)).coefficient(k)
     return {
@@ -154,7 +156,7 @@ def verify_degree_count(n: int, k: int) -> dict:
 def verify_wiener_bounds(n: int) -> dict:
     """Scan all trees on n vertices: the distance sum must range from
     (n-1)^2 (star, uniquely) to binomial(n+1, 3) (path, uniquely)."""
-    values, seqs = _scan(n, lambda parent, order: tree_polynomial(parent, order).wiener())
+    values, seqs = _scan(n, tree_wiener)
     star, path = TreeSpec.star(n), TreeSpec.path(n)
     lo_pred, hi_pred = star.predicted()["wiener"], path.predicted()["wiener"]
     lo, hi = min(values), max(values)

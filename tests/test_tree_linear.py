@@ -23,8 +23,11 @@ from distindex import (
     random_tree,
     tree_polynomial,
     tree_twk,
+    tree_wiener,
+    tree_wk,
     tree_zagreb,
     twk,
+    wiener,
     wiener_polynomial,
     wiener_polynomial_linear,
     wk_linear,
@@ -228,6 +231,8 @@ def test_doubled_counts_even():
     # count for k = 2 odd
     with pytest.raises(RuntimeError):
         tree_polynomial([0, 0, 1], [1, 2, 0], 2)
+    with pytest.raises(RuntimeError):
+        tree_wk([0, 0, 1], [1, 2, 0], 2)
 
 
 def test_wk_linear_degree_identities():
@@ -270,6 +275,10 @@ def check_kernels(g, parent, order):
     for k in range(1, 5):
         assert tree_polynomial(parent, order, k).coeffs == poly.coeffs[: k + 1]
         assert tree_twk(parent, order, k) == (twk(g, k), degrees.count(k))
+    # tree_wk reads two digits of the same row pass, past the order too
+    for k in range(1, g.n + 2):
+        assert tree_wk(parent, order, k) == tree_polynomial(parent, order, k).coefficient(k)
+    assert tree_wiener(parent, order) == wiener(g)
 
 
 def check_level_sequence_kernels(seq):
@@ -359,6 +368,12 @@ def test_tree_polynomial_leaf_prefix_and_chain_rows(gr):
         assert tree_polynomial(t.parent, t.order, top, t.leaves).coeffs == want
         assert tree_polynomial(t.parent, t.order, top).coeffs == want
         assert tree_polynomial(hung.parent, hung.order, top).coeffs == want
+    for k in range(1, diameter + 2):
+        want = poly.coefficient(k)
+        assert tree_wk(t.parent, t.order, k, t.leaves) == want
+        assert tree_wk(t.parent, t.order, k) == want
+        assert tree_wk(hung.parent, hung.order, k) == want
+    assert tree_wiener(t.parent, t.order) == tree_wiener(hung.parent, hung.order) == wiener(g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3] + [(1 << b) + d for b in (8, 10, 12) for d in (-1, 0)])
@@ -376,7 +391,13 @@ def test_tree_polynomial_digit_width_on_stars(n):
         assert tree_polynomial(t.parent, t.order, top, t.leaves).coeffs == cut
         assert tree_polynomial(t.parent, t.order, top).coeffs == cut
         assert tree_polynomial(parent, order, top).coeffs == cut
+    for k in (1, 2, 3):
+        count = want[k] if k < len(want) else 0
+        assert tree_wk(t.parent, t.order, k, t.leaves) == count
+        assert tree_wk(t.parent, t.order, k) == count
+        assert tree_wk(parent, order, k) == count
     assert wiener_polynomial_linear(t).coeffs == want
+    assert tree_wiener(t.parent, t.order) == tree_wiener(parent, order) == (n - 1) ** 2
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

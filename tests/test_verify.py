@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from distindex import (
@@ -138,6 +141,37 @@ def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, verifi
     assert verifier(*args)["pass"]
     assert len(built) == graphs
     assert len({id(g) for g in swept}) <= 1
+
+
+@pytest.mark.parametrize(
+    "claim, verifier, args",
+    [
+        ("verify --claim max-wk --n 12 --k 4", verify_max_wk, (12, 4)),
+        ("verify --claim max-wk --n 11 --k 3", verify_max_wk, (11, 3)),
+        ("verify --claim wiener-bounds --n 11", verify_wiener_bounds, (11,)),
+    ],
+    ids=["max-wk-12-4", "max-wk-11-3", "wiener-bounds-11"],
+)
+def test_scans_read_one_number_per_tree(monkeypatch, claim, verifier, args):
+    # W_k comes from two digits of the row pass (tree_wk) and W from the
+    # subtree sizes (tree_wiener): no tree gets a whole polynomial, and
+    # the documents are the recorded ones
+    import distindex.tree_linear
+    import distindex.verify
+
+    calls = []
+    polynomial = distindex.tree_linear.tree_polynomial
+
+    def counting_polynomial(*args, **kwargs):
+        calls.append(args)
+        return polynomial(*args, **kwargs)
+
+    for module in (distindex.tree_linear, distindex.verify):
+        monkeypatch.setattr(module, "tree_polynomial", counting_polynomial, raising=False)
+    doc = json.dumps(verifier(*args), sort_keys=True, separators=(",", ":")) + "\n"
+    assert calls == []
+    recorded = Path(__file__).resolve().parents[1] / "bench" / "expected_claims.json"
+    assert doc == json.loads(recorded.read_text())[claim]["stdout"]
 
 
 def test_verify_linear_vs_oracle_seeded():
