@@ -94,6 +94,7 @@ from .treegen import (
     canonical_form,
     free_level_sequences,
     free_tree_count,
+    free_tree_parents,
     level_sequence_edges,
     level_sequence_parents,
     prufer_to_tree,
@@ -140,7 +141,7 @@ __all__ = [
     # enumeration and sampling
     "MAX_ORDER", "canonical_form",
     "free_level_sequences", "level_sequence_edges", "level_sequence_parents",
-    "free_tree_count", "prufer_to_tree", "random_tree",
+    "free_tree_count", "free_tree_parents", "prufer_to_tree", "random_tree",
     # verifiers
     "DEFAULT_SEED", "verify_max_wk", "verify_max_tw3", "verify_degree_count",
     "verify_wiener_bounds", "verify_eq1", "verify_coronene",

@@ -40,7 +40,7 @@ from .indices import (
 )
 from .partial_cube import is_partial_cube, twk_cut
 from .tree_linear import RootedTree, tree_twk, tree_zagreb, wiener_polynomial_linear, wk_linear
-from .treegen import free_level_sequences, free_tree_count, level_sequence_edges
+from .treegen import free_tree_count, free_tree_parents
 from .verify import (
     DEFAULT_CUT_TRIALS,
     DEFAULT_EQ1_N,
@@ -328,9 +328,10 @@ def _cmd_enumerate(args) -> dict:
     if args.count_only:
         payload["count"] = free_tree_count(args.n)
     else:
+        edges: dict = {}  # one tuple per edge, shared by every tree that has it
         trees = [
-            [[u, v] for u, v in level_sequence_edges(seq)]
-            for seq in free_level_sequences(args.n)
+            sorted(edges.setdefault(e, e) for e in zip(parent[1:], range(1, args.n)))
+            for parent in free_tree_parents(args.n)
         ]
         payload["count"] = len(trees)
         payload["trees"] = trees

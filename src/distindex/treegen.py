@@ -24,6 +24,10 @@ subtree, and when that entry sat above level 3 it resets the suffix to
 a path as high as the new first subtree, so the rest is high enough
 again.  The walk starts at the path rooted at its centre and ends at the
 star.  No graph is built and nothing is stored for a skipped sequence.
+free_tree_parents memoises the walk per order: each order is walked once
+per process, and every later caller (the claim scans, their tie forms,
+free_tree_count and the enumerate listing) reads that order's parent
+arrays, kept as bytes.
 
 A tree's canonical form is its parenthesis string (Aho, Hopcroft and
 Ullman 1974) rooted at a centre, the smaller one when there are two.
@@ -37,8 +41,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Iterator, Sequence
+from functools import cache
 from itertools import islice
-from typing import Iterator, Sequence
 
 from .errors import OrderTooLargeError
 from .graphs import Graph, check_order, from_edge_list
@@ -178,10 +183,19 @@ def _reset_suffix(seq: list[int]) -> list[int]:
     return seq
 
 
+@cache
+def free_tree_parents(n: int) -> tuple[bytes, ...]:
+    """The parent arrays (level_sequence_parents) of
+    free_level_sequences(n), as bytes, in walk order.  Memoised: the
+    order is walked once per process, so at most MAX_ORDER tuples are
+    kept, about 1.8 MB for every order up to 16."""
+    return tuple(bytes(level_sequence_parents(seq)) for seq in free_level_sequences(n))
+
+
 def free_tree_count(n: int) -> int:
-    """How many unlabeled trees have n vertices, counted without
-    building them."""
-    return sum(1 for _ in free_level_sequences(n))
+    """How many unlabeled trees have n vertices: the length of the
+    order's memoised parent arrays, so no tree is built as a graph."""
+    return len(free_tree_parents(n))
 
 
 def prufer_to_tree(seq: list[int], n: int) -> Graph:

@@ -9,21 +9,22 @@ seed and are fully reproducible.
 
 The extremal claims build no graph per tree.  One scan, _scan, runs
 the one kernel a claim needs over the parent array of every tree's
-centre-rooted level sequence (level_sequence_parents, read in reversed
-preorder; tree_wk for W_k, tree_wiener for W, tree_twk for TW_3 and
-the degree-k count), and each claim is a max, a min, a count or a
-filter over the values.  Each kernel computes only the number its
-claim reads, so no tree gets a whole WienerPolynomial.  tree_wk and
-tree_twk are the tree route of compute, which the linear-vs-oracle and
-cut-vs-oracle suites tie to the oracle.  The tied trees are named from
-the same parent arrays (treegen._form), with no graph; only the
-witnesses are built as graphs.
+centre-rooted level sequence, read in reversed preorder (tree_wk for
+W_k, tree_wiener for W, tree_twk for TW_3 and the degree-k count), and
+each claim is a max, a min, a count or a filter over the values.  The
+parent arrays are the order's cached ones (treegen.free_tree_parents),
+so the claims of one process share one walk per order.  Each kernel
+computes only the number its claim reads, so no tree gets a whole
+WienerPolynomial.  tree_wk and tree_twk are the tree route of compute,
+which the linear-vs-oracle and cut-vs-oracle suites tie to the oracle.
+_forms names the tied trees from the same cached parent arrays
+(treegen._form), with no graph; only the witnesses are built as graphs.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 from .benzenoid import coronene_tw3, gen_coronene, horizontal_cut_profile
 from .errors import InfeasibleSpecError
@@ -39,13 +40,7 @@ from .graphs import Graph, cycle_graph, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
 from .tree_linear import RootedTree, tree_twk, tree_wiener, tree_wk, wk_linear
-from .treegen import (
-    _form,
-    canonical_form,
-    free_level_sequences,
-    level_sequence_parents,
-    random_tree,
-)
+from .treegen import _form, canonical_form, free_tree_parents, random_tree
 
 #: Seed used by every randomized suite unless the caller overrides it.
 DEFAULT_SEED = 1729
@@ -60,20 +55,23 @@ LINEAR_N_RANGE = (2, 200)
 LINEAR_K_MAX = 10
 
 
-def _scan(n: int, kernel: Callable[[list[int], range], int]) -> tuple[list[int], list[list[int]]]:
+def _scan(
+    n: int, kernel: Callable[[Sequence[int], range], int]
+) -> tuple[list[int], tuple[bytes, ...]]:
     """kernel(parent, order) of every free tree on n vertices, on the
     parent array of its centre-rooted level sequence in reversed
-    preorder: the values, and the sequences they came from."""
+    preorder: the values, and the order's cached parent arrays they
+    came from."""
     order = range(n - 1, -1, -1)
-    seqs = list(free_level_sequences(n))
-    return [kernel(level_sequence_parents(seq), order) for seq in seqs], seqs
+    parents = free_tree_parents(n)
+    return [kernel(parent, order) for parent in parents], parents
 
 
-def _forms(values: list[int], seqs: list[list[int]], value: int) -> list[str]:
+def _forms(values: list[int], parents: tuple[bytes, ...], value: int) -> list[str]:
     """Canonical forms of the scanned trees whose value is value, named
     from their parent arrays, in walk order."""
-    order = range(len(seqs[0]) - 1, -1, -1)
-    return [_form(level_sequence_parents(s), order) for s, v in zip(seqs, values) if v == value]
+    order = range(len(parents[0]) - 1, -1, -1)
+    return [_form(parent, order) for parent, v in zip(parents, values) if v == value]
 
 
 def verify_max_wk(n: int, k: int) -> dict:
@@ -113,9 +111,9 @@ def verify_max_tw3(n: int) -> dict:
     TW_3 = 0 and tie.  The claim is checked as stated, so the report for
     n = 5 has "pass": false on purpose."""
     predicted, spec = max_tw3(n)
-    values, seqs = _scan(n, lambda parent, order: tree_twk(parent, order, 3)[0])
+    values, parents = _scan(n, lambda parent, order: tree_twk(parent, order, 3)[0])
     observed = max(values)
-    maximizers = _forms(values, seqs, observed)
+    maximizers = _forms(values, parents, observed)
     witness_tree = gen_tree(spec)
     witness_value = twk(witness_tree, 3)
     witness_is_max = canonical_form(witness_tree) in maximizers
@@ -156,11 +154,11 @@ def verify_degree_count(n: int, k: int) -> dict:
 def verify_wiener_bounds(n: int) -> dict:
     """Scan all trees on n vertices: the distance sum must range from
     (n-1)^2 (star, uniquely) to binomial(n+1, 3) (path, uniquely)."""
-    values, seqs = _scan(n, tree_wiener)
+    values, parents = _scan(n, tree_wiener)
     star, path = TreeSpec.star(n), TreeSpec.path(n)
     lo_pred, hi_pred = star.predicted()["wiener"], path.predicted()["wiener"]
     lo, hi = min(values), max(values)
-    lo_forms, hi_forms = _forms(values, seqs, lo), _forms(values, seqs, hi)
+    lo_forms, hi_forms = _forms(values, parents, lo), _forms(values, parents, hi)
     star_form = canonical_form(gen_tree(star))
     path_form = canonical_form(gen_tree(path))
     return {

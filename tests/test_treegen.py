@@ -14,8 +14,10 @@ from distindex import (
     cycle_graph,
     free_level_sequences,
     free_tree_count,
+    free_tree_parents,
     from_edge_list,
     level_sequence_edges,
+    level_sequence_parents,
     prufer_to_tree,
     random_tree,
 )
@@ -85,6 +87,44 @@ def test_free_walk_roots_bicentral_trees_at_the_smaller_child_half():
     assert list(free_level_sequences(5)) == [[1, 2, 3, 2, 3], [1, 2, 3, 2, 2], [1, 2, 2, 2, 2]]
     assert list(free_level_sequences(2)) == [[1, 2]]
     assert list(free_level_sequences(1)) == [[1]]
+
+
+def test_free_tree_parents_memoise_the_walk():
+    for n in range(1, MAX_ORDER + 1):
+        parents = free_tree_parents(n)
+        assert parents == tuple(bytes(level_sequence_parents(s)) for s in free_level_sequences(n))
+        assert free_tree_parents(n) is parents
+
+
+def test_one_walk_per_order_per_process(monkeypatch, capsys):
+    # every claim scan, tie form, count and listing of one order reads
+    # the order's cached parent arrays: one walk serves them all
+    import distindex.cli
+    import distindex.treegen
+    import distindex.verify
+
+    walks = []
+    walk = distindex.treegen.free_level_sequences
+
+    def counting_walk(n):
+        walks.append(n)
+        return walk(n)
+
+    for module in (distindex.treegen, distindex.verify, distindex.cli):
+        monkeypatch.setattr(module, "free_level_sequences", counting_walk, raising=False)
+    free_tree_parents.cache_clear()
+    for argv in (
+        ["verify", "--claim", "max-wk", "--n", "9", "--k", "3"],
+        ["verify", "--claim", "max-wk", "--n", "9", "--k", "4"],
+        ["verify", "--claim", "max-tw3", "--n", "9"],
+        ["verify", "--claim", "degree-count", "--n", "9", "--k", "3"],
+        ["verify", "--claim", "wiener-bounds", "--n", "9"],
+        ["enumerate", "--n", "9", "--count-only"],
+        ["enumerate", "--n", "9"],
+    ):
+        assert distindex.cli.main(argv) == 0
+    assert walks == [9]
+    assert capsys.readouterr().out.count("\n") == 7
 
 
 def test_level_sequence_edges_match_graph_edges():
