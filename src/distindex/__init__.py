@@ -95,7 +95,6 @@ from .treegen import (
     free_level_sequences,
     free_tree_count,
     free_tree_parents,
-    level_sequence_edges,
     level_sequence_parents,
     prufer_to_tree,
     random_tree,
@@ -140,7 +139,7 @@ __all__ = [
     "horizontal_cut_profile", "coronene_tw3",
     # enumeration and sampling
     "MAX_ORDER", "canonical_form",
-    "free_level_sequences", "level_sequence_edges", "level_sequence_parents",
+    "free_level_sequences", "level_sequence_parents",
     "free_tree_count", "free_tree_parents", "prufer_to_tree", "random_tree",
     # verifiers
     "DEFAULT_SEED", "verify_max_wk", "verify_max_tw3", "verify_degree_count",

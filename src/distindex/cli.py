@@ -40,7 +40,7 @@ from .indices import (
 )
 from .partial_cube import is_partial_cube, twk_cut
 from .tree_linear import RootedTree, tree_twk, tree_zagreb, wiener_polynomial_linear, wk_linear
-from .treegen import free_tree_count, free_tree_parents
+from .treegen import _edge_texts, free_tree_count
 from .verify import (
     DEFAULT_CUT_TRIALS,
     DEFAULT_EQ1_N,
@@ -323,19 +323,18 @@ def _cmd_verify(args) -> dict:
     return verify_linear_vs_oracle(trials=trials, seed=args.seed)
 
 
-def _cmd_enumerate(args) -> dict:
-    payload: dict = {"n": args.n}
+def _cmd_enumerate(args) -> dict | None:
     if args.count_only:
-        payload["count"] = free_tree_count(args.n)
-    else:
-        edges: dict = {}  # one tuple per edge, shared by every tree that has it
-        trees = [
-            sorted(edges.setdefault(e, e) for e in zip(parent[1:], range(1, args.n)))
-            for parent in free_tree_parents(args.n)
-        ]
-        payload["count"] = len(trees)
-        payload["trees"] = trees
-    return payload
+        return {"n": args.n, "count": free_tree_count(args.n)}
+    # The listing is written tree by tree, the bytes _emit would print
+    # for {"count", "n", "trees"}, so the document is never held whole.
+    sep = ", " if args.pretty else ","
+    head = "count  %d\nn      %d\ntrees  [" if args.pretty else '{"count":%d,"n":%d,"trees":['
+    sys.stdout.write(head % (free_tree_count(args.n), args.n))
+    for i, text in enumerate(_edge_texts(args.n, sep)):
+        sys.stdout.write(sep + text if i else text)
+    sys.stdout.write("]\n" if args.pretty else "]}\n")
+    return None
 
 
 def main(argv=None) -> int:
@@ -351,7 +350,8 @@ def main(argv=None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-    _emit(payload, args.pretty)
+    if payload is not None:  # None: the handler wrote its document itself
+        _emit(payload, args.pretty)
     if args.command == "verify" and not payload.get("pass", False):
         return 1
     return 0

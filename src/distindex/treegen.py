@@ -93,13 +93,6 @@ def level_sequence_parents(seq: Sequence[int]) -> list[int]:
     return parent
 
 
-def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
-    """Edges of the rooted tree a level sequence encodes, as (u, v)
-    pairs with u < v in lexicographic order, like Graph.edges()."""
-    parent = level_sequence_parents(seq)
-    return sorted(zip(parent[1:], range(1, len(seq))))
-
-
 def _form(parent: Sequence[int], order: Sequence[int]) -> str:
     """Canonical form of the tree (parent, order) describes, rooted at a
     centre (every vertex before its parent, the root last): the smaller
@@ -190,6 +183,16 @@ def free_tree_parents(n: int) -> tuple[bytes, ...]:
     order is walked once per process, so at most MAX_ORDER tuples are
     kept, about 1.8 MB for every order up to 16."""
     return tuple(bytes(level_sequence_parents(seq)) for seq in free_level_sequences(n))
+
+
+def _edge_texts(n: int, sep: str) -> Iterator[str]:
+    """The sorted edges of each free tree on n vertices, read off the
+    memoised parent arrays in walk order, as JSON text: [u, v] pairs
+    with u < v, items separated by sep.  Each text is made when it is
+    asked for, so a listing need not hold the trees."""
+    edge = {(u, v): f"[{u}{sep}{v}]" for v in range(1, n) for u in range(v)}
+    for parent in free_tree_parents(n):
+        yield "[" + sep.join([edge[e] for e in sorted(zip(parent[1:], range(1, n)))]) + "]"
 
 
 def free_tree_count(n: int) -> int:

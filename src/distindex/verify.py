@@ -19,6 +19,13 @@ WienerPolynomial.  tree_wk and tree_twk are the tree route of compute,
 which the linear-vs-oracle and cut-vs-oracle suites tie to the oracle.
 _forms names the tied trees from the same cached parent arrays
 (treegen._form), with no graph; only the witnesses are built as graphs.
+
+Every suite and scan is a map of one check over independent items (a
+case, a tree's Prufer code, a graph's spec, a parent array), run by
+fanout.fanout, which splits the checks across the CPUs the process may
+use once a claim has run for a few milliseconds.  Checks return
+marshallable values, small when the routes agree; the documents are
+the same however the checks were split.
 """
 
 from __future__ import annotations
@@ -36,11 +43,12 @@ from .extremal import (
     max_wk_even,
     max_wk_odd,
 )
+from .fanout import fanout
 from .graphs import Graph, cycle_graph, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
 from .tree_linear import RootedTree, tree_twk, tree_wiener, tree_wk, wk_linear
-from .treegen import _form, canonical_form, free_tree_parents, random_tree
+from .treegen import _form, canonical_form, free_tree_parents, prufer_to_tree
 
 #: Seed used by every randomized suite unless the caller overrides it.
 DEFAULT_SEED = 1729
@@ -55,6 +63,25 @@ LINEAR_N_RANGE = (2, 200)
 LINEAR_K_MAX = 10
 
 
+def _tree_codes(trials: int, seed: int) -> list[bytes]:
+    """The Prufer codes of trials random trees with orders in
+    LINEAR_N_RANGE, drawn from Random(seed) as random_tree draws them
+    (the order, then n - 2 entries), so each decodes (_code_tree) to the
+    tree random_tree(rng.randint(*LINEAR_N_RANGE), rng) would build.
+    Kept as bytes: every entry is below the order, at most 200."""
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(trials):
+        n = rng.randint(*LINEAR_N_RANGE)
+        codes.append(bytes(rng.randrange(n) for _ in range(n - 2)))
+    return codes
+
+
+def _code_tree(code: bytes) -> Graph:
+    """The labelled tree a Prufer code encodes."""
+    return prufer_to_tree(code, len(code) + 2)
+
+
 def _scan(
     n: int, kernel: Callable[[Sequence[int], range], int]
 ) -> tuple[list[int], tuple[bytes, ...]]:
@@ -64,7 +91,7 @@ def _scan(
     came from."""
     order = range(n - 1, -1, -1)
     parents = free_tree_parents(n)
-    return [kernel(parent, order) for parent in parents], parents
+    return fanout(lambda parent: kernel(parent, order), parents), parents
 
 
 def _forms(values: list[int], parents: tuple[bytes, ...], value: int) -> list[str]:
@@ -182,26 +209,32 @@ def verify_wiener_bounds(n: int) -> dict:
 def verify_eq1(max_n: int = DEFAULT_EQ1_N) -> dict:
     """Compare the caterpillar closed form against the oracle on every
     feasible (n, k, p) with n up to max_n."""
-    cases = 0
-    mismatches = []
-    for n in range(2, max_n + 1):
-        for k in range(3, n):
-            for p in range((n - 2) // (k - 1) + 1):
-                spec = TreeSpec.caterpillar(n, k, p)
-                formula = spec.predicted()["twk"]
-                oracle = twk(gen_tree(spec), k)
-                cases += 1
-                if formula != oracle:
-                    mismatches.append(
-                        {"n": n, "k": k, "p": p, "formula": formula, "oracle": oracle}
-                    )
+    cases = [
+        (n, k, p)
+        for n in range(2, max_n + 1)
+        for k in range(3, n)
+        for p in range((n - 2) // (k - 1) + 1)
+    ]
+
+    def check(case: tuple[int, int, int]) -> tuple[int, int] | None:
+        n, k, p = case
+        spec = TreeSpec.caterpillar(n, k, p)
+        formula = spec.predicted()["twk"]
+        oracle = twk(gen_tree(spec), k)
+        return None if formula == oracle else (formula, oracle)
+
+    mismatches = [
+        {"n": n, "k": k, "p": p, "formula": diff[0], "oracle": diff[1]}
+        for (n, k, p), diff in zip(cases, fanout(check, cases))
+        if diff
+    ]
     return {
         "claim": "eq1",
         "max_n": max_n,
-        "cases": cases,
+        "cases": len(cases),
         "mismatch_count": len(mismatches),
         "mismatches": mismatches[:10],
-        "pass": cases > 0 and not mismatches,
+        "pass": bool(cases) and not mismatches,
     }
 
 
@@ -239,20 +272,24 @@ def verify_linear_vs_oracle(trials: int = DEFAULT_LINEAR_TRIALS, seed: int = DEF
     """Random labeled trees with orders in LINEAR_N_RANGE: the tree
     route must match the pair counts of the oracle's distance histogram
     for every k up to LINEAR_K_MAX."""
-    rng = random.Random(seed)
-    mismatches = []
-    for trial in range(trials):
-        n = rng.randint(*LINEAR_N_RANGE)
-        g = random_tree(n, rng)
+    codes = _tree_codes(trials, seed)
+
+    def check(code: bytes) -> list[tuple[int, int, int]] | None:
+        g = _code_tree(code)
         poly = wiener_polynomial(g)
         rt = RootedTree.of(g)
+        diffs = []
         for k in range(1, LINEAR_K_MAX + 1):
-            got = wk_linear(rt, k)
-            want = poly.coefficient(k)
+            got, want = wk_linear(rt, k), poly.coefficient(k)
             if got != want:
-                mismatches.append(
-                    {"trial": trial, "n": n, "k": k, "linear": got, "oracle": want}
-                )
+                diffs.append((k, got, want))
+        return diffs or None
+
+    mismatches = [
+        {"trial": trial, "n": len(code) + 2, "k": k, "linear": got, "oracle": want}
+        for trial, (code, diffs) in enumerate(zip(codes, fanout(check, codes)))
+        for k, got, want in diffs or ()
+    ]
     return {
         "claim": "linear-vs-oracle",
         "trials": trials,
@@ -268,39 +305,42 @@ def verify_linear_vs_oracle(trials: int = DEFAULT_LINEAR_TRIALS, seed: int = DEF
 def verify_cut_vs_oracle(
     trials: int = DEFAULT_CUT_TRIALS, seed: int = DEFAULT_SEED, include_families: bool = True
 ) -> dict:
-    """Random trees plus the classic partial-cube families: the cut
-    route must match the oracle for every degree present, all read from
-    one index_report sweep per graph."""
-    rng = random.Random(seed)
-    mismatches = []
-    graphs_checked = 0
-    comparisons = 0
-
-    def check(g: Graph, label: str) -> None:
-        nonlocal graphs_checked, comparisons
-        partition = theta_classes(g)
-        for k, b in index_report(g).twk_by_degree:
-            a = twk_cut(g, k, partition)
-            comparisons += 1
-            if a != b:
-                mismatches.append({"graph": label, "k": k, "cut": a, "oracle": b})
-        graphs_checked += 1
-
-    for trial in range(trials):
-        check(random_tree(rng.randint(2, 200), rng), f"tree-{trial}")
+    """Random trees (drawn as linear-vs-oracle draws them) plus the
+    classic partial-cube families: the cut route must match the oracle
+    for every degree present, all read from one index_report sweep per
+    graph."""
+    specs = [("tree", code) for code in _tree_codes(trials, seed)]
     if include_families:
-        for n in range(4, 41, 2):
-            check(cycle_graph(n), f"C{n}")
-        for d in range(1, 7):
-            check(hypercube_graph(d), f"Q{d}")
-        for k in range(1, 5):
-            check(gen_coronene(k).graph, f"H{k}")
+        specs += [("C", n) for n in range(4, 41, 2)]
+        specs += [("Q", d) for d in range(1, 7)]
+        specs += [("H", k) for k in range(1, 5)]
+    build = {"tree": _code_tree, "C": cycle_graph, "Q": hypercube_graph,
+             "H": lambda k: gen_coronene(k).graph}
+
+    def check(spec: tuple) -> tuple[int, list[tuple[int, int, int]]]:
+        g = build[spec[0]](spec[1])
+        partition = theta_classes(g)
+        diffs = []
+        by_degree = index_report(g).twk_by_degree
+        for k, b in by_degree:
+            a = twk_cut(g, k, partition)
+            if a != b:
+                diffs.append((k, a, b))
+        return len(by_degree), diffs
+
+    results = fanout(check, specs)
+    comparisons = sum(count for count, _ in results)
+    mismatches = [
+        {"graph": f"tree-{i}" if kind == "tree" else f"{kind}{x}", "k": k, "cut": a, "oracle": b}
+        for i, ((kind, x), (_, diffs)) in enumerate(zip(specs, results))
+        for k, a, b in diffs
+    ]
     return {
         "claim": "cut-vs-oracle",
         "trials": trials,
         "seed": seed,
         "families": include_families,
-        "graphs_checked": graphs_checked,
+        "graphs_checked": len(specs),
         "comparisons": comparisons,
         "mismatch_count": len(mismatches),
         "mismatches": mismatches[:10],

@@ -6,7 +6,7 @@ import resource
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from distindex import (
     ClassRemovalError,
@@ -30,13 +30,14 @@ from distindex import (
     canonical_form,
     free_level_sequences,
     from_edge_list,
+    level_sequence_parents,
     parse_edge_ends,
     tree_zagreb,
     random_tree,
     two_coloring,
 )
 from distindex.graphs import edge_pairs
-from distindex.treegen import _next_rooted, level_sequence_edges
+from distindex.treegen import _next_rooted
 
 
 @dataclass(frozen=True)
@@ -318,6 +319,13 @@ def rooted_level_sequences(n: int) -> Iterator[list[int]]:
         nxt = _next_rooted(seq)  # built first, so a caller may change what it gets
         yield seq
         seq = nxt
+
+
+def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges of the rooted tree a level sequence encodes, as (u, v)
+    pairs with u < v in lexicographic order, like Graph.edges()."""
+    parent = level_sequence_parents(seq)
+    return sorted(zip(parent[1:], range(1, len(seq))))
 
 
 def all_free_trees(n: int) -> Iterator[Graph]:

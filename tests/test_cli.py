@@ -942,15 +942,46 @@ def test_enumerate_lists_the_enumerated_trees(capsys):
     assert document(out) == {"count": 23, "n": 8, "trees": want}
 
 
-def test_enumerate_listing_shares_edge_tuples():
-    # the listing holds one object per distinct edge, not one per edge of
-    # each tree: 45 at n = 10, where the 106 trees have 954 edges
-    import distindex.cli
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+def test_enumerate_listing_streams_the_bytes_emit_prints(capsys, n, pretty):
+    # the listing is written tree by tree, byte for byte the document
+    # _emit prints for the whole payload
+    from distindex.cli import _emit
 
-    payload = distindex.cli._cmd_enumerate(build_parser().parse_args(["enumerate", "--n", "10"]))
-    edges = [edge for tree in payload["trees"] for edge in tree]
-    assert len(edges) == 106 * 9
-    assert len({id(edge) for edge in edges}) <= 10 * 9 // 2
+    trees = [[list(edge) for edge in t.edges()] for t in all_free_trees(n)]
+    _emit({"count": len(trees), "n": n, "trees": trees}, pretty)
+    want = capsys.readouterr().out
+    assert run_cli(capsys, "enumerate", "--n", str(n), *(["--pretty"] if pretty else [])) == (0, want, "")
+
+
+def test_enumerate_listing_streams_in_bounded_memory(monkeypatch):
+    # neither the trees' edge lists nor an encoder buffer of the whole
+    # document is held: listing the 3,159 trees of order 14 (269,076
+    # bytes) allocates a few kilobytes past the walk's cached parent
+    # arrays, where the built payload and json.dumps peaked at 3.25 MB
+    import tracemalloc
+
+    from distindex import free_tree_parents
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    sink = Sink()
+    build_parser()
+    free_tree_parents(14)
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "--n", "14"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 269_076
+    assert peak < 100_000
 
 
 def test_main_calls_share_no_state(tmp_path, capsys):

@@ -18,7 +18,6 @@ from distindex import (
     from_edge_list,
     free_level_sequences,
     gen_tree,
-    level_sequence_edges,
     level_sequence_parents,
     random_tree,
     tree_polynomial,
@@ -33,7 +32,14 @@ from distindex import (
     wk_linear,
     zagreb,
 )
-from helpers import path_graph, rooted_at, rooted_level_sequences, star_graph, wk3_from_zagreb
+from helpers import (
+    level_sequence_edges,
+    path_graph,
+    rooted_at,
+    rooted_level_sequences,
+    star_graph,
+    wk3_from_zagreb,
+)
 
 
 def test_rooted_tree_build():

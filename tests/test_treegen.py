@@ -16,7 +16,6 @@ from distindex import (
     free_tree_count,
     free_tree_parents,
     from_edge_list,
-    level_sequence_edges,
     level_sequence_parents,
     prufer_to_tree,
     random_tree,
@@ -24,6 +23,7 @@ from distindex import (
 from helpers import (
     all_free_trees,
     is_tree,
+    level_sequence_edges,
     limit_memory,
     path_graph,
     reference_free_trees,
@@ -100,6 +100,7 @@ def test_one_walk_per_order_per_process(monkeypatch, capsys):
     # every claim scan, tie form, count and listing of one order reads
     # the order's cached parent arrays: one walk serves them all
     import distindex.cli
+    import distindex.fanout
     import distindex.treegen
     import distindex.verify
 
@@ -112,6 +113,7 @@ def test_one_walk_per_order_per_process(monkeypatch, capsys):
 
     for module in (distindex.treegen, distindex.verify, distindex.cli):
         monkeypatch.setattr(module, "free_level_sequences", counting_walk, raising=False)
+    monkeypatch.setattr(distindex.fanout, "_cpus", lambda: 1)  # every call in this process
     free_tree_parents.cache_clear()
     for argv in (
         ["verify", "--claim", "max-wk", "--n", "9", "--k", "3"],
