@@ -35,6 +35,9 @@ _form builds it from a centre-rooted parent array in one children-first
 pass: the free-tree walk's parent arrays as they are, and a Graph's
 through RootedTree.of, whose leaf strip certifies the tree and roots it
 at a centre.  Nothing recurses.
+
+A random labeled tree is the decoded Prufer code random_prufer_code
+draws; random_tree and the seeded suites of verify share that one draw.
 """
 
 from __future__ import annotations
@@ -201,21 +204,18 @@ def free_tree_count(n: int) -> int:
     return len(free_tree_parents(n))
 
 
-def prufer_to_tree(seq: list[int], n: int) -> Graph:
-    """Decode a length n-2 code over 0..n-1 into its labeled tree."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if len(seq) != n - 2:
-        raise ValueError(f"code length must be {n - 2}")
+def prufer_to_tree(code: Sequence[int]) -> Graph:
+    """The labeled tree on len(code) + 2 vertices a Prufer code encodes."""
+    n = len(code) + 2
     degree = [1] * n
-    for x in seq:
+    for x in code:
         if not 0 <= x < n:
             raise ValueError(f"code entry {x} outside 0..{n - 1}")
         degree[x] += 1
     edges = []
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    for x in seq:
+    for x in code:
         leaf = heapq.heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
@@ -227,6 +227,12 @@ def prufer_to_tree(seq: list[int], n: int) -> Graph:
     return from_edge_list(n, edges)
 
 
+def random_prufer_code(n: int, rng: random.Random) -> list[int]:
+    """The n - 2 entries, each rng.randrange(n), of a uniform random
+    Prufer code of order n."""
+    return [rng.randrange(n) for _ in range(n - 2)]
+
+
 def random_tree(n: int, rng: random.Random) -> Graph:
     """Uniform random labeled tree on n vertices."""
     check_order(n)  # before the n - 2 code entries are drawn
@@ -234,6 +240,4 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         raise ValueError("needs n >= 1")
     if n == 1:
         return from_edge_list(1, [])
-    if n == 2:
-        return from_edge_list(2, [(0, 1)])
-    return prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n)
+    return prufer_to_tree(random_prufer_code(n, rng))

@@ -21,11 +21,11 @@ _forms names the tied trees from the same cached parent arrays
 (treegen._form), with no graph; only the witnesses are built as graphs.
 
 Every suite and scan is a map of one check over independent items (a
-case, a tree's Prufer code, a graph's spec, a parent array), run by
-fanout.fanout, which splits the checks across the CPUs the process may
-use once a claim has run for a few milliseconds.  Checks return
-marshallable values, small when the routes agree; the documents are
-the same however the checks were split.
+case, a tree's Prufer code as random_tree draws it, a graph's spec, a
+parent array), run by fanout.fanout, which splits the checks across the
+CPUs the process may use once a claim has run for a few milliseconds.
+Checks return marshallable values, small when the routes agree; the
+documents are the same however the checks were split.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from .extremal import (
     max_wk_odd,
 )
 from .fanout import fanout
-from .graphs import Graph, cycle_graph, hypercube_graph
+from .graphs import cycle_graph, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial
 from .partial_cube import theta_classes, twk_cut
 from .tree_linear import RootedTree, tree_twk, tree_wiener, tree_wk, wk_linear
-from .treegen import _form, canonical_form, free_tree_parents, prufer_to_tree
+from .treegen import _form, canonical_form, free_tree_parents, prufer_to_tree, random_prufer_code
 
 #: Seed used by every randomized suite unless the caller overrides it.
 DEFAULT_SEED = 1729
@@ -61,25 +61,19 @@ DEFAULT_LINEAR_TRIALS = 1000
 #: distance it compares on each.
 LINEAR_N_RANGE = (2, 200)
 LINEAR_K_MAX = 10
+#: The partial cubes cut-vs-oracle checks after its random trees.
+CUT_FAMILIES = (
+    *[("C", n) for n in range(4, 41, 2)],
+    *[("Q", d) for d in range(1, 7)],
+    *[("H", k) for k in range(1, 5)],
+)
 
 
 def _tree_codes(trials: int, seed: int) -> list[bytes]:
-    """The Prufer codes of trials random trees with orders in
-    LINEAR_N_RANGE, drawn from Random(seed) as random_tree draws them
-    (the order, then n - 2 entries), so each decodes (_code_tree) to the
-    tree random_tree(rng.randint(*LINEAR_N_RANGE), rng) would build.
-    Kept as bytes: every entry is below the order, at most 200."""
+    """The Prufer codes, as bytes, that trials calls of
+    random_tree(rng.randint(*LINEAR_N_RANGE), rng) decode from Random(seed)."""
     rng = random.Random(seed)
-    codes = []
-    for _ in range(trials):
-        n = rng.randint(*LINEAR_N_RANGE)
-        codes.append(bytes(rng.randrange(n) for _ in range(n - 2)))
-    return codes
-
-
-def _code_tree(code: bytes) -> Graph:
-    """The labelled tree a Prufer code encodes."""
-    return prufer_to_tree(code, len(code) + 2)
+    return [bytes(random_prufer_code(rng.randint(*LINEAR_N_RANGE), rng)) for _ in range(trials)]
 
 
 def _scan(
@@ -275,7 +269,7 @@ def verify_linear_vs_oracle(trials: int = DEFAULT_LINEAR_TRIALS, seed: int = DEF
     codes = _tree_codes(trials, seed)
 
     def check(code: bytes) -> list[tuple[int, int, int]] | None:
-        g = _code_tree(code)
+        g = prufer_to_tree(code)
         poly = wiener_polynomial(g)
         rt = RootedTree.of(g)
         diffs = []
@@ -302,19 +296,13 @@ def verify_linear_vs_oracle(trials: int = DEFAULT_LINEAR_TRIALS, seed: int = DEF
     }
 
 
-def verify_cut_vs_oracle(
-    trials: int = DEFAULT_CUT_TRIALS, seed: int = DEFAULT_SEED, include_families: bool = True
-) -> dict:
+def verify_cut_vs_oracle(trials: int = DEFAULT_CUT_TRIALS, seed: int = DEFAULT_SEED) -> dict:
     """Random trees (drawn as linear-vs-oracle draws them) plus the
-    classic partial-cube families: the cut route must match the oracle
-    for every degree present, all read from one index_report sweep per
-    graph."""
-    specs = [("tree", code) for code in _tree_codes(trials, seed)]
-    if include_families:
-        specs += [("C", n) for n in range(4, 41, 2)]
-        specs += [("Q", d) for d in range(1, 7)]
-        specs += [("H", k) for k in range(1, 5)]
-    build = {"tree": _code_tree, "C": cycle_graph, "Q": hypercube_graph,
+    classic partial-cube families of CUT_FAMILIES: the cut route must
+    match the oracle for every degree present, all read from one
+    index_report sweep per graph."""
+    specs = [("tree", code) for code in _tree_codes(trials, seed)] + list(CUT_FAMILIES)
+    build = {"tree": prufer_to_tree, "C": cycle_graph, "Q": hypercube_graph,
              "H": lambda k: gen_coronene(k).graph}
 
     def check(spec: tuple) -> tuple[int, list[tuple[int, int, int]]]:
@@ -339,7 +327,7 @@ def verify_cut_vs_oracle(
         "claim": "cut-vs-oracle",
         "trials": trials,
         "seed": seed,
-        "families": include_families,
+        "families": bool(CUT_FAMILIES),
         "graphs_checked": len(specs),
         "comparisons": comparisons,
         "mismatch_count": len(mismatches),

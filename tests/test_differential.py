@@ -60,7 +60,7 @@ def rooted_trees(draw):
     n = draw(st.integers(min_value=2, max_value=40))
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     root = draw(st.integers(0, n - 1))
-    g = prufer_to_tree(code, n)
+    g = prufer_to_tree(code)
     return g, rooted_at(g, root)
 
 

@@ -3,6 +3,7 @@ import signal
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 from distindex import (
@@ -216,7 +217,7 @@ def test_prufer_dedup_cross_count():
     for n in range(3, 8):
         forms = set()
         for code in itertools.product(range(n), repeat=n - 2):
-            forms.add(canonical_form(prufer_to_tree(list(code), n)))
+            forms.add(canonical_form(prufer_to_tree(code)))
         assert len(forms) == FREE_COUNTS[n - 1]
 
 
@@ -285,14 +286,29 @@ def test_canonical_form_long_path():
 
 
 def test_prufer_frozen():
-    g = prufer_to_tree([3, 3], 4)
+    g = prufer_to_tree([3, 3])
     assert g.degree(3) == 3
     assert sorted(g.edges()) == [(0, 3), (1, 3), (2, 3)]
-    assert prufer_to_tree([], 2).edges() == [(0, 1)]
-    with pytest.raises(ValueError):
-        prufer_to_tree([0], 4)
-    with pytest.raises(ValueError):
-        prufer_to_tree([9, 0], 4)
+    assert prufer_to_tree([]).edges() == [(0, 1)]
+    with pytest.raises(ValueError, match=r"^code entry 9 outside 0\.\.3$"):
+        prufer_to_tree([9, 0])
+    with pytest.raises(ValueError, match=r"^code entry 4 outside 0\.\.3$"):
+        prufer_to_tree(bytes([0, 4]))
+
+
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["list", "bytes"])
+def test_prufer_matches_networkx(as_bytes):
+    # the order is len(code) + 2, as in networkx's from_prufer_sequence;
+    # every code of length 0..4, as a list and as bytes
+    import itertools
+
+    for length in range(5):
+        n = length + 2
+        for code in itertools.product(range(n), repeat=length):
+            got = prufer_to_tree(bytes(code) if as_bytes else list(code))
+            want = nx.from_prufer_sequence(list(code))
+            assert got.n == want.number_of_nodes() == n
+            assert sorted(got.edges()) == sorted(tuple(sorted(e)) for e in want.edges())
 
 
 def test_random_tree_properties():

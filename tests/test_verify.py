@@ -1,15 +1,19 @@
 import json
 import os
+import random
 import threading
 from pathlib import Path
 
 import pytest
 
 import distindex.fanout
+import distindex.verify
 
 from distindex import (
     InfeasibleSpecError,
     caterpillar_twk,
+    prufer_to_tree,
+    random_tree,
     twk,
     verify_coronene,
     verify_cut_vs_oracle,
@@ -20,6 +24,7 @@ from distindex import (
     verify_max_wk,
     verify_wiener_bounds,
 )
+from distindex.verify import LINEAR_N_RANGE, _tree_codes
 from helpers import all_free_trees
 
 
@@ -189,7 +194,6 @@ def test_scans_read_one_number_per_tree(monkeypatch, serial, claim, verifier, ar
     # subtree sizes (tree_wiener): no tree gets a whole polynomial, and
     # the documents are the recorded ones
     import distindex.tree_linear
-    import distindex.verify
 
     calls = []
     polynomial = distindex.tree_linear.tree_polynomial
@@ -214,8 +218,23 @@ def test_verify_linear_vs_oracle_seeded():
     assert report == again
 
 
-def test_verify_cut_vs_oracle_seeded():
-    report = verify_cut_vs_oracle(trials=25, seed=7, include_families=False)
+@pytest.mark.parametrize("seed", [1, 7, 1729, 7919])
+def test_suite_codes_are_the_random_tree_draw(seed):
+    # the seeded suites decode random_tree's own draw, replayed from
+    # Random(seed): the trees the benchmark's expected cut-vs-oracle
+    # document counts its comparisons on
+    rng = random.Random(seed)
+    want = [random_tree(rng.randint(*LINEAR_N_RANGE), rng).edges() for _ in range(200)]
+    assert [prufer_to_tree(code).edges() for code in _tree_codes(200, seed)] == want
+    # an order-2 tree is decoded from the empty code and draws nothing
+    state = rng.getstate()
+    assert random_tree(2, rng).edges() == [(0, 1)]
+    assert rng.getstate() == state
+
+
+def test_verify_cut_vs_oracle_seeded(monkeypatch):
+    monkeypatch.setattr(distindex.verify, "CUT_FAMILIES", ())
+    report = verify_cut_vs_oracle(trials=25, seed=7)
     assert report["pass"]
     assert report["graphs_checked"] == 25
 
@@ -237,8 +256,9 @@ def test_caterpillar_family_attains_tree_maximum():
             assert best_tree == best_family
 
 
-def test_verify_cut_vs_oracle_without_evidence_fails():
-    report = verify_cut_vs_oracle(trials=0, include_families=False)
+def test_verify_cut_vs_oracle_without_evidence_fails(monkeypatch):
+    monkeypatch.setattr(distindex.verify, "CUT_FAMILIES", ())
+    report = verify_cut_vs_oracle(trials=0)
     assert report["comparisons"] == 0 and report["mismatch_count"] == 0
     assert not report["pass"]
 
@@ -273,8 +293,6 @@ def test_failed_child_share_is_checked_again(monkeypatch):
     # a child that exits non-zero sends nothing; the parent checks its
     # share itself and the document is unchanged
     want = canonical(verify_eq1(30))
-    import distindex.verify
-
     parent, oracle = os.getpid(), distindex.verify.twk
 
     def dying_in_child(g, k):
