@@ -1,8 +1,9 @@
 """Independent checks split across the CPUs a process may use.
 
 fanout(check, items) is [check(x) for x in items].  It checks items in
-this process for its first few milliseconds, then deals the rest out in
-turn to this process and to forked children, one per further CPU of the
+this process for its first few milliseconds and, when the rest would
+take more than about 20 ms at that pace, deals the rest out in turn to
+this process and to forked children, one per further CPU of the
 process's affinity set, and merges their results back in item order.
 Forking needs Linux (os.fork and os.sched_getaffinity) and a process
 running one thread; elsewhere, on one CPU, or while another thread
@@ -27,6 +28,12 @@ from collections.abc import Callable, Sequence
 #: fanout forks only after this much serial work: about twice the round
 #: trip of forking a 19 MB process and reaping it (2.4 ms measured).
 _AFTER_S = 0.005
+#: It forks only when the rest, at the pace of those first checks, would
+#: take more than this many times _AFTER_S (20 ms), the break-even: every
+#: page the process writes after a fork faults once, a debt the requests
+#: after it pay, and less work than this gained nothing from its fork
+#: in-process (eq1 at n = 20: 11.7 ms serial, 12.4 ms forked).
+_PAYS_OFF = 4
 
 
 def _cpus() -> int:
@@ -44,20 +51,23 @@ def _cpus() -> int:
 def fanout(check: Callable, items: Sequence) -> list:
     """[check(x) for x in items], in item order.
 
-    Items are checked here until _AFTER_S has passed.  The rest
+    Items are checked here until _AFTER_S has passed.  If the rest,
+    at their pace, would take more than _PAYS_OFF times _AFTER_S, it
     is dealt out in turn to this process and to one forked child per
     further CPU (_cpus) and item.  A child sends its share's results
     through a pipe, marshalled, and always leaves by os._exit.  The
     share of a child that fails, or of a fork that fails, is checked
     here, so a check's exception comes out of this call as it would
     from the serial loop.  Every child is reaped before it returns."""
-    done, start = [], time.perf_counter()
+    done, spent, start = [], 0.0, time.perf_counter()
     for x in items:
         done.append(check(x))
-        if time.perf_counter() - start > _AFTER_S:
+        spent = time.perf_counter() - start
+        if spent > _AFTER_S:
             break
     rest = items[len(done):]
-    ways = max(1, min(_cpus(), len(rest)))
+    pays = spent * len(rest) > _PAYS_OFF * _AFTER_S * len(done)
+    ways = max(1, min(_cpus(), len(rest))) if pays else 1
     kids = []  # (pid, read end of its pipe), in share order
     try:
         for j in range(1, ways):

@@ -12,13 +12,14 @@ and ORs in the others, 2m - n ORs over the adjacency lists.  The
 growth of the balls gives the pair counts by distance (W_k, the Wiener
 index, the Wiener polynomial and the cumulative W_k*), and the pairs of
 one degree class not yet reached give that class's distance sum (TW_k,
-TW_k*), so `index_report` runs a single sweep.  On request the sweep
-also XORs each vertex's odd-radius balls; on a bipartite graph the XOR
-of these parities across an edge is the edge's cut label, from which
-the partial-cube verifier reads the edge classes.  A lone `twk` or
-`twk_star` sweeps from the restricted vertices only, or runs one
-breadth-first search per restricted vertex when there are so few of
-them that this costs less.
+TW_k*), so `index_report` runs a single sweep.  W_k and W_k* stop the
+sweep at radius k, plus one BFS for connectivity when the limit stops
+it.  On request the sweep also XORs each vertex's odd-radius balls; on
+a bipartite graph the XOR of these parities across an edge is the
+edge's cut label, from which the partial-cube verifier reads the edge
+classes.  A lone `twk` or `twk_star` sweeps from the restricted
+vertices only, or runs one breadth-first search per restricted vertex
+when there are so few of them that this costs less.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ def _sweep(
     sources: Sequence[int],
     spans: Sequence[tuple[int, int]],
     parities: list[int] | None = None,
+    top: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """Ball sweep from `sources` over g.adj.  Returns the doubled pair
     counts by distance (entry r counts the ordered pairs at distance r,
@@ -80,10 +82,15 @@ def _sweep(
     block ran cancels between the two ends.  This costs one XOR per
     vertex every second round and no work per edge.
 
-    A block runs as many rounds as its sources' largest eccentricity
-    over n-bit balls, so on a long path the sweep is slower than one BFS
-    per vertex; the CLI's `auto` sends W_k and the polynomial of a tree
-    to the tree route.
+    `top`, when given with every vertex as a source and no spans, stops
+    each block after round top, so the pair counts run to distance top
+    at most; if a block stops before every ball holds the whole block,
+    one BFS from vertex 0 decides connectivity.
+
+    A block runs as many rounds as its sources' largest eccentricity,
+    or top when that is smaller, over n-bit balls, so on a long path the
+    full sweep is slower than one BFS per vertex; the CLI's `auto` sends
+    W_k and the polynomial of a tree to the tree route.
     """
     n = g.n
     every = len(sources) == n
@@ -99,6 +106,7 @@ def _sweep(
     members = [sources[lo:hi] for lo, hi in spans]
     doubled = [0]
     sums = [0] * len(spans)
+    stopped = False
     for first in range(0, len(sources), block):
         size = min(block, len(sources) - first)
         balls = [0] * n
@@ -129,6 +137,9 @@ def _sweep(
             live = still
             if reached == n * size if every else not live:
                 break
+            if r == top:
+                stopped = True
+                break
             if r == n:
                 raise DisconnectedError("graph is not connected")
             grown = list(map(balls.__getitem__, lead))
@@ -151,28 +162,32 @@ def _sweep(
                     acc = list(map(xor, acc, balls))
         if acc is not None:
             parities[:] = map(or_, parities, map(lshift, acc, repeat(first, n)))
+    if stopped and UNREACHABLE in bfs_distances(g, 0):
+        raise DisconnectedError("graph is not connected")
     return doubled, sums
 
 
 def _restricted_sum(g: Graph, members: list[int]) -> int:
     """Distance sum over the unordered pairs of `members`.
 
-    One BFS from vertex 0 checks connectivity and gives its eccentricity.
-    A sweep from the members costs at most eccentricity x 2m (2m - n ORs
-    per round, taken as 2m), one BFS per member about |members| x (n + m);
-    the cheaper runs, and the BFS from vertex 0 is reused.
+    One BFS from the first member (vertex 0 when there are none) checks
+    connectivity and gives its eccentricity, and its row is summed.  A
+    sweep from the members costs at most eccentricity x 2m (2m - n ORs
+    per round, taken as 2m); the rest of one BFS per member, a BFS from
+    each member but the first and the last, about (|members| - 2) x
+    (n + m).  The cheaper runs.
     """
     if g.n < 2:
         return 0
-    row0 = bfs_distances(g, 0)
+    row0 = bfs_distances(g, members[0] if members else 0)
     if UNREACHABLE in row0:
         raise DisconnectedError("graph is not connected")
-    if len(members) * (g.n + g.m) > max(row0) * 2 * g.m:
+    if (len(members) - 2) * (g.n + g.m) > max(row0) * 2 * g.m:
         _, (doubled,) = _sweep(g, members, [(0, len(members))])
         return doubled // 2
     total = 0
     for i, u in enumerate(members[:-1]):
-        row = row0 if u == 0 else bfs_distances(g, u)
+        row = bfs_distances(g, u) if i else row0
         total += sum(map(row.__getitem__, members[i + 1:]))
     return total
 
@@ -186,7 +201,7 @@ def wk(g: Graph, k: int) -> int:
     """Number of unordered vertex pairs at distance exactly k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return wiener_polynomial(g).coefficient(k)
+    return wiener_polynomial(g, k).coefficient(k)
 
 
 class WienerPolynomial(NamedTuple):
@@ -207,10 +222,14 @@ class WienerPolynomial(NamedTuple):
         return sum(k * c for k, c in enumerate(self.coeffs))
 
 
-def wiener_polynomial(g: Graph) -> WienerPolynomial:
+def wiener_polynomial(g: Graph, top: int | None = None) -> WienerPolynomial:
     """Distance distribution of the unordered pairs, as coefficients up
-    to the diameter.  coeffs[0] is always 0."""
-    doubled, _ = _sweep(g, range(g.n), ())
+    to the diameter, or up to top when top is smaller; coeffs[0] is
+    always 0.  As with tree_polynomial(top), a polynomial cut at top
+    gives partial wiener() and pair_total()."""
+    if top is not None:
+        top = max(top, 0)  # as in tree_polynomial, a top below 0 keeps coeffs[0] alone
+    doubled, _ = _sweep(g, range(g.n), (), top=top)
     return WienerPolynomial(tuple(c // 2 for c in doubled))
 
 
@@ -232,7 +251,7 @@ def wk_star(g: Graph, k: int) -> int:
     """Number of unordered pairs at distance at most k (and at least 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum(wiener_polynomial(g).coeffs[1:k + 1])
+    return wiener_polynomial(g, k).pair_total()
 
 
 def twk_star(g: Graph, k: int) -> int:

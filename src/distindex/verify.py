@@ -45,7 +45,7 @@ from .extremal import (
 )
 from .fanout import fanout
 from .graphs import cycle_graph, hypercube_graph
-from .indices import index_report, twk, wiener_polynomial
+from .indices import index_report, twk, wiener_polynomial, wk
 from .partial_cube import theta_classes, twk_cut
 from .tree_linear import RootedTree, tree_twk, tree_wiener, tree_wk, wk_linear
 from .treegen import _form, canonical_form, free_tree_parents, prufer_to_tree, random_prufer_code
@@ -107,7 +107,7 @@ def verify_max_wk(n: int, k: int) -> dict:
         predicted, spec = max_wk_even(n, k)
     values, _ = _scan(n, lambda parent, order: tree_wk(parent, order, k))
     observed = max(values)
-    witness_value = wiener_polynomial(gen_tree(spec)).coefficient(k)
+    witness_value = wk(gen_tree(spec), k)
     return {
         "claim": "max-wk",
         "n": n,
@@ -270,7 +270,7 @@ def verify_linear_vs_oracle(trials: int = DEFAULT_LINEAR_TRIALS, seed: int = DEF
 
     def check(code: bytes) -> list[tuple[int, int, int]] | None:
         g = prufer_to_tree(code)
-        poly = wiener_polynomial(g)
+        poly = wiener_polynomial(g, LINEAR_K_MAX)
         rt = RootedTree.of(g)
         diffs = []
         for k in range(1, LINEAR_K_MAX + 1):

@@ -387,14 +387,25 @@ def test_compute_method_linear_rejects_cycle(tmp_path, capsys):
     assert "tree" in err
 
 
-@pytest.mark.parametrize("args", [
-    ["--index", "wiener"],
-    ["--index", "twk", "--k", "1"],
-    ["--index", "twk", "--k", "1", "--method", "cut"],
-], ids=["wiener", "twk", "twk-cut"])
-def test_compute_disconnected_exit_code(tmp_path, capsys, args):
+TWO_EDGES = "4 2\n0 1\n2 3\n"
+TWO_P4 = "8 6\n0 1\n1 2\n2 3\n4 5\n5 6\n6 7\n"
+
+
+@pytest.mark.parametrize("text, args", [
+    (TWO_EDGES, ["--index", "wiener"]),
+    (TWO_EDGES, ["--index", "twk", "--k", "1"]),
+    (TWO_EDGES, ["--index", "twk", "--k", "1", "--method", "cut"]),
+    (TWO_EDGES, ["--index", "wk", "--k", "2"]),
+    (TWO_P4, ["--index", "wk", "--k", "2"]),
+    (TWO_P4, ["--index", "wk-star", "--k", "2"]),
+    (TWO_P4, ["--index", "wk", "--k", "2", "--method", "oracle"]),
+], ids=["wiener", "twk", "twk-cut", "wk-past-diameters", "wk", "wk-star", "wk-oracle"])
+def test_compute_disconnected_exit_code(tmp_path, capsys, text, args):
+    # W_k and W_k* at k = 2 stop the sweep at radius 2 on the two paths
+    # of diameter 3, and a BFS finds the graph disconnected; past the
+    # two edges' diameters a round grows no ball
     path = tmp_path / "dis.txt"
-    path.write_text("4 2\n0 1\n2 3\n")
+    path.write_text(text)
     code, _, err = run_cli(capsys, "compute", "--input", str(path), *args)
     assert code == 4
     assert "connected" in err
@@ -658,9 +669,9 @@ def test_compute_all_small_k_refused_before_the_sweep(capsys, monkeypatch, text,
     calls = []
     sweep = distindex.indices._sweep
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0].n)
-        return sweep(*args)
+        return sweep(*args, **kwargs)
 
     monkeypatch.setattr(distindex.indices, "_sweep", counting)
 

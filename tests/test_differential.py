@@ -204,6 +204,7 @@ def check_pair_counts(g):
     assert wiener(g) == sum(k * c for k, c in enumerate(want))
     for k in range(1, len(want) + 2):
         count = want[k] if k < len(want) else 0
+        assert wiener_polynomial(g, k).coeffs == tuple(want[:k + 1])
         assert wk(g, k) == count
         assert wk_star(g, k) == sum(want[1:k + 1])
     report = index_report(g, star_k=2)
@@ -212,7 +213,13 @@ def check_pair_counts(g):
 
 
 def check_disconnected(g):
-    for call in (wiener_polynomial, wiener, lambda g: wk(g, 1), lambda g: wk_star(g, 2)):
+    """Every read raises, the capped ones for every k up to n: below
+    the components' diameters the limit stops the sweep, past them a
+    round grows no ball."""
+    calls = [wiener_polynomial, wiener]
+    for k in range(1, g.n + 1):
+        calls += [lambda g, k=k: wiener_polynomial(g, k), lambda g, k=k: wk(g, k), lambda g, k=k: wk_star(g, k)]
+    for call in calls:
         with pytest.raises(DisconnectedError, match="^graph is not connected$"):
             call(g)
 
@@ -260,9 +267,12 @@ def networkx_pair_sum(g, keep) -> int:
 
 
 def sweep_chosen(g, members) -> bool:
-    """The oracle's cost rule: sweep from the members when one BFS per
-    member would cost more than eccentricity(0) rounds over the edges."""
-    return len(members) * (g.n + g.m) > nx.eccentricity(networkx_graph(g), 0) * 2 * g.m
+    """The oracle's cost rule: sweep from the members when one BFS from
+    each member but the first (whose connectivity BFS is summed) and the
+    last would cost more than eccentricity rounds over the edges, the
+    eccentricity of the first member (of vertex 0 when there is none)."""
+    first = members[0] if members else 0
+    return (len(members) - 2) * (g.n + g.m) > nx.eccentricity(networkx_graph(g), first) * 2 * g.m
 
 
 def check_restricted_sums(g, patch):
@@ -273,9 +283,9 @@ def check_restricted_sums(g, patch):
     sweeps = []
     sweep = distindex.indices._sweep
 
-    def counting(g, sources, spans):
+    def counting(g, sources, *args, **kwargs):
         sweeps.append(len(sources))
-        return sweep(g, sources, spans)
+        return sweep(g, sources, *args, **kwargs)
 
     patch.setattr(distindex.indices, "_sweep", counting)
     top = max(g.degrees())

@@ -230,9 +230,9 @@ def count_work(monkeypatch):
         searches.append(source)
         return search(g, source)
 
-    def counting_sweep(g, sources, spans):
+    def counting_sweep(g, sources, *args, **kwargs):
         sweeps.append(len(sources))
-        return sweep(g, sources, spans)
+        return sweep(g, sources, *args, **kwargs)
 
     monkeypatch.setattr(distindex.graphs, "bfs_distances", counting_search)
     monkeypatch.setattr(distindex.indices, "bfs_distances", counting_search)
@@ -242,13 +242,86 @@ def count_work(monkeypatch):
 
 @pytest.mark.parametrize("name", ["coronene3", "q5"])
 def test_pair_counts_run_no_bfs(monkeypatch, name):
+    """The full polynomial and W run no BFS.  W_k and W_k* stop the
+    sweep at radius k and then run the one connectivity BFS, from vertex
+    0, when k is below the diameter; at or past it the balls fill first
+    and no BFS runs."""
     g = {"coronene3": gen_coronene(3).graph, "q5": hypercube_graph(5)}[name]
     searches, _ = count_work(monkeypatch)
     poly = wiener_polynomial(g)
     assert wiener(g) == poly.wiener()
-    assert wk(g, 2) == poly.coefficient(2)
-    assert wk_star(g, 2) == poly.coefficient(1) + poly.coefficient(2)
     assert searches == []
+    for k in range(1, poly.degree() + 2):
+        searches.clear()
+        assert wk(g, k) == poly.coefficient(k)
+        assert wk_star(g, k) == sum(poly.coeffs[:k + 1])
+        assert searches == ([0, 0] if k < poly.degree() else [])
+
+
+def capped_read_graphs() -> dict[str, Graph]:
+    rng = random.Random(83)
+    graphs = {f"tree-{n}": random_tree(n, rng) for n in (2, 9, 30, 60)}
+    graphs.update({f"graph-{n}-{e}": random_connected_graph(rng, n, e) for n, e in ((12, 3), (25, 10), (40, 2))})
+    graphs.update({f"c{n}": cycle_graph(n) for n in (3, 4, 11, 20)})
+    graphs.update({f"q{d}": hypercube_graph(d) for d in (1, 3, 5)})
+    graphs.update({f"coronene{k}": gen_coronene(k).graph for k in (1, 2, 3)})
+    graphs["k1"] = from_edge_list(1, [])
+    return graphs
+
+
+CAPPED_READ_GRAPHS = capped_read_graphs()
+
+
+@pytest.mark.parametrize("sweep_bits", [distindex.indices._SWEEP_BITS, 7])
+@pytest.mark.parametrize("name", sorted(CAPPED_READ_GRAPHS))
+def test_capped_polynomial_is_the_full_one_cut_at_top(monkeypatch, name, sweep_bits):
+    """wiener_polynomial(g, top) is the full polynomial cut at top, for
+    every top from 1 to past the diameter, in one block of sources or in
+    blocks of 7 // n (at least one); W_k and W_k* read the same counts.
+    A top of 0 or below keeps coeffs[0] alone, as tree_polynomial does."""
+    monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+    g = CAPPED_READ_GRAPHS[name]
+    full = reference_wiener_polynomial(g)
+    assert wiener_polynomial(g) == full
+    assert wiener_polynomial(g, 0).coeffs == wiener_polynomial(g, -1).coeffs == (0,)
+    for top in range(1, full.degree() + 3):
+        assert wiener_polynomial(g, top).coeffs == full.coeffs[:top + 1]
+        assert wk(g, top) == full.coefficient(top)
+        assert wk_star(g, top) == sum(full.coeffs[:top + 1])
+
+
+@pytest.mark.parametrize("sweep_bits", [distindex.indices._SWEEP_BITS, 7])
+@pytest.mark.parametrize("first", [3, 6, 9])
+def test_capped_reads_refuse_a_disconnected_graph(monkeypatch, first, sweep_bits):
+    """Two paths, of `first` and of 7 vertices (diameters first - 1 and
+    6): W_k and W_k* raise DisconnectedError for every k, below the
+    diameters (the limit stops the sweep and the BFS from vertex 0 finds
+    the other path unreached) and at or past them (a round grows no
+    ball)."""
+    monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
+    n = first + 7
+    g = from_edge_list(n, [(v, v + 1) for v in range(n - 1) if v != first - 1])
+    for k in range(1, n + 1):
+        for read in (wk, wk_star, wiener_polynomial):
+            with pytest.raises(DisconnectedError, match="^graph is not connected$"):
+                read(g, k)
+
+
+def test_capped_sweep_runs_k_rounds(monkeypatch):
+    """W_5* of a 4000-vertex path sweeps 5 rounds, not the 3,999 of the
+    full polynomial: the doubled counts the sweep returns gain one entry
+    per round it runs."""
+    rounds = []
+    sweep = distindex.indices._sweep
+
+    def counting(g, *args, **kwargs):
+        doubled, sums = sweep(g, *args, **kwargs)
+        rounds.append(len(doubled) - 1)
+        return doubled, sums
+
+    monkeypatch.setattr(distindex.indices, "_sweep", counting)
+    assert wk_star(path_graph(4000), 5) == 5 * 4000 - 15
+    assert rounds == [5]
 
 
 def test_index_report_sweeps_once(monkeypatch):
@@ -263,12 +336,31 @@ def test_index_report_sweeps_once(monkeypatch):
 
 def test_twk_sweep_branch_runs_one_bfs(monkeypatch):
     """Coronene k = 3 has 36 degree-3 vertices among 54: one sweep from
-    them, after the single connectivity BFS from vertex 0."""
+    them, after the single connectivity BFS from the first of them."""
     g = gen_coronene(3).graph
+    first = g.degrees().index(3)
     searches, sweeps = count_work(monkeypatch)
     assert twk(g, 3) == coronene_tw3(3)
-    assert searches == [0]
+    assert searches == [first]
     assert sweeps == [36]
+
+
+@pytest.mark.parametrize(
+    "g, k, want",
+    [
+        (star_graph(10), 9, 0),
+        (from_edge_list(10, [(0, 1)] + [(0, v) for v in range(2, 6)] + [(1, v) for v in range(6, 10)]), 5, 1),
+    ],
+    ids=["star-centre", "double-star-centres"],
+)
+def test_one_or_two_members_need_no_sweep(monkeypatch, g, k, want):
+    """The connectivity BFS from the first member already holds the
+    distance sum of one or two members, so no sweep runs, even from
+    centres of eccentricity 1 and 2, where a sweep round is cheap."""
+    searches, sweeps = count_work(monkeypatch)
+    assert twk(g, k) == want
+    assert searches == [0]
+    assert sweeps == []
 
 
 def test_twk_bfs_branch_on_grid(monkeypatch):
@@ -284,6 +376,26 @@ def test_twk_bfs_branch_on_grid(monkeypatch):
     # corner pairs: two at 29, two at 19, two at 48
     assert twk(g, 2) == 2 * (29 + 19 + 48)
     assert searches == [0, 29, 570]
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("legs", [0, 1, 2, 3, 5])
+def test_restricted_sum_roots_its_first_bfs_at_a_member(monkeypatch, legs):
+    """A caterpillar whose vertex 0 is a leaf: spine 1..40, with a leg
+    on `legs` spine vertices, which are then its degree-3 vertices.  Few
+    members take the BFS branch, and its connectivity BFS starts at the
+    first member, so that row is summed too: max(1, |members| - 1) BFS
+    runs in all, from vertex 0 only when there is no member."""
+    spine = list(range(1, 41))
+    feet = [5, 12, 20, 27, 33][:legs]
+    edges = [(0, 1)] + list(zip(spine, spine[1:])) + [(v, 41 + i) for i, v in enumerate(feet)]
+    g = from_edge_list(41 + legs, edges)
+    members = [v for v in range(g.n) if g.degree(v) == 3]
+    assert members == feet
+    searches, sweeps = count_work(monkeypatch)
+    assert twk(g, 3) == reference_twk(g, 3)
+    assert searches == (members[:-1] if legs > 1 else members or [0])
+    assert len(searches) == max(1, legs - 1)
     assert sweeps == []
 
 

@@ -168,9 +168,9 @@ def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, serial
         swept.append(g)
         return bfs(g, source)
 
-    def counting_sweep(g, *args):
+    def counting_sweep(g, *args, **kwargs):
         swept.append(g)
-        return sweep(g, *args)
+        return sweep(g, *args, **kwargs)
 
     monkeypatch.setattr(distindex.graphs, "Graph", counting_graph)
     monkeypatch.setattr(distindex.indices, "bfs_distances", counting_bfs)
@@ -348,6 +348,35 @@ def test_fanout_keeps_item_order_and_forks_only_for_spare_items(monkeypatch):
     assert distindex.fanout.fanout(str, range(1)) == ["0"]
     assert distindex.fanout.fanout(str, ()) == []
     assert forks == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "run, forks_wanted",
+    [
+        (lambda: distindex.fanout.fanout(lambda x: x * x, range(26)), 0),
+        (lambda: distindex.fanout.fanout(lambda x: x * x, range(28)), 1),
+        (lambda: verify_linear_vs_oracle(20, 1), 0),
+        (lambda: verify_linear_vs_oracle(40, 1), 1),
+    ],
+    ids=["26-items", "28-items", "linear-20", "linear-40"],
+)
+def test_fork_only_when_the_rest_pays(monkeypatch, serial, run, forks_wanted):
+    # a clock that reads 2**-10 s later at each look makes every check
+    # take that long: six checks pass _AFTER_S, and the rest, projected
+    # at that pace, passes the break-even (_PAYS_OFF x _AFTER_S, 20 ms)
+    # only when more than 20 of them are left; forked or not, the result
+    # is the serial one
+    import itertools
+    import types
+
+    want, after = run(), distindex.fanout._AFTER_S
+    forks = fan_out(monkeypatch, 2)
+    monkeypatch.setattr(distindex.fanout, "_AFTER_S", after)
+    clock = itertools.count(0, 2**-10)
+    monkeypatch.setattr(distindex.fanout, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    assert run() == want
+    assert len(forks) == forks_wanted
     assert_no_child_left()
 
 
