@@ -2,9 +2,11 @@
 
 fanout(check, items) is [check(x) for x in items].  It checks items in
 this process for its first few milliseconds and, when the rest would
-take more than about 20 ms at that pace, deals the rest out in turn to
-this process and to forked children, one per further CPU of the
-process's affinity set, and merges their results back in item order.
+take more than about 20 ms at the pace of the later half of those
+checks (a suite ordered by size grows in cost, and the later checks
+are the nearer guide to the rest), deals the rest out in turn to this
+process and to forked children, one per further CPU of the process's
+affinity set, and merges their results back in item order.
 Forking needs Linux (os.fork and os.sched_getaffinity) and a process
 running one thread; elsewhere, on one CPU, or while another thread
 runs, every check runs here.  Children send their results through a
@@ -28,11 +30,12 @@ from collections.abc import Callable, Sequence
 #: fanout forks only after this much serial work: about twice the round
 #: trip of forking a 19 MB process and reaping it (2.4 ms measured).
 _AFTER_S = 0.005
-#: It forks only when the rest, at the pace of those first checks, would
-#: take more than this many times _AFTER_S (20 ms), the break-even: every
-#: page the process writes after a fork faults once, a debt the requests
-#: after it pay, and less work than this gained nothing from its fork
-#: in-process (eq1 at n = 20: 11.7 ms serial, 12.4 ms forked).
+#: It forks only when the rest, at the pace of the later half of those
+#: first checks, would take more than this many times _AFTER_S (20 ms),
+#: the break-even: every page the process writes after a fork faults
+#: once, a debt the requests after it pay, and less work than this
+#: gained nothing from its fork in-process (eq1 at n = 20: 11.7 ms
+#: serial, 12.4 ms forked).
 _PAYS_OFF = 4
 
 
@@ -52,21 +55,22 @@ def fanout(check: Callable, items: Sequence) -> list:
     """[check(x) for x in items], in item order.
 
     Items are checked here until _AFTER_S has passed.  If the rest,
-    at their pace, would take more than _PAYS_OFF times _AFTER_S, it
-    is dealt out in turn to this process and to one forked child per
-    further CPU (_cpus) and item.  A child sends its share's results
+    at the pace of the later half of those checks, would take more than
+    _PAYS_OFF times _AFTER_S, it is dealt out in turn to this process
+    and to one forked child per further CPU (_cpus) and item.  A child sends its share's results
     through a pipe, marshalled, and always leaves by os._exit.  The
     share of a child that fails, or of a fork that fails, is checked
     here, so a check's exception comes out of this call as it would
     from the serial loop.  Every child is reaped before it returns."""
-    done, spent, start = [], 0.0, time.perf_counter()
+    done, stamps = [], [time.perf_counter()]  # stamps[i]: clock after i checks
     for x in items:
         done.append(check(x))
-        spent = time.perf_counter() - start
-        if spent > _AFTER_S:
+        stamps.append(time.perf_counter())
+        if stamps[-1] - stamps[0] > _AFTER_S:
             break
     rest = items[len(done):]
-    pays = spent * len(rest) > _PAYS_OFF * _AFTER_S * len(done)
+    half = len(done) // 2
+    pays = (stamps[-1] - stamps[half]) * len(rest) > _PAYS_OFF * _AFTER_S * (len(done) - half)
     ways = max(1, min(_cpus(), len(rest))) if pays else 1
     kids = []  # (pid, read end of its pipe), in share order
     try:

@@ -14,10 +14,7 @@ index, the Wiener polynomial and the cumulative W_k*), and the pairs of
 one degree class not yet reached give that class's distance sum (TW_k,
 TW_k*), so `index_report` runs a single sweep.  W_k and W_k* stop the
 sweep at radius k, plus one BFS for connectivity when the limit stops
-it.  On request the sweep also XORs each vertex's odd-radius balls; on
-a bipartite graph the XOR of these parities across an edge is the
-edge's cut label, from which the partial-cube verifier reads the edge
-classes.  A lone `twk` or `twk_star` sweeps from the restricted
+it.  A lone `twk` or `twk_star` sweeps from the restricted
 vertices only, or runs one breadth-first search per restricted vertex
 when there are so few of them that this costs less.
 """
@@ -25,8 +22,7 @@ when there are so few of them that this costs less.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import repeat
-from operator import lshift, or_, xor
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DisconnectedError
@@ -38,11 +34,19 @@ from .graphs import UNREACHABLE, Graph, bfs_distances
 _SWEEP_BITS = 1 << 26
 
 
+def _steps(ends: list[int]) -> list[tuple[int, int, int, int]]:
+    """Arcs x <- y (x takes y's ball), given as flat ends x, y, x, y, ...,
+    two arcs to a step.  An odd count repeats its last arc, appended to
+    ends in place, since OR is idempotent."""
+    if len(ends) & 2:
+        ends += ends[-2:]
+    return list(zip(*[iter(ends)] * 4))
+
+
 def _sweep(
     g: Graph,
     sources: Sequence[int],
     spans: Sequence[tuple[int, int]],
-    parities: list[int] | None = None,
     top: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """Ball sweep from `sources` over g.adj.  Returns the doubled pair
@@ -70,18 +74,6 @@ def _sweep(
     live at round n, past every distance of a connected graph, means the
     graph is disconnected.
 
-    `parities`, when given, needs `sources` to hold every vertex and
-    holds one 0 per vertex.  Each block XORs the balls of every odd
-    round into an accumulator, so P_v = B_1(v) ^ B_3(v) ^ ..., and ORs
-    it into parities[v] at the block's offset.  The graph must be
-    bipartite: then d(w, y) = d(w, x) +- 1 for every edge xy, so w lies
-    in exactly one of B_r(x) and B_r(y) at r = min(d(w, x), d(w, y)) and
-    in both or neither at every other radius.  Bit j of
-    parities[x] ^ parities[y] is therefore the parity of
-    min(d(w, x), d(w, y)) for w = sources[j]; the number of rounds a
-    block ran cancels between the two ends.  This costs one XOR per
-    vertex every second round and no work per edge.
-
     `top`, when given with every vertex as a source and no spans, stops
     each block after round top, so the pair counts run to distance top
     at most; if a block stops before every ball holds the whole block,
@@ -97,12 +89,7 @@ def _sweep(
     block = max(1, _SWEEP_BITS // max(n, 1))
     adj = g.adj
     lead = [nbrs[0] if nbrs else x for x, nbrs in enumerate(adj)]
-    # the other arcs x <- y (x takes y's ball) as flat ends, two arcs to a
-    # step; an odd count repeats its last arc, since OR is idempotent
-    ends = [v for x, nbrs in enumerate(adj) for y in nbrs[1:] for v in (x, y)]
-    if len(ends) & 2:
-        ends += ends[-2:]
-    steps = list(zip(*[iter(ends)] * 4))
+    steps = _steps([v for x, nbrs in enumerate(adj) for y in nbrs[1:] for v in (x, y)])
     members = [sources[lo:hi] for lo, hi in spans]
     doubled = [0]
     sums = [0] * len(spans)
@@ -112,7 +99,6 @@ def _sweep(
         balls = [0] * n
         for s in range(size):
             balls[sources[first + s]] = 1 << s
-        acc = None if parities is None else [0] * n
         live = []
         for j, (lo, hi) in enumerate(spans):
             a, b = max(lo, first), min(hi, first + size)
@@ -158,10 +144,6 @@ def _sweep(
                     doubled.append(0)
                 doubled[r] += now - reached
                 reached = now
-                if acc is not None and r & 1:
-                    acc = list(map(xor, acc, balls))
-        if acc is not None:
-            parities[:] = map(or_, parities, map(lshift, acc, repeat(first, n)))
     if stopped and UNREACHABLE in bfs_distances(g, 0):
         raise DisconnectedError("graph is not connected")
     return doubled, sums

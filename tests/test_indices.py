@@ -15,6 +15,7 @@ from distindex import (
     hypercube_graph,
     index_report,
     random_tree,
+    theta_classes,
     twk,
     twk_star,
     wiener,
@@ -25,6 +26,7 @@ from distindex import (
 )
 from distindex.graphs import Graph, bfs_distances
 from distindex.indices import _sweep
+from distindex.partial_cube import _cut_labels
 from helpers import (
     all_free_trees,
     complete_graph,
@@ -444,22 +446,25 @@ ROUND_RULE_GRAPHS = {
 @pytest.mark.parametrize("sweep_bits", [distindex.indices._SWEEP_BITS, 1, 7])
 @pytest.mark.parametrize("name", sorted(ROUND_RULE_GRAPHS))
 def test_sweep_round_rule_against_bfs(monkeypatch, name, sweep_bits):
-    """The sweep from every vertex (with parities), index_report's degree
-    spans and a restricted sweep per degree class agree with one BFS per
-    vertex, with all sources in one block or a budget of 7 bits (7 // n
-    sources a block, at least one) or 1 bit (one source a block)."""
+    """The sweep from every vertex, index_report's degree spans, a
+    restricted sweep per degree class and, on a bipartite graph, the
+    verifier's cut labels agree with one BFS per vertex, with all sources
+    in one block or a budget of 7 bits (7 // n sources a block, at least
+    one) or 1 bit (one source a block)."""
     monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
     g = ROUND_RULE_GRAPHS[name]
     rows = [bfs_distances(g, v) for v in range(g.n)]
     poly = reference_wiener_polynomial(g)
 
-    parities = [0] * g.n
-    doubled, sums = _sweep(g, range(g.n), (), parities)
+    doubled, sums = _sweep(g, range(g.n), ())
     assert doubled == [2 * c for c in poly.coeffs] and sums == []
     if is_bipartite(g):
+        labels = _cut_labels(g, rows[0])
         for x, y in g.edges():
-            want = sum((min(rows[x][w], rows[y][w]) & 1) << w for w in range(g.n))
-            assert parities[x] ^ parities[y] == want
+            if rows[0][x] & 1:
+                x, y = y, x
+            want = sum((rows[x][w] < rows[y][w]) << w for w in range(g.n))
+            assert labels[x] ^ labels[y] == want
 
     rep = index_report(g, star_k=2)
     assert rep.poly == poly.coeffs
@@ -478,14 +483,14 @@ def test_sweep_round_rule_against_bfs(monkeypatch, name, sweep_bits):
 )
 def test_isolated_vertex_disconnects_every_sweep_mode(monkeypatch, edges, n, sweep_bits):
     """An isolated vertex keeps its own ball, which no round grows: the
-    sweep from every vertex, with or without parities, and each index
-    built on the sweep raise DisconnectedError."""
+    sweep from every vertex, each index built on the sweep and the edge
+    classes raise DisconnectedError."""
     monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
     g = from_edge_list(n, edges)
     with pytest.raises(DisconnectedError):
         _sweep(g, range(n), ())
     with pytest.raises(DisconnectedError):
-        _sweep(g, range(n), (), [0] * n)
+        theta_classes(g)
     with pytest.raises(DisconnectedError):
         index_report(g, star_k=1)
     with pytest.raises(DisconnectedError):

@@ -21,8 +21,8 @@ from distindex import (
     twk_cut,
     wiener,
 )
-from distindex.indices import _sweep
-from distindex.partial_cube import _transpose
+import distindex.partial_cube
+from distindex.partial_cube import ThetaPartition, _cut_labels, _isometric, _transpose
 from helpers import all_pairs_distances, complete_graph, path_graph, star_graph
 
 K23 = from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
@@ -236,24 +236,116 @@ def _trees_with_even_chords(rng: random.Random, count: int):
         yield from_edge_list(t.n, sorted(edges))
 
 
+def _near_sides(g):
+    """For every edge (x, y), x at even distance from vertex 0: the
+    vertices closer to x than to y, from one BFS per vertex."""
+    rows = [bfs_distances(g, v) for v in range(g.n)]
+    out = {}
+    for x, y in g.edges():
+        if rows[0][x] & 1:
+            x, y = y, x
+        out[x, y] = sum((rows[x][w] < rows[y][w]) << w for w in range(g.n))
+    return out
+
+
 @pytest.mark.parametrize("sweep_bits", [distindex.indices._SWEEP_BITS, 1, 7, 120])
-def test_sweep_parities_give_min_distance_parity_labels(monkeypatch, sweep_bits):
-    """Bit w of parities[x] ^ parities[y] is the parity of
-    min(d(w, x), d(w, y)) on every edge of a bipartite graph, however the
-    sources are split into blocks: a budget of 1 or 7 bits sweeps one
-    source per block, 120 bits several per block with a shorter last one."""
+def test_cut_labels_give_the_near_side_of_every_edge(monkeypatch, sweep_bits):
+    """Bit w of labels[x] ^ labels[y] is set exactly when w is closer to
+    x than to y, x being the end at even distance from vertex 0, on every
+    edge of a bipartite graph, however the sources are split into blocks:
+    a budget of 1 or 7 bits sweeps one source per block, 120 bits several
+    per block with a shorter last one."""
     monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", sweep_bits)
     graphs = [cycle_graph(n) for n in (4, 6, 10, 14)]
     graphs += [_grid(a, b) for a, b in ((1, 2), (2, 3), (3, 5), (4, 4), (5, 6))]
     graphs += [hypercube_graph(d) for d in (1, 2, 3, 4, 5)]
     graphs += [K23, *_trees_with_even_chords(random.Random(15), 12)]
     for g in graphs:
-        parities = [0] * g.n
-        _sweep(g, range(g.n), (), parities)
-        rows = [bfs_distances(g, v) for v in range(g.n)]
-        for x, y in g.edges():
-            want = sum((min(rows[x][w], rows[y][w]) & 1) << w for w in range(g.n))
-            assert parities[x] ^ parities[y] == want
+        labels = _cut_labels(g, bfs_distances(g, 0))
+        for (x, y), want in _near_sides(g).items():
+            assert labels[x] ^ labels[y] == want
+
+
+def _last_rounds(g):
+    """The round at which a block holding source w alone stops: the first
+    r whose colour class (even BFS layers from vertex 0 for even r, odd
+    ones for odd r) lies within r of w."""
+    colour = [d & 1 for d in bfs_distances(g, 0)]
+    out = []
+    for w in range(g.n):
+        row = bfs_distances(g, w)
+        r = 0
+        while any(colour[v] == r & 1 and row[v] > r for v in range(g.n)):
+            r += 1
+        out.append(r)
+    return out
+
+
+LABEL_BLOCK_GRAPHS = {
+    "p4": path_graph(4),
+    "c6": cycle_graph(6),
+    "c8": cycle_graph(8),
+    "q3": hypercube_graph(3),
+    "coronene2": gen_coronene(2).graph,
+    "grid20x30": _grid(20, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_BLOCK_GRAPHS))
+def test_cut_labels_agree_across_block_sizes(monkeypatch, name):
+    """Blocks that stop on odd rounds and blocks that stop on even ones
+    give the same side of every edge, so the edge labels do not depend on
+    how the sources are split: one source a block (both parities occur),
+    a few, and all in one block."""
+    g = LABEL_BLOCK_GRAPHS[name]
+    assert {r & 1 for r in _last_rounds(g)} == {0, 1}
+    dist = bfs_distances(g, 0)
+    want = _near_sides(g)
+    for bits in (distindex.indices._SWEEP_BITS, 1, 2 * g.n, 3 * g.n, 7 * g.n):
+        monkeypatch.setattr(distindex.indices, "_SWEEP_BITS", bits)
+        labels = _cut_labels(g, dist)
+        assert {(x, y): labels[x] ^ labels[y] for x, y in want} == want
+
+
+def _c6_false_partition():
+    """C_6 cut into classes {01, 23}, {12, 45} and {34, 05}: every edge
+    changes its own class's coordinate alone, yet vertices 0 and 3, at
+    distance 3, differ in one coordinate."""
+    classes = (((0, 1), (2, 3)), ((1, 2), (4, 5)), ((3, 4), (0, 5)))
+    masks = [0b000, 0b001, 0b011, 0b010, 0b110, 0b100]
+    side1 = tuple(sum((m >> c & 1) << v for v, m in enumerate(masks)) for c in range(3))
+    part = ThetaPartition(n=6, classes=classes, side0=tuple(0b111111 ^ s for s in side1), side1=side1)
+    return part, masks
+
+
+def test_certificate_rejects_a_partition_that_is_not_isometric(monkeypatch):
+    g = cycle_graph(6)
+    part, masks = _c6_false_partition()
+    for c, cls in enumerate(part.classes):
+        for x, y in cls:
+            assert masks[x] ^ masks[y] == 1 << c
+    assert not _isometric(part, masks)
+    assert _isometric(*distindex.partial_cube._partition(g))
+    monkeypatch.setattr(distindex.partial_cube, "_partition", lambda _: (part, masks))
+    verdict = is_partial_cube(g)
+    assert verdict == (False, "not_isometric", "pair (0, 3): Hamming 1 vs distance 3", None, part)
+
+
+def test_verifier_runs_no_pair_count_sweep(monkeypatch):
+    """The verifier reads its edge classes from its own colour-class
+    sweep, never from the oracle's pair-counting one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier called indices._sweep")
+
+    monkeypatch.setattr(distindex.indices, "_sweep", refuse)
+    monkeypatch.setattr(distindex.partial_cube, "_sweep", refuse, raising=False)
+    for g in (hypercube_graph(4), cycle_graph(8), gen_coronene(2).graph, _grid(3, 5)):
+        assert is_partial_cube(g).accepted
+        assert theta_classes(g).n == g.n
+    assert is_partial_cube(K23).reason == "class_removal_not_two_components"
+    with pytest.raises(ClassRemovalError):
+        theta_classes(K23)
 
 
 @pytest.mark.parametrize("count, n", [(0, 6), (0, 1), (1, 1), (5, 1), (40, 7), (3, 64), (9, 9)])

@@ -380,6 +380,30 @@ def test_fork_only_when_the_rest_pays(monkeypatch, serial, run, forks_wanted):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("count, forks_wanted", [(30, 0), (40, 1)])
+def test_growing_checks_are_projected_from_the_later_half(monkeypatch, count, forks_wanted):
+    # check x takes (x + 1) x 0.1 ms on a fake clock: ten checks pass
+    # _AFTER_S (5.5 ms), the mean pace of those ten is 0.55 ms and the
+    # pace of their later half 0.8 ms.  With 30 checks left the later
+    # half projects 24 ms, past the 20 ms break-even, where the mean
+    # pace would project 16.5 ms; with 20 left it projects 16 ms
+    import types
+
+    after = distindex.fanout._AFTER_S
+    forks = fan_out(monkeypatch, 2)
+    monkeypatch.setattr(distindex.fanout, "_AFTER_S", after)
+    clock = [0.0]
+
+    def check(x):
+        clock[0] += (x + 1) * 1e-4
+        return x * x
+
+    monkeypatch.setattr(distindex.fanout, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    assert distindex.fanout.fanout(check, range(count)) == [x * x for x in range(count)]
+    assert len(forks) == forks_wanted
+    assert_no_child_left()
+
+
 def test_no_fork_while_another_thread_runs(monkeypatch):
     # a forked child would hold only the calling thread, so a second
     # thread keeps the fan-out serial
