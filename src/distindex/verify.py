@@ -19,13 +19,6 @@ WienerPolynomial.  tree_wk and tree_twk are the tree route of compute,
 which the linear-vs-oracle and cut-vs-oracle suites tie to the oracle.
 _forms names the tied trees from the same cached parent arrays
 (treegen._form), with no graph; only the witnesses are built as graphs.
-
-Every suite and scan is a map of one check over independent items (a
-case, a tree's Prufer code as random_tree draws it, a graph's spec, a
-parent array), run by fanout.fanout, which splits the checks across the
-CPUs the process may use once a claim has run for a few milliseconds.
-Checks return marshallable values, small when the routes agree; the
-documents are the same however the checks were split.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from .extremal import (
     max_wk_even,
     max_wk_odd,
 )
-from .fanout import fanout
 from .graphs import cycle_graph, hypercube_graph
 from .indices import index_report, twk, wiener_polynomial, wk
 from .partial_cube import theta_classes, twk_cut
@@ -85,7 +77,7 @@ def _scan(
     came from."""
     order = range(n - 1, -1, -1)
     parents = free_tree_parents(n)
-    return fanout(lambda parent: kernel(parent, order), parents), parents
+    return [kernel(parent, order) for parent in parents], parents
 
 
 def _forms(values: list[int], parents: tuple[bytes, ...], value: int) -> list[str]:
@@ -219,7 +211,7 @@ def verify_eq1(max_n: int = DEFAULT_EQ1_N) -> dict:
 
     mismatches = [
         {"n": n, "k": k, "p": p, "formula": diff[0], "oracle": diff[1]}
-        for (n, k, p), diff in zip(cases, fanout(check, cases))
+        for (n, k, p), diff in zip(cases, map(check, cases))
         if diff
     ]
     return {
@@ -281,7 +273,7 @@ def verify_linear_vs_oracle(trials: int = DEFAULT_LINEAR_TRIALS, seed: int = DEF
 
     mismatches = [
         {"trial": trial, "n": len(code) + 2, "k": k, "linear": got, "oracle": want}
-        for trial, (code, diffs) in enumerate(zip(codes, fanout(check, codes)))
+        for trial, (code, diffs) in enumerate(zip(codes, map(check, codes)))
         for k, got, want in diffs or ()
     ]
     return {
@@ -316,7 +308,7 @@ def verify_cut_vs_oracle(trials: int = DEFAULT_CUT_TRIALS, seed: int = DEFAULT_S
                 diffs.append((k, a, b))
         return len(by_degree), diffs
 
-    results = fanout(check, specs)
+    results = list(map(check, specs))
     comparisons = sum(count for count, _ in results)
     mismatches = [
         {"graph": f"tree-{i}" if kind == "tree" else f"{kind}{x}", "k": k, "cut": a, "oracle": b}

@@ -101,7 +101,6 @@ def test_one_walk_per_order_per_process(monkeypatch, capsys):
     # every claim scan, tie form, count and listing of one order reads
     # the order's cached parent arrays: one walk serves them all
     import distindex.cli
-    import distindex.fanout
     import distindex.treegen
     import distindex.verify
 
@@ -114,7 +113,6 @@ def test_one_walk_per_order_per_process(monkeypatch, capsys):
 
     for module in (distindex.treegen, distindex.verify, distindex.cli):
         monkeypatch.setattr(module, "free_level_sequences", counting_walk, raising=False)
-    monkeypatch.setattr(distindex.fanout, "_cpus", lambda: 1)  # every call in this process
     free_tree_parents.cache_clear()
     for argv in (
         ["verify", "--claim", "max-wk", "--n", "9", "--k", "3"],

@@ -1,12 +1,10 @@
 import json
 import os
 import random
-import threading
 from pathlib import Path
 
 import pytest
 
-import distindex.fanout
 import distindex.verify
 
 from distindex import (
@@ -26,34 +24,6 @@ from distindex import (
 )
 from distindex.verify import LINEAR_N_RANGE, _tree_codes
 from helpers import all_free_trees
-
-
-@pytest.fixture
-def serial(monkeypatch):
-    """No fan-out: every check runs in this process, so counters that
-    tests patch in see every call."""
-    monkeypatch.setattr(distindex.fanout, "_cpus", lambda: 1)
-
-
-def fan_out(monkeypatch, cpus):
-    """Fork after the first item onto cpus CPUs, whatever the host has;
-    returns the list the forks are counted in."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(distindex.fanout, "_AFTER_S", -1.0)
-    monkeypatch.setattr(distindex.fanout, "_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_max_wk_odd():
@@ -149,7 +119,7 @@ def test_verify_coronene_builds_the_partition_once(monkeypatch):
     ],
     ids=["max-wk-3-1", "max-tw3-None-1", "degree-count-3-0", "wiener-bounds-None-2"],
 )
-def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, serial, verifier, args, graphs):
+def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, verifier, args, graphs):
     # Of the 106 trees of order 10, graphs are built only for the
     # witnesses: the maximizers (and minimizers) are named from their
     # parent arrays, and the oracle runs on the witness alone
@@ -189,7 +159,7 @@ def test_extremal_claims_build_graphs_only_for_the_witnesses(monkeypatch, serial
     ],
     ids=["max-wk-12-4", "max-wk-11-3", "wiener-bounds-11"],
 )
-def test_scans_read_one_number_per_tree(monkeypatch, serial, claim, verifier, args):
+def test_scans_read_one_number_per_tree(monkeypatch, claim, verifier, args):
     # W_k comes from two digits of the row pass (tree_wk) and W from the
     # subtree sizes (tree_wiener): no tree gets a whole polynomial, and
     # the documents are the recorded ones
@@ -268,154 +238,80 @@ def canonical(doc: dict) -> str:
 
 
 @pytest.mark.parametrize(
-    "verifier, args",
+    "verifier, args, doc",
     [
-        (verify_eq1, (30,)),
-        (verify_linear_vs_oracle, (40, 1)),
-        (verify_linear_vs_oracle, (40, 7)),
-        (verify_cut_vs_oracle, (20,)),
-        (verify_max_wk, (13, 3)),
+        (
+            verify_max_wk,
+            (16, 3),
+            '{"claim":"max-wk","k":3,"maximizer_count":15,"n":16,"observed":49,"parity":"odd",'
+            '"pass":true,"predicted":49,"witness":{"a1":7,"a2":7,"k":3,"kind":"double_broom","n":16},'
+            '"witness_value":49}',
+        ),
+        (
+            verify_max_tw3,
+            (16,),
+            '{"claim":"max-tw3","maximizer_count":1,"n":16,"observed":56,"p":7,"pass":true,'
+            '"predicted":56,"unique":true,"witness":{"k":3,"kind":"caterpillar","n":16,"p":7},'
+            '"witness_is_maximizer":true,"witness_value":56}',
+        ),
+        (
+            verify_wiener_bounds,
+            (16,),
+            '{"claim":"wiener-bounds","max_observed":680,"max_predicted":680,"max_unique_path":true,'
+            '"min_observed":225,"min_predicted":225,"min_unique_star":true,"n":16,"pass":true}',
+        ),
     ],
-    ids=["eq1-30", "linear-40-seed-1", "linear-40-seed-7", "cut-20", "max-wk-13-3"],
+    ids=["max-wk-16-3", "max-tw3-16", "wiener-bounds-16"],
 )
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_fanned_documents_equal_serial(monkeypatch, serial, verifier, args, cpus):
-    # the checks split across forked children merge back in item order:
-    # the same document as the serial loop, and every child reaped
-    want = canonical(verifier(*args))
-    forks = fan_out(monkeypatch, cpus)
-    assert canonical(verifier(*args)) == want
-    assert len(forks) == cpus - 1
-    assert_no_child_left()
+def test_largest_scans_run_in_this_process(monkeypatch, verifier, args, doc):
+    # the 19,320 trees of order 16 are scanned one after another in the
+    # calling process, with no child, and give the recorded documents
+    def no_fork():
+        raise AssertionError("a claim scan forked")
 
-
-def test_failed_child_share_is_checked_again(monkeypatch):
-    # a child that exits non-zero sends nothing; the parent checks its
-    # share itself and the document is unchanged
-    want = canonical(verify_eq1(30))
-    parent, oracle = os.getpid(), distindex.verify.twk
-
-    def dying_in_child(g, k):
-        if os.getpid() != parent:
-            os._exit(3)
-        return oracle(g, k)
-
-    forks = fan_out(monkeypatch, 2)
-    monkeypatch.setattr(distindex.verify, "twk", dying_in_child)
-    assert canonical(verify_eq1(30)) == want
-    assert forks == [1]
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("bad", [8, 9], ids=["child-share", "parent-share"])
-def test_check_exception_comes_out_of_the_parent(monkeypatch, bad):
-    # after the first item, 1..9 are dealt out in turn: 1, 3, .., 9 to
-    # this process and 2, 4, 6, 8 to the child
-    def check(x):
-        if x == bad:
-            raise KeyError(x)
-        return x
-
-    forks = fan_out(monkeypatch, 2)
-    with pytest.raises(KeyError):
-        distindex.fanout.fanout(check, range(10))
-    assert forks == [1]
-    assert_no_child_left()
-
-
-def test_failed_fork_leaves_the_share_here(monkeypatch):
-    # a fork refused for want of processes: this process checks every
-    # share, and the pipe made for the child is closed
-    fan_out(monkeypatch, 3)
-
-    def refused():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", refused)
-    fds = len(os.listdir("/proc/self/fd"))
-    assert distindex.fanout.fanout(lambda x: x + 1, range(9)) == list(range(1, 10))
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
-def test_fanout_keeps_item_order_and_forks_only_for_spare_items(monkeypatch):
-    forks = fan_out(monkeypatch, 4)
-    assert distindex.fanout.fanout(lambda x: x * x, range(11)) == [x * x for x in range(11)]
-    assert len(forks) == 3
-    forks.clear()
-    assert distindex.fanout.fanout(lambda x: [x, (x,)], range(3)) == [[x, (x,)] for x in range(3)]
-    assert len(forks) == 1  # two items left after the first: one child
-    forks.clear()
-    assert distindex.fanout.fanout(str, range(1)) == ["0"]
-    assert distindex.fanout.fanout(str, ()) == []
-    assert forks == []
-    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert canonical(verifier(*args)) == doc
 
 
 @pytest.mark.parametrize(
-    "run, forks_wanted",
+    "verifier, args, route, wrong, mismatches",
     [
-        (lambda: distindex.fanout.fanout(lambda x: x * x, range(26)), 0),
-        (lambda: distindex.fanout.fanout(lambda x: x * x, range(28)), 1),
-        (lambda: verify_linear_vs_oracle(20, 1), 0),
-        (lambda: verify_linear_vs_oracle(40, 1), 1),
+        (
+            verify_eq1,
+            (6,),
+            "twk",
+            lambda value, g, k: value + (g.n == 5),
+            [{"n": 5, "k": k, "p": p, "formula": 0, "oracle": 1} for k in (3, 4) for p in (0, 1)],
+        ),
+        (
+            verify_linear_vs_oracle,
+            (3, 1),
+            "wk_linear",
+            lambda value, rt, k: value + (k == 10),
+            [
+                {"trial": 0, "n": 36, "k": 10, "linear": 28, "oracle": 27},
+                {"trial": 1, "n": 90, "k": 10, "linear": 260, "oracle": 259},
+                {"trial": 2, "n": 147, "k": 10, "linear": 598, "oracle": 597},
+            ],
+        ),
+        (
+            verify_cut_vs_oracle,
+            (2, 1),
+            "twk_cut",
+            lambda value, g, k, partition: value + (g.n == 6),
+            [{"graph": "C6", "k": 2, "cut": 28, "oracle": 27}],
+        ),
     ],
-    ids=["26-items", "28-items", "linear-20", "linear-40"],
+    ids=["eq1", "linear-vs-oracle", "cut-vs-oracle"],
 )
-def test_fork_only_when_the_rest_pays(monkeypatch, serial, run, forks_wanted):
-    # a clock that reads 2**-10 s later at each look makes every check
-    # take that long: six checks pass _AFTER_S, and the rest, projected
-    # at that pace, passes the break-even (_PAYS_OFF x _AFTER_S, 20 ms)
-    # only when more than 20 of them are left; forked or not, the result
-    # is the serial one
-    import itertools
-    import types
-
-    want, after = run(), distindex.fanout._AFTER_S
-    forks = fan_out(monkeypatch, 2)
-    monkeypatch.setattr(distindex.fanout, "_AFTER_S", after)
-    clock = itertools.count(0, 2**-10)
-    monkeypatch.setattr(distindex.fanout, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
-    assert run() == want
-    assert len(forks) == forks_wanted
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("count, forks_wanted", [(30, 0), (40, 1)])
-def test_growing_checks_are_projected_from_the_later_half(monkeypatch, count, forks_wanted):
-    # check x takes (x + 1) x 0.1 ms on a fake clock: ten checks pass
-    # _AFTER_S (5.5 ms), the mean pace of those ten is 0.55 ms and the
-    # pace of their later half 0.8 ms.  With 30 checks left the later
-    # half projects 24 ms, past the 20 ms break-even, where the mean
-    # pace would project 16.5 ms; with 20 left it projects 16 ms
-    import types
-
-    after = distindex.fanout._AFTER_S
-    forks = fan_out(monkeypatch, 2)
-    monkeypatch.setattr(distindex.fanout, "_AFTER_S", after)
-    clock = [0.0]
-
-    def check(x):
-        clock[0] += (x + 1) * 1e-4
-        return x * x
-
-    monkeypatch.setattr(distindex.fanout, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
-    assert distindex.fanout.fanout(check, range(count)) == [x * x for x in range(count)]
-    assert len(forks) == forks_wanted
-    assert_no_child_left()
-
-
-def test_no_fork_while_another_thread_runs(monkeypatch):
-    # a forked child would hold only the calling thread, so a second
-    # thread keeps the fan-out serial
-    if not hasattr(os, "sched_getaffinity"):
-        pytest.skip("no CPU affinity call on this platform")
-    assert distindex.fanout._cpus() == len(os.sched_getaffinity(0))
-    release = threading.Event()
-    worker = threading.Thread(target=release.wait)
-    worker.start()
-    try:
-        assert distindex.fanout._cpus() == 1
-    finally:
-        release.set()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
+def test_suites_report_each_mismatch(monkeypatch, verifier, args, route, wrong, mismatches):
+    # a route made wrong on some items: each suite names every item it
+    # disagrees on, in item order, and fails (cut-vs-oracle's families
+    # cut down to C_4 and C_6)
+    monkeypatch.setattr(distindex.verify, "CUT_FAMILIES", (("C", 4), ("C", 6)))
+    right = getattr(distindex.verify, route)
+    monkeypatch.setattr(distindex.verify, route, lambda *a: wrong(right(*a), *a))
+    report = verifier(*args)
+    assert report["mismatches"] == mismatches
+    assert report["mismatch_count"] == len(mismatches)
+    assert not report["pass"]
