@@ -74,7 +74,6 @@ from .partial_cube import (
     CubeCoordinates,
     CubeVerdict,
     ThetaPartition,
-    halfspace_degree_counts,
     is_partial_cube,
     theta_classes,
     twk_cut,
@@ -129,7 +128,7 @@ __all__ = [
     "tree_polynomial", "tree_wk", "tree_wiener", "tree_twk", "tree_zagreb",
     # partial cubes
     "ThetaPartition", "theta_classes", "CubeCoordinates", "CubeVerdict",
-    "is_partial_cube", "halfspace_degree_counts", "twk_cut",
+    "is_partial_cube", "twk_cut",
     # extremal families
     "TreeSpec", "gen_tree", "caterpillar_positions", "max_wk_odd",
     "max_wk_even", "max_degree_count",

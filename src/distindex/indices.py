@@ -4,7 +4,8 @@ This module is the oracle that the faster tree and cut routes are tested
 against, so every function works on any connected graph and recomputes
 from scratch on each call.
 
-It also holds the package's one ball sweep, `_sweep`: each vertex keeps
+It also holds the oracle's ball sweep, `_sweep` (the partial-cube
+verifier runs its own, `partial_cube._cut_labels`): each vertex keeps
 the set of sources within radius r as an integer bitset, and one round
 takes every ball from radius r to r + 1.  From radius 1 on a ball is the
 union of its neighbours' balls, so a round copies one neighbour's ball

@@ -35,7 +35,10 @@ off u's side of the class of some edge uw, and w is then one
 coordinate nearer to v.
 
 Both sides of a class are kept as vertex bitmasks (bit v set when v lies
-on that side), so side sizes and degree-restricted counts are popcounts.
+on that side).  twk_cut is the cut method: every shortest path crosses
+each class at most once, so a distance sum over marked pairs is the sum
+over the classes of the products of the marked vertices' popcounts on
+the two sides (tree_linear's cut pass is the same sum on a tree).
 """
 
 from __future__ import annotations
@@ -304,27 +307,11 @@ def _first_mismatch(g: Graph, masks: list[int]) -> str:
     raise RuntimeError("the isometry certificate failed but no pair's distances differ")
 
 
-def halfspace_degree_counts(
-    g: Graph, partition: ThetaPartition, k: int
-) -> list[tuple[int, int]]:
-    """Per class, how many degree-k vertices lie on each side."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    marks = sum(1 << v for v, d in enumerate(g.degrees()) if d == k)
-    return [
-        ((lo & marks).bit_count(), (hi & marks).bit_count())
-        for lo, hi in zip(partition.side0, partition.side1)
-    ]
-
-
 def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:
-    """Distance sum over degree-k vertex pairs, summed class by class.
-
-    Every shortest path crosses each class at most once, so the sum of
-    side products over the classes equals the sum of pairwise distances.
-    The graph must be a partial cube: a disconnected graph raises
-    DisconnectedError, any other one NotPartialCubeError.  Pass a
-    precomputed partition to skip re-verification when the caller
+    """Distance sum over degree-k vertex pairs, by the cut method of the
+    module docstring.  The graph must be a partial cube: a disconnected
+    graph raises DisconnectedError, any other one NotPartialCubeError.
+    Pass a precomputed partition to skip re-verification when the caller
     already knows it is one.
     """
     if partition is None:
@@ -334,5 +321,11 @@ def twk_cut(g: Graph, k: int, partition: ThetaPartition | None = None) -> int:
         if not verdict.accepted:
             raise NotPartialCubeError(f"{verdict.reason}: {verdict.detail}")
         partition = verdict.partition
-    return sum(c0 * c1 for c0, c1 in halfspace_degree_counts(g, partition, k))
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    marks = sum(1 << v for v, d in enumerate(g.degrees()) if d == k)
+    return sum(
+        (lo & marks).bit_count() * (hi & marks).bit_count()
+        for lo, hi in zip(partition.side0, partition.side1)
+    )
 

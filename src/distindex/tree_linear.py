@@ -63,14 +63,15 @@ of vertex cost no big-integer product:
   chains * full**2 once at the end.  This catches paths, spines and
   broom handles.
 
-tree_twk sums c_v * (K - c_v) over the non-root v, where c_v counts the
-degree-k vertices of v's subtree and K those of the tree: every edge of
-a tree is an edge class of its own, and the edge above v separates v's
-subtree from the rest.  tree_wiener is the same sum with every vertex
-counted: W is the sum of s_v * (n - s_v) over the subtree sizes s_v,
-in small ints with no row.  tree_zagreb counts the degrees tree_twk
-counts and hands them, with the edges to the parents, to
-indices.zagreb.
+The cut pass (_cut_sum) is the cut method on a tree (Klavzar, Gutman
+and Mohar 1995).  Each edge is a class of its own, and the edge above v
+splits the marked vertices into the c_v of v's subtree and the K - c_v
+of the rest, so the distance sum over the marked pairs is the sum of
+c_v * (K - c_v) over the non-root v, in small ints with no row.  A
+vertex is marked by a 0/1 table of its degree, learned in the same
+pass: tree_twk marks degree k (TW_k), and tree_wiener every degree (W).
+tree_zagreb counts the same degrees and hands them, with the edges to
+the parents, to indices.zagreb.
 
 Nothing recurses, so paths with millions of vertices do not exhaust the
 interpreter stack.
@@ -238,42 +239,45 @@ def tree_wk(parent: Sequence[int], order: Sequence[int], k: int, leaves: int = 0
     return _count(*_rows(parent, order, k, leaves), k)
 
 
-def tree_wiener(parent: Sequence[int], order: Sequence[int]) -> int:
-    """The Wiener index W of the tree (parent, order) describes: the
-    sum of s_v * (n - s_v) over the non-root v, s_v the size of v's
-    subtree."""
-    n = len(order)
-    sizes = [1] * n
-    total = 0
-    for v in islice(order, n - 1):
-        s = sizes[v]
-        sizes[parent[v]] += s
-        total += s * (n - s)
-    return total
-
-
-def tree_twk(parent: Sequence[int], order: Sequence[int], k: int) -> tuple[int, int]:
-    """TW_k and the number of degree-k vertices of the tree (parent,
-    order) describes.
+def _cut_sum(parent: Sequence[int], order: Sequence[int], weight: Sequence[int]) -> tuple[int, int]:
+    """The cut pass over the tree (parent, order) describes: the sum of
+    c_v * (K - c_v) over the non-root v, and K, where a vertex of degree
+    d is marked when weight[d] is 1 (weight covers degrees 0..n - 1).
 
     A vertex's degree is its child count, plus one unless it is the
-    root.  The sum of c_v * (K - c_v) is kept as
-    K * sum(c_v) - sum(c_v ** 2), because K is known only at the end.
+    root.  The sum is kept as K * sum(c_v) - sum(c_v ** 2), because K is
+    known only at the end.
     """
     n = len(order)
     kids = [0] * n
-    marks = [0] * n  # degree-k vertices in the subtree
+    marks = [0] * n  # marked vertices in the subtree
     c_sum = c_squares = 0
     for v in islice(order, n - 1):
-        c = marks[v] + (kids[v] + 1 == k)
+        c = marks[v] + weight[kids[v] + 1]
         p = parent[v]
         kids[p] += 1
         marks[p] += c
         c_sum += c
         c_squares += c * c
     root = order[-1]
-    total = marks[root] + (kids[root] == k)
+    total = marks[root] + weight[kids[root]]
     return total * c_sum - c_squares, total
+
+
+def tree_wiener(parent: Sequence[int], order: Sequence[int]) -> int:
+    """The Wiener index W of the tree (parent, order) describes: the cut
+    pass with every vertex marked."""
+    return _cut_sum(parent, order, [1] * len(order))[0]
+
+
+def tree_twk(parent: Sequence[int], order: Sequence[int], k: int) -> tuple[int, int]:
+    """TW_k and the number of degree-k vertices of the tree (parent,
+    order) describes: the cut pass with degree k alone marked.  A k
+    outside 0..n - 1 marks nothing."""
+    weight = [0] * len(order)
+    if 0 <= k < len(weight):  # a negative k would wrap the index
+        weight[k] = 1
+    return _cut_sum(parent, order, weight)
 
 
 def wk_linear(t: RootedTree, k: int) -> int:

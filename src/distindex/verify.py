@@ -9,15 +9,16 @@ seed and are fully reproducible.
 
 The extremal claims build no graph per tree.  One scan, _scan, runs
 the one kernel a claim needs over the parent array of every tree's
-centre-rooted level sequence, read in reversed preorder (tree_wk for
-W_k, tree_wiener for W, tree_twk for TW_3 and the degree-k count), and
-each claim is a max, a min, a count or a filter over the values.  The
-parent arrays are the order's cached ones (treegen.free_tree_parents),
-so the claims of one process share one walk per order.  Each kernel
-computes only the number its claim reads, so no tree gets a whole
-WienerPolynomial.  tree_wk and tree_twk are the tree route of compute,
-which the linear-vs-oracle and cut-vs-oracle suites tie to the oracle.
-_forms names the tied trees from the same cached parent arrays
+centre-rooted level sequence, read in reversed preorder, and each claim
+is a max, a min, a count or a filter over the values.  The parent
+arrays are the order's cached ones (treegen.free_tree_parents), so the
+claims of one process share one walk per order.  No tree gets a whole
+WienerPolynomial: tree_wk reads W_k from two digits of a truncated row
+pass, and the rest run tree_linear's cut pass, tree_wiener for W and
+tree_twk for TW_3 and the degree-k count, which is the pass's K (the
+pass sums TW_k as well).  tree_wk and tree_twk are the tree route of
+compute, which the linear-vs-oracle and cut-vs-oracle suites tie to the
+oracle.  _forms names the tied trees from the same cached parent arrays
 (treegen._form), with no graph; only the witnesses are built as graphs.
 """
 

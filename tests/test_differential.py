@@ -41,6 +41,7 @@ from distindex import (
     wk_star,
 )
 from distindex.cli import main
+from distindex.tree_linear import _cut_sum
 from helpers import (
     random_connected_graph,
     reference_twk,
@@ -250,7 +251,26 @@ def test_tree_twk_agrees(gt):
         want = twk(g, k)
         assert tree_twk(t.parent, t.order, k) == (want, g.degrees().count(k))
         assert twk_cut(g, k) == want
-    assert tree_twk(t.parent, t.order, max(g.degrees()) + 1) == (0, 0)
+    # a k no vertex has marks nothing, a negative one included
+    for k in (max(g.degrees()) + 1, -1, g.n):
+        assert tree_twk(t.parent, t.order, k) == (0, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rooted_trees(), st.data())
+def test_cut_sum_agrees_on_degree_tables(gt, data):
+    """The tree cut pass against networkx for marks other than one
+    degree: degree <= k, every vertex, a random subset of the degrees
+    present, and none."""
+    g, t = gt
+    degrees = g.degrees()
+    present = sorted(set(degrees))
+    k = data.draw(st.sampled_from(present))
+    subset = set(data.draw(st.lists(st.sampled_from(present), unique=True)))
+    for keep in (lambda d: d <= k, lambda d: True, subset.__contains__, lambda d: False):
+        weight = [int(keep(d)) for d in range(g.n)]
+        want = (networkx_pair_sum(g, keep), sum(map(keep, degrees)))
+        assert _cut_sum(t.parent, t.order, weight) == want
 
 
 def networkx_pair_sum(g, keep) -> int:

@@ -12,7 +12,6 @@ from distindex import (
     gen_coronene,
     cycle_graph,
     from_edge_list,
-    halfspace_degree_counts,
     hypercube_graph,
     is_partial_cube,
     random_tree,
@@ -138,19 +137,19 @@ def test_coordinate_strings():
     assert got == {"00", "10", "11"} or got == {"00", "01", "11"}
 
 
-def test_halfspace_degree_counts():
-    part = theta_classes(path_graph(4))
-    assert halfspace_degree_counts(path_graph(4), part, 1) == [(1, 1), (1, 1), (1, 1)]
-    part6 = theta_classes(cycle_graph(6))
-    assert halfspace_degree_counts(cycle_graph(6), part6, 2) == [(3, 3)] * 3
-    with pytest.raises(ValueError):
-        halfspace_degree_counts(path_graph(4), part, -1)
-
-
 def test_twk_cut_frozen():
     assert twk_cut(cycle_graph(6), 2) == 27
     assert twk_cut(hypercube_graph(3), 3) == 48
     assert twk_cut(path_graph(5), 1) == 4
+    # with a partition given: 3 over P_4's three classes and 27 over
+    # C_6's three are reached only when every class splits the marked
+    # vertices evenly, 1 | 1 and 3 | 3
+    assert twk_cut(path_graph(4), 1, theta_classes(path_graph(4))) == 3
+    assert twk_cut(cycle_graph(6), 2, theta_classes(cycle_graph(6))) == 27
+    with pytest.raises(ValueError):
+        twk_cut(path_graph(4), -1, theta_classes(path_graph(4)))
+    with pytest.raises(ValueError):
+        twk_cut(path_graph(4), -1)
 
 
 def test_twk_cut_even_cycles_closed_form():

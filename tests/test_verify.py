@@ -260,8 +260,18 @@ def canonical(doc: dict) -> str:
             '{"claim":"wiener-bounds","max_observed":680,"max_predicted":680,"max_unique_path":true,'
             '"min_observed":225,"min_predicted":225,"min_unique_star":true,"n":16,"pass":true}',
         ),
+        (
+            verify_degree_count,
+            (16, 3),
+            '{"claim":"degree-count","k":3,"n":16,"observed":7,"pass":true,"predicted":7}',
+        ),
+        (
+            verify_degree_count,
+            (16, 4),
+            '{"claim":"degree-count","k":4,"n":16,"observed":4,"pass":true,"predicted":4}',
+        ),
     ],
-    ids=["max-wk-16-3", "max-tw3-16", "wiener-bounds-16"],
+    ids=["max-wk-16-3", "max-tw3-16", "wiener-bounds-16", "degree-count-16-3", "degree-count-16-4"],
 )
 def test_largest_scans_run_in_this_process(monkeypatch, verifier, args, doc):
     # the 19,320 trees of order 16 are scanned one after another in the
