@@ -10,6 +10,7 @@ vertices, then pendant groups in spine/arm order.
 
 from __future__ import annotations
 
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 from .errors import InfeasibleSpecError
@@ -115,62 +116,46 @@ def caterpillar_positions(s: int, p: int) -> list[int]:
     ceil(s/2) when p is odd."""
     if not 0 <= p <= s:
         raise InfeasibleSpecError(f"p={p} outside 0..{s}")
-    pos = []
-    for t in range(1, p // 2 + 1):
-        pos.append(t)
-        pos.append(s + 1 - t)
-    if p % 2:
-        pos.append((s + 1) // 2)
-    pos.sort()
+    h = p // 2
+    pos = sorted(chain(range(1, h + 1), range(s + 1 - h, s + 1), [(s + 1) // 2] * (p % 2)))
     if len(set(pos)) != p:
         raise InfeasibleSpecError(f"pendant positions collide for s={s}, p={p}")
     return pos
 
 
 def gen_tree(spec: TreeSpec) -> Graph:
-    """Materialize a TreeSpec as a concrete graph."""
-    check_order(spec.n)
+    """Materialize a TreeSpec as a concrete graph.  Its edges are built
+    from ranges, in the module's vertex numbering: a path's edges join
+    neighbouring numbers, and the pendants, numbered on from the last
+    path or arm vertex, are zipped with their owners repeated."""
+    n = spec.n
+    check_order(n)
     if spec.kind == "path":
-        return from_edge_list(spec.n, ((i, i + 1) for i in range(spec.n - 1)))
+        return from_edge_list(n, zip(range(n - 1), range(1, n)))
     if spec.kind == "star":
-        return from_edge_list(spec.n, ((0, i) for i in range(1, spec.n)))
+        return from_edge_list(n, zip(repeat(0), range(1, n)))
     if spec.kind == "double_broom":
         spine = spec.k - 1
-        edges = [(i, i + 1) for i in range(spine - 1)]
-        nxt = spine
-        for _ in range(spec.a1):
-            edges.append((0, nxt))
-            nxt += 1
-        for _ in range(spec.a2):
-            edges.append((spine - 1, nxt))
-            nxt += 1
-        return from_edge_list(spec.n, edges)
+        owners = chain(repeat(0, spec.a1), repeat(spine - 1, spec.a2))
+        return from_edge_list(n, chain(zip(range(spine - 1), range(1, spine)),
+                                       zip(owners, count(spine))))
     if spec.kind == "starlike_broom":
+        # arm i holds the vertices i*arm + 1 .. (i+1)*arm, its first
+        # hanging off the centre 0 and its last, the tip, owning parts[i]
         arm = spec.k // 2 - 1
-        edges = []
-        tips = []
-        nxt = 1
-        for _ in range(spec.p):
-            prev = 0
-            for _ in range(arm):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-            tips.append(prev)
-        for i in range(spec.p):
-            for _ in range(spec.parts[i]):
-                edges.append((tips[i], nxt))
-                nxt += 1
-        return from_edge_list(spec.n, edges)
+        body = spec.p * arm
+        prev = list(range(body))
+        prev[::arm] = repeat(0, spec.p)
+        tips = range(arm, body + 1, arm)
+        owners = chain.from_iterable(map(repeat, tips, spec.parts))
+        return from_edge_list(n, chain(zip(prev, range(1, body + 1)),
+                                       zip(owners, count(body + 1))))
     if spec.kind == "caterpillar":
-        s = spec.n - spec.p * (spec.k - 2) - 2
-        edges = [(i, i + 1) for i in range(s + 1)]
-        nxt = s + 2
-        for pos in caterpillar_positions(s, spec.p):
-            for _ in range(spec.k - 2):
-                edges.append((pos, nxt))
-                nxt += 1
-        return from_edge_list(spec.n, edges)
+        s = n - spec.p * (spec.k - 2) - 2
+        pos = caterpillar_positions(s, spec.p)
+        owners = chain.from_iterable(map(repeat, pos, repeat(spec.k - 2)))
+        return from_edge_list(n, chain(zip(range(s + 1), range(1, s + 2)),
+                                       zip(owners, count(s + 2))))
     raise InfeasibleSpecError(f"unknown tree kind {spec.kind!r}")
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import heapq
 import math
 import random
 import resource
@@ -23,6 +24,7 @@ from distindex import (
     OrderTooLargeError,
     RootedTree,
     ThetaPartition,
+    TreeSpec,
     UNREACHABLE,
     VertexOutOfRangeError,
     WienerPolynomial,
@@ -355,6 +357,94 @@ def reference_free_trees(n: int) -> Iterator[Graph]:
         if key not in seen:
             seen.add(key)
             yield g
+
+
+def reference_prufer_to_tree(code: Sequence[int]) -> Graph:
+    """The labeled tree a Prufer code encodes, decoded with a heap of the
+    current leaves: each entry is joined to the smallest leaf popped, and
+    the last two leaves to each other; a test-only reference for
+    prufer_to_tree."""
+    n = len(code) + 2
+    degree = [1] * n
+    for x in code:
+        if not 0 <= x < n:
+            raise ValueError(f"code entry {x} outside 0..{n - 1}")
+        degree[x] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for x in code:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v))
+    return from_edge_list(n, edges)
+
+
+def reference_caterpillar_positions(s: int, p: int) -> list[int]:
+    """The spine slots of a caterpillar's pendant groups, appended pair by
+    pair from the ends inward; a test-only reference for
+    caterpillar_positions on feasible s, p."""
+    pos = []
+    for t in range(1, p // 2 + 1):
+        pos.append(t)
+        pos.append(s + 1 - t)
+    if p % 2:
+        pos.append((s + 1) // 2)
+    pos.sort()
+    return pos
+
+
+def reference_tree_edges(spec: TreeSpec) -> list[tuple[int, int]]:
+    """The edges of a family tree, appended one at a time in the
+    numbering of extremal: spine or centre first, then arm vertices,
+    then pendant groups in spine or arm order; a test-only reference for
+    gen_tree."""
+    if spec.kind == "path":
+        return [(i, i + 1) for i in range(spec.n - 1)]
+    if spec.kind == "star":
+        return [(0, i) for i in range(1, spec.n)]
+    edges = []
+    if spec.kind == "double_broom":
+        spine = spec.k - 1
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        nxt = spine
+        for _ in range(spec.a1):
+            edges.append((0, nxt))
+            nxt += 1
+        for _ in range(spec.a2):
+            edges.append((spine - 1, nxt))
+            nxt += 1
+    elif spec.kind == "starlike_broom":
+        arm = spec.k // 2 - 1
+        tips = []
+        nxt = 1
+        for _ in range(spec.p):
+            prev = 0
+            for _ in range(arm):
+                edges.append((prev, nxt))
+                prev = nxt
+                nxt += 1
+            tips.append(prev)
+        for i in range(spec.p):
+            for _ in range(spec.parts[i]):
+                edges.append((tips[i], nxt))
+                nxt += 1
+    elif spec.kind == "caterpillar":
+        s = spec.n - spec.p * (spec.k - 2) - 2
+        edges = [(i, i + 1) for i in range(s + 1)]
+        nxt = s + 2
+        for pos in reference_caterpillar_positions(s, spec.p):
+            for _ in range(spec.k - 2):
+                edges.append((pos, nxt))
+                nxt += 1
+    else:
+        raise ValueError(f"unknown tree kind {spec.kind!r}")
+    return edges
 
 
 def reference_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -9,6 +9,7 @@ from distindex import (
     TreeSpec,
     caterpillar_positions,
     caterpillar_twk,
+    from_edge_list,
     gen_tree,
     max_degree_count,
     max_tw3,
@@ -19,7 +20,13 @@ from distindex import (
     wiener_polynomial,
     wk,
 )
-from helpers import even_group_bound, even_group_peak, is_tree
+from helpers import (
+    even_group_bound,
+    even_group_peak,
+    is_tree,
+    reference_caterpillar_positions,
+    reference_tree_edges,
+)
 
 
 def test_spec_path_star():
@@ -83,6 +90,9 @@ def test_caterpillar_positions_rule():
     assert caterpillar_positions(1, 1) == [1]
     with pytest.raises(InfeasibleSpecError):
         caterpillar_positions(3, 4)
+    for s in range(61):
+        for p in range(s + 1):
+            assert caterpillar_positions(s, p) == reference_caterpillar_positions(s, p)
 
 
 @pytest.mark.parametrize(
@@ -115,6 +125,37 @@ def test_generated_specs_have_declared_order():
     for spec in specs:
         g = gen_tree(spec)
         assert is_tree(g) and g.n == spec.n
+
+
+def feasible_caterpillars(max_n: int):
+    """Every caterpillar spec on at most max_n vertices; with p = 0 the
+    tree is a path whatever k is, so k stops where p = 1 stops fitting."""
+    for n in range(2, max_n + 1):
+        for k in range(3, max(n, 4)):
+            p = 0
+            while n - p * (k - 2) - 2 >= p:
+                yield TreeSpec.caterpillar(n, k, p)
+                p += 1
+
+
+def test_gen_tree_matches_reference_edges():
+    # the range-built edges give the Graph of the edge-at-a-time loops
+    specs = [TreeSpec.path(n) for n in range(1, 41)]
+    specs += [TreeSpec.star(n) for n in range(1, 41)]
+    specs += [
+        TreeSpec.double_broom(k, a1, a2)
+        for k in range(3, 12)
+        for a1 in range(1, 5)
+        for a2 in range(1, 5)
+    ]
+    specs += [
+        TreeSpec.starlike_broom(k, parts)
+        for k in range(4, 13, 2)
+        for parts in ((1, 1), (2, 2, 2), (3, 3, 3, 3),  # balanced
+                      (1, 2), (4, 1, 3), (5, 1, 1, 1, 2), (1,) * 6 + (7,))
+    ]
+    for spec in specs + list(feasible_caterpillars(40)):
+        assert gen_tree(spec) == from_edge_list(spec.n, reference_tree_edges(spec)), spec
 
 
 def test_max_wk_odd_frozen():

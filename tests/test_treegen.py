@@ -1,5 +1,6 @@
 import random
 import signal
+from collections.abc import Sequence
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import networkx as nx
 import pytest
 
 from distindex import (
+    MAX_GRAPH_ORDER,
     MAX_ORDER,
     NotATreeError,
     OrderTooLargeError,
@@ -21,6 +23,7 @@ from distindex import (
     prufer_to_tree,
     random_tree,
 )
+from distindex.treegen import random_prufer_code
 from helpers import (
     all_free_trees,
     is_tree,
@@ -28,6 +31,7 @@ from helpers import (
     limit_memory,
     path_graph,
     reference_free_trees,
+    reference_prufer_to_tree,
     relabel,
     rooted_level_sequences,
     star_graph,
@@ -307,6 +311,60 @@ def test_prufer_matches_networkx(as_bytes):
             want = nx.from_prufer_sequence(list(code))
             assert got.n == want.number_of_nodes() == n
             assert sorted(got.edges()) == sorted(tuple(sorted(e)) for e in want.edges())
+
+
+def pointer_codes() -> list[list[int]]:
+    """Codes that stress the decoder's pointer: a star's all-zero codes,
+    strictly descending codes, which join each entry to the one after it
+    below the pointer, and descending runs of repeated entries, each of
+    which turns into a leaf below the pointer once its run ends."""
+    rng = random.Random(41)
+    codes = [[0] * length for length in (0, 1, 2, 5, 100, 3000)]
+    codes += [list(range(n - 3, -1, -1)) for n in (3, 4, 5, 10, 1000, 3002)]
+    for n in (6, 50, 1000, 3002):
+        codes.append(sorted((rng.randrange(n) for _ in range(n - 2)), reverse=True))
+        codes.append(sorted((rng.randrange(n // 3 + 1) for _ in range(n - 2)), reverse=True))
+    return codes
+
+
+def seeded_codes() -> list[list[int]]:
+    """Random codes of every length 0..40 and of lengths up to 3000, with
+    entries drawn over the whole order and over a small range, where
+    many entries repeat and turn into leaves late."""
+    rng = random.Random(2024)
+    lengths = list(range(41)) + [rng.randrange(41, 3001) for _ in range(20)] + [3000]
+    codes = [random_prufer_code(length + 2, rng) for length in lengths]
+    codes += [[rng.randrange(1 + length // 10) for _ in range(length)] for length in lengths]
+    return codes
+
+
+def test_prufer_matches_heap_reference_and_networkx():
+    for code in pointer_codes() + seeded_codes():
+        got = prufer_to_tree(code)
+        assert got == reference_prufer_to_tree(code), code
+        want = nx.from_prufer_sequence(code)
+        assert got.n == want.number_of_nodes() == len(code) + 2
+        assert got.edges() == sorted(tuple(sorted(e)) for e in want.edges())
+
+
+class LongCode(Sequence):
+    """A code that claims MAX_GRAPH_ORDER entries and fails when read."""
+
+    def __len__(self) -> int:
+        return MAX_GRAPH_ORDER
+
+    def __getitem__(self, i):
+        raise AssertionError("an oversized code was read")
+
+    def __iter__(self):
+        raise AssertionError("an oversized code was read")
+
+
+def test_prufer_checks_the_order_first():
+    # len(code) + 2 exceeds MAX_GRAPH_ORDER: refused before any entry is read
+    want = f"^vertex count must be <= {MAX_GRAPH_ORDER}, got {MAX_GRAPH_ORDER + 2}$"
+    with pytest.raises(OrderTooLargeError, match=want):
+        prufer_to_tree(LongCode())
 
 
 def test_random_tree_properties():
